@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
-from bitextkit.gale_church import LengthParams, _align_block
+from bitextkit.gale_church import LengthParams, _align_block, path_beads
 from bitextkit.scoring import BleuConfig, sentence_bleu, tokenize
 
 
@@ -146,10 +146,7 @@ def _fill_gaps(
             path = _align_block(
                 list(src.sentences[prev_s:s_start]), list(tgt.sentences[prev_t:t_start]), params
             )
-            i, j = prev_s, prev_t
-            for (mm, nn), step in path:
-                out.append(Bead(tuple(range(i, i + mm)), tuple(range(j, j + nn)), -step, "bleualign+gc"))
-                i, j = i + mm, j + nn
+            out.extend(path_beads(path, prev_s, prev_t, "bleualign+gc"))
         if bead is not None:
             out.append(bead)
             prev_s = max(bead.src) + 1

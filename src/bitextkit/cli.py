@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import random
 import sys
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from bitextkit.pipeline import (
     PipelineConfig,
     PipelineError,
     SplitSpec,
-    _dedup_rows,
     _stage_align,
     _stage_preprocess,
     _stage_sbd,
@@ -37,6 +35,7 @@ from bitextkit.pipeline import (
     corpus_stats,
     dedup_pairs,
     load_config,
+    pair_articles,
     run_pipeline,
 )
 from bitextkit.scoring import BleuConfig, corpus_bleu, sentence_bleu, tokenize
@@ -106,8 +105,8 @@ def _cmd_preprocess(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    n_in, n_out = _stage_preprocess(config, out, {})
-    print(f"preprocessed {n_in} documents -> {out / '01_preprocess'}")
+    docs, _ = _stage_preprocess(config, out)
+    print(f"preprocessed {len(docs)} documents -> {out / '01_preprocess'}")
     return 0
 
 
@@ -122,19 +121,11 @@ def _cmd_sbd(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    state = {"docs": read_documents(args.input, _langs(args))}
-    n_in, n_out = _stage_sbd(config, out, state)
-    print(f"segmented {n_in} documents into {n_out} sentences -> {out / '02_sbd'}")
+    docs = read_documents(args.input, _langs(args))
+    sentences = _stage_sbd(config, out, docs)
+    n_sentences = sum(len(sl) for sl in sentences.values())
+    print(f"segmented {len(docs)} documents into {n_sentences} sentences -> {out / '02_sbd'}")
     return 0
-
-
-def _load_sentence_dir(directory: Path, languages: tuple[str, str]) -> dict:
-    metas = read_metadata(directory, languages)
-    sentences = {
-        m.doc_id: read_sentences(directory / f"{m.doc_id}.tsv", m.doc_id, m.language)
-        for m in metas
-    }
-    return {"meta": metas, "sentences": sentences}
 
 
 def _cmd_align(args) -> int:
@@ -155,9 +146,16 @@ def _cmd_align(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    state = _load_sentence_dir(Path(args.sentences), _langs(args))
-    n_in, n_out = _stage_align(config, out, state, args.jobs or 1)
-    print(f"aligned {n_in} article pairs into {n_out} beads -> {out / '03_align'}")
+    directory = Path(args.sentences)
+    metas = read_metadata(directory, _langs(args))
+    sentences = {
+        m.doc_id: read_sentences(directory / f"{m.doc_id}.tsv", m.doc_id, m.language)
+        for m in metas
+    }
+    pairs = pair_articles(metas, *_langs(args))
+    alignments = _stage_align(config, out, pairs, sentences, args.jobs or 1)
+    n_beads = sum(len(a) for a in alignments.values())
+    print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {out / '03_align'}")
     return 0
 
 
@@ -166,10 +164,7 @@ def _cmd_dedup(args) -> int:
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise FormatError(f"{args.input}: mixed column counts {sorted(widths)}")
-    if widths == {3}:
-        kept, removed = _dedup_rows(rows)
-    else:
-        kept, removed = dedup_pairs(rows)
+    kept, removed = dedup_pairs(rows)
     Path(args.output).write_text(
         "".join("\t".join(r) + "\n" for r in kept), encoding="utf-8"
     )
@@ -189,8 +184,8 @@ def _cmd_split(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    state = {"bitext": rows, "meta": read_metadata(meta_dir, _langs(args))}
-    _stage_split(config, out, state)
+    pairs = pair_articles(read_metadata(meta_dir, _langs(args)), *_langs(args))
+    _stage_split(config, out, pairs, rows)
     print(f"split manifests written -> {out / '05_split'}")
     return 0
 
@@ -251,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", type=Path, help="pipeline config (JSON)")
     parser.add_argument("--jobs", type=int, default=None, help="worker processes")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; no stage is stochastic")
     parser.add_argument("--log-format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.log_format)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (PipelineError, ValueError, OSError) as exc:

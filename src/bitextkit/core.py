@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Bead shapes that may appear in alignments (the types observed in the
@@ -140,30 +140,13 @@ class Bead:
 
 @dataclass(frozen=True)
 class AlignmentSet:
-    """An ordered set of beads over one document pair."""
+    """An ordered set of beads over one document pair, with an optional
+    note per bead (reference alignments carry annotator notes)."""
 
     beads: tuple[Bead, ...]
     src_len: int
     tgt_len: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "beads", tuple(self.beads))
-        if self.src_len < 0 or self.tgt_len < 0:
-            raise ValueError("src_len/tgt_len: must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.beads)
-
-
-@dataclass(frozen=True)
-class GoldAlignment:
-    """Hand-made reference alignment; same shape as :class:`AlignmentSet`
-    plus an optional annotator note per bead."""
-
-    beads: tuple[Bead, ...]
-    src_len: int
-    tgt_len: int
-    notes: tuple[str | None, ...] = field(default=())
+    notes: tuple[str | None, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "beads", tuple(self.beads))
@@ -178,12 +161,17 @@ class GoldAlignment:
         return len(self.beads)
 
 
+#: A hand-made reference alignment is an :class:`AlignmentSet` whose notes
+#: come from the annotator.
+GoldAlignment = AlignmentSet
+
+
 def _check_block(indices: tuple[int, ...]) -> bool:
     """True if indices form a contiguous ascending run (or are empty)."""
     return all(b == a + 1 for a, b in zip(indices, indices[1:]))
 
 
-def validate_alignment(aset: AlignmentSet | GoldAlignment) -> list[str]:
+def validate_alignment(aset: AlignmentSet) -> list[str]:
     """Check structural alignment invariants; return every violation found.
 
     An empty list means the alignment is well formed: each bead has a shape
@@ -226,7 +214,7 @@ def validate_alignment(aset: AlignmentSet | GoldAlignment) -> list[str]:
     return violations
 
 
-def validate_gold(gold: GoldAlignment) -> list[str]:
+def validate_gold(gold: AlignmentSet) -> list[str]:
     """Validate a reference alignment: structure plus full coverage of both
     sides (every sentence in exactly one bead)."""
     violations = validate_alignment(gold)
@@ -357,7 +345,9 @@ def _parse_score(path, lineno: int, text: str) -> float | None:
         ) from exc
 
 
-def _read_bead_file(path: str | Path, with_notes: bool):
+def read_alignments(path: str | Path) -> AlignmentSet:
+    """Read an alignment TSV (see module docstring for the format), keeping
+    the optional note column."""
     path = Path(path)
     src_len = tgt_len = None
     beads, notes = [], []
@@ -381,47 +371,26 @@ def _read_bead_file(path: str | Path, with_notes: bool):
     if src_len is None:
         src_len = max((i for b in beads for i in b.src), default=-1) + 1
         tgt_len = max((i for b in beads for i in b.tgt), default=-1) + 1
-    return tuple(beads), src_len, tgt_len, tuple(notes)
+    return AlignmentSet(tuple(beads), src_len, tgt_len, tuple(notes))
 
 
-def read_alignments(path: str | Path) -> AlignmentSet:
-    """Read an alignment TSV (see module docstring for the format)."""
-    beads, src_len, tgt_len, _ = _read_bead_file(path, with_notes=False)
-    return AlignmentSet(beads, src_len, tgt_len)
-
-
-def read_gold(path: str | Path) -> GoldAlignment:
-    """Read a reference alignment TSV, keeping the optional note column."""
-    beads, src_len, tgt_len, notes = _read_bead_file(path, with_notes=True)
-    return GoldAlignment(beads, src_len, tgt_len, notes)
-
-
-def _bead_lines(beads, src_len, tgt_len, notes=None):
-    lines = [f"# src_len={src_len}\ttgt_len={tgt_len}"]
-    for k, bead in enumerate(beads):
+def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
+    lines = [f"# src_len={aset.src_len}\ttgt_len={aset.tgt_len}"]
+    for bead, note in zip(aset.beads, aset.notes):
         fields = [
             ",".join(str(i) for i in bead.src),
             ",".join(str(i) for i in bead.tgt),
             _format_score(bead.score),
             bead.method,
         ]
-        if notes is not None and notes[k]:
-            fields.append(notes[k])
+        if note:
+            fields.append(note)
         lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
-    Path(path).write_text(
-        _bead_lines(aset.beads, aset.src_len, aset.tgt_len), encoding="utf-8"
-    )
-
-
-def write_gold(gold: GoldAlignment, path: str | Path) -> None:
-    Path(path).write_text(
-        _bead_lines(gold.beads, gold.src_len, gold.tgt_len, gold.notes),
-        encoding="utf-8",
-    )
+read_gold = read_alignments
+write_gold = write_alignments
 
 
 def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList:

@@ -163,6 +163,18 @@ def _align_block(
     return path
 
 
+def path_beads(
+    path: list[tuple[tuple[int, int], float]], i: int, j: int, method: str
+) -> list[Bead]:
+    """Beads of a lattice path that starts at source sentence i and target
+    sentence j; each bead's score is its negated step cost."""
+    beads = []
+    for (m, n), step in path:
+        beads.append(Bead(tuple(range(i, i + m)), tuple(range(j, j + n)), -step, method))
+        i, j = i + m, j + n
+    return beads
+
+
 def _paragraph_blocks(sl: SentenceList) -> list[tuple[int, int]]:
     """(start, end) sentence ranges of each paragraph, in order."""
     blocks = []
@@ -175,10 +187,7 @@ def _paragraph_blocks(sl: SentenceList) -> list[tuple[int, int]]:
 
 
 def gc_align(
-    src: SentenceList,
-    tgt: SentenceList,
-    params: LengthParams | None = None,
-    respect_paragraphs: bool = True,
+    src: SentenceList, tgt: SentenceList, params: LengthParams | None = None
 ) -> AlignmentSet:
     """Length-based alignment of a document pair.
 
@@ -191,18 +200,13 @@ def gc_align(
         params = LengthParams()
     src_blocks = _paragraph_blocks(src)
     tgt_blocks = _paragraph_blocks(tgt)
-    if not (respect_paragraphs and len(src_blocks) == len(tgt_blocks) and src_blocks):
+    if len(src_blocks) != len(tgt_blocks) or not src_blocks:
         src_blocks, tgt_blocks = [(0, len(src))], [(0, len(tgt))]
-    all_beads: list[Bead] = []
+    beads: list[Bead] = []
     for (s0, s1), (t0, t1) in zip(src_blocks, tgt_blocks):
         path = _align_block(list(src.sentences[s0:s1]), list(tgt.sentences[t0:t1]), params)
-        i, j = s0, t0
-        for (m, n), step in path:
-            all_beads.append(
-                Bead(tuple(range(i, i + m)), tuple(range(j, j + n)), -step, "gc")
-            )
-            i, j = i + m, j + n
-    return AlignmentSet(tuple(all_beads), len(src), len(tgt))
+        beads.extend(path_beads(path, s0, t0, "gc"))
+    return AlignmentSet(tuple(beads), len(src), len(tgt))
 
 
 def load_length_params(path: str | Path) -> LengthParams:

@@ -285,7 +285,10 @@ def moore_align(
     doc_tgt = {w for ts in tgt_tokens for w in ts}
     degenerate = not (doc_src & table.src_vocab) or not (doc_tgt & table.tgt_vocab)
     if degenerate:
-        log.warning("translation table shares no vocabulary with the document; using length model only")
+        log.warning(
+            "%s: translation table shares no vocabulary with the document; using length model only",
+            src.doc_id,
+        )
     else:
         src_tokens = [_map_oov(ts, table.src_vocab) for ts in src_tokens]
         tgt_tokens = [_map_oov(ts, table.tgt_vocab) for ts in tgt_tokens]

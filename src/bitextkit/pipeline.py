@@ -75,6 +75,13 @@ log = logging.getLogger(__name__)
 #: The one supported content hash for dedup (recorded in the run log).
 HASH_NAME = "blake2b-64"
 
+#: Article pairs as (source, target) metadata, from :func:`pair_articles`.
+Pairs = list[tuple[ArticleMeta, ArticleMeta]]
+#: (article, src, tgt) sentence-pair rows.
+Bitext = list[tuple[str, str, str]]
+
+_SPLITS = ("train", "dev", "test")
+
 
 class PipelineError(Exception):
     """A stage failed; the message names the stage and the cause."""
@@ -98,24 +105,14 @@ def pair_hash(src: str, tgt: str) -> str:
     return blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def dedup_pairs(pairs: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], int]:
-    """Keep the first occurrence of each normalized (src, tgt) pair."""
-    seen: set[str] = set()
-    kept = []
-    for src, tgt in pairs:
-        h = pair_hash(src, tgt)
-        if h not in seen:
-            seen.add(h)
-            kept.append((src, tgt))
-    return kept, len(pairs) - len(kept)
-
-
-def _dedup_rows(rows: list[tuple[str, str, str]]) -> tuple[list[tuple[str, str, str]], int]:
-    """Same policy for (article, src, tgt) rows."""
+def dedup_pairs(rows: list[tuple[str, ...]]) -> tuple[list[tuple[str, ...]], int]:
+    """Keep the first occurrence of each row whose last two fields, the
+    (src, tgt) pair, are equal after normalization; serves both (src, tgt)
+    and (article, src, tgt) rows."""
     seen: set[str] = set()
     kept = []
     for row in rows:
-        h = pair_hash(row[1], row[2])
+        h = pair_hash(*row[-2:])
         if h not in seen:
             seen.add(h)
             kept.append(row)
@@ -268,9 +265,9 @@ def _write_csv(path: Path, rows) -> None:
     _write_text(path, "".join(",".join(str(f) for f in row) + "\n" for row in rows))
 
 
-def _paired_metas(
-    metas: list[ArticleMeta], src_lang: str, tgt_lang: str
-) -> list[tuple[str, ArticleMeta, ArticleMeta]]:
+def pair_articles(metas: list[ArticleMeta], src_lang: str, tgt_lang: str) -> Pairs:
+    """(source, target) metadata of each article, in order of first
+    appearance; an article without exactly one side per language is an error."""
     by_pair: dict[str, dict[str, ArticleMeta]] = {}
     for m in metas:
         by_pair.setdefault(m.pair_id, {})[m.language] = m
@@ -278,18 +275,8 @@ def _paired_metas(
     for pair_id, sides in by_pair.items():
         if set(sides) != {src_lang, tgt_lang}:
             raise ValueError(f"article {pair_id} lacks a {src_lang}/{tgt_lang} pair")
-        pairs.append((pair_id, sides[src_lang], sides[tgt_lang]))
+        pairs.append((sides[src_lang], sides[tgt_lang]))
     return pairs
-
-
-def _paired_docs(
-    docs: list[Document], src_lang: str, tgt_lang: str
-) -> list[tuple[str, Document, Document]]:
-    by_id = {d.meta.doc_id: d for d in docs}
-    return [
-        (pair_id, by_id[sm.doc_id], by_id[tm.doc_id])
-        for pair_id, sm, tm in _paired_metas([d.meta for d in docs], src_lang, tgt_lang)
-    ]
 
 
 def _join(sentences, lang: str) -> str:
@@ -357,32 +344,36 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     jobs = config.jobs if jobs is None else jobs
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    entries: list[dict] = [
-        {"stage": "start", "method": config.method, "hash": HASH_NAME, "jobs": jobs}
-    ]
-    state: dict = {}
+    durations: dict[str, float] = {}
 
-    def stage(name: str, fn) -> None:
+    def stage(name: str, fn, *args):
         t0 = time.monotonic()
         try:
-            n_in, n_out = fn()
+            result = fn(*args)
         except Exception as exc:
             raise PipelineError(f"{name} stage failed: {exc}") from exc
-        entries.append(
-            {
-                "stage": name,
-                "inputs": n_in,
-                "outputs": n_out,
-                "duration_s": round(time.monotonic() - t0, 6),
-            }
-        )
+        durations[name] = round(time.monotonic() - t0, 6)
+        return result
 
-    stage("preprocess", lambda: _stage_preprocess(config, out, state))
-    stage("sbd", lambda: _stage_sbd(config, out, state))
-    stage("align", lambda: _stage_align(config, out, state, jobs))
-    stage("dedup", lambda: _stage_dedup(config, out, state))
-    stage("split", lambda: _stage_split(config, out, state))
-    stage("stats", lambda: _stage_stats(config, out, state))
+    docs, pairs = stage("preprocess", _stage_preprocess, config, out)
+    sentences = stage("sbd", _stage_sbd, config, out, docs)
+    alignments = stage("align", _stage_align, config, out, pairs, sentences, jobs)
+    bitext, removed = stage("dedup", _stage_dedup, config, out, pairs, sentences, alignments)
+    assignment = stage("split", _stage_split, config, out, pairs, bitext)
+    stage("stats", _stage_stats, config, out, bitext, assignment)
+    counts = {
+        "preprocess": (len(docs), len(docs)),
+        "sbd": (len(docs), sum(len(sl) for sl in sentences.values())),
+        "align": (len(pairs), sum(len(a) for a in alignments.values())),
+        "dedup": (len(bitext) + removed, len(bitext)),
+        "split": (len(pairs), len(set(assignment.values()))),
+        "stats": (len(bitext), 1 + len(_SPLITS)),
+    }
+    entries = [{"stage": "start", "method": config.method, "hash": HASH_NAME, "jobs": jobs}]
+    for name, (n_in, n_out) in counts.items():
+        entries.append(
+            {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
+        )
     _write_text(
         out / "run_log.jsonl",
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
@@ -390,8 +381,9 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     return 0
 
 
-def _stage_preprocess(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int]:
+def _stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
     docs = read_documents(config.input, (config.src_lang, config.tgt_lang))
+    pairs = pair_articles([d.meta for d in docs], config.src_lang, config.tgt_lang)
     rules = load_filter_rules(config.patterns) if config.patterns else default_filter_rules()
     pre = [stitch_paragraphs(normalize_document(d)) for d in docs]
     removal_rows: list[tuple[str, int, str]] = []
@@ -407,15 +399,17 @@ def _stage_preprocess(config: PipelineConfig, out: Path, state: dict) -> tuple[i
     stage_dir.mkdir(exist_ok=True)
     write_documents(post, stage_dir)
     _write_rows(out / "removal_log.tsv", removal_rows)
-    pre_pairs = [(s, t) for _, s, t in _paired_docs(pre, config.src_lang, config.tgt_lang)]
-    post_pairs = [(s, t) for _, s, t in _paired_docs(post, config.src_lang, config.tgt_lang)]
-    _write_csv(out / "paragraph_report.csv", paragraph_count_report(pre_pairs, post_pairs))
-    state["docs"] = post
-    return len(docs), len(post)
+    position = {d.meta.doc_id: k for k, d in enumerate(docs)}
+
+    def paired(ds: list[Document]) -> list[tuple[Document, Document]]:
+        return [(ds[position[s.doc_id]], ds[position[t.doc_id]]) for s, t in pairs]
+
+    _write_csv(out / "paragraph_report.csv", paragraph_count_report(paired(pre), paired(post)))
+    return post, pairs
 
 
-def _stage_sbd(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int]:
-    docs = state["docs"]
+def _stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[str, SentenceList]:
+    """Segment every document; returns its sentences keyed by doc_id."""
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
     stage_dir = out / "02_sbd"
@@ -434,17 +428,7 @@ def _stage_sbd(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int
         out / "sbd_report.csv",
         sbd_diff_report(counts[config.src_lang], counts[config.tgt_lang]),
     )
-    state["sentences"] = sentence_lists
-    state["meta"] = [d.meta for d in docs]
-    return len(docs), sum(len(sl) for sl in sentence_lists.values())
-
-
-def _doc_pairs(config: PipelineConfig, state: dict) -> list[tuple[str, SentenceList, SentenceList]]:
-    sentence_lists = state["sentences"]
-    return [
-        (pair_id, sentence_lists[sm.doc_id], sentence_lists[tm.doc_id])
-        for pair_id, sm, tm in _paired_metas(state["meta"], config.src_lang, config.tgt_lang)
-    ]
+    return sentence_lists
 
 
 def _reconstructed_paragraphs(sl: SentenceList, lang: str) -> list[str]:
@@ -455,7 +439,7 @@ def _reconstructed_paragraphs(sl: SentenceList, lang: str) -> list[str]:
 
 
 def _corpus_length_params(
-    config: PipelineConfig, pairs: list[tuple[str, SentenceList, SentenceList]]
+    config: PipelineConfig, doc_pairs: list[tuple[SentenceList, SentenceList]]
 ) -> LengthParams:
     """Length-model parameters for gc/bleualign: loaded, default, or fitted
     on paragraph pairs rebuilt from the segmented sentences."""
@@ -464,7 +448,7 @@ def _corpus_length_params(
     if not config.estimate_params:
         return LengthParams()
     paragraph_pairs: list[tuple[str, str]] = []
-    for _, src, tgt in pairs:
+    for src, tgt in doc_pairs:
         src_paras = _reconstructed_paragraphs(src, config.src_lang)
         tgt_paras = _reconstructed_paragraphs(tgt, config.tgt_lang)
         if len(src_paras) == len(tgt_paras):
@@ -474,32 +458,40 @@ def _corpus_length_params(
     return estimate_length_params(paragraph_pairs)
 
 
-def _stage_align(config: PipelineConfig, out: Path, state: dict, jobs: int) -> tuple[int, int]:
-    pairs = _doc_pairs(config, state)
+def _stage_align(
+    config: PipelineConfig,
+    out: Path,
+    pairs: Pairs,
+    sentences: dict[str, SentenceList],
+    jobs: int,
+) -> dict[str, AlignmentSet]:
+    """Align every article pair; returns the alignments keyed by pair_id."""
+    doc_pairs = [(sentences[s.doc_id], sentences[t.doc_id]) for s, t in pairs]
     stage_dir = out / "03_align"
     stage_dir.mkdir(exist_ok=True)
     if config.method == "moore":
         confident = _pmap(
-            _length_worker, [(src, tgt, config.theta1) for _, src, tgt in pairs], jobs
+            _length_worker, [(src, tgt, config.theta1) for src, tgt in doc_pairs], jobs
         )
         table: TranslationTable = train_lexicon(
-            [(src, tgt, conf) for (_, src, tgt), conf in zip(pairs, confident)],
+            [(src, tgt, conf) for (src, tgt), conf in zip(doc_pairs, confident)],
             config.em_iterations,
         )
         save_table(table, stage_dir / "translation_table.tsv")
         results = _pmap(
-            _moore_worker, [(src, tgt, table, config.theta2) for _, src, tgt in pairs], jobs
+            _moore_worker, [(src, tgt, table, config.theta2) for src, tgt in doc_pairs], jobs
         )
     else:
-        params = _corpus_length_params(config, pairs)
+        params = _corpus_length_params(config, doc_pairs)
         save_length_params(params, stage_dir / "length_params.txt")
         if config.method == "gc":
-            results = _pmap(_gc_worker, [(src, tgt, params) for _, src, tgt in pairs], jobs)
+            results = _pmap(_gc_worker, [(src, tgt, params) for src, tgt in doc_pairs], jobs)
         else:
             if config.mt_src is None:
                 raise ValueError("bleualign requires mt_src (directory of translation files)")
             payloads = []
-            for pair_id, src, tgt in pairs:
+            for (meta, _), (src, tgt) in zip(pairs, doc_pairs):
+                pair_id = meta.pair_id
                 mt_src = _read_mt(
                     Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", config.tgt_lang, src
                 )
@@ -511,43 +503,47 @@ def _stage_align(config: PipelineConfig, out: Path, state: dict, jobs: int) -> t
                 payloads.append((src, tgt, mt_src, mt_tgt, config.bleu, config.min_score, params))
             results = _pmap(_bleualign_worker, payloads, jobs)
     alignments: dict[str, AlignmentSet] = {}
-    for (pair_id, _, _), aset in zip(pairs, results):
-        alignments[pair_id] = aset
-        write_alignments(aset, stage_dir / f"{pair_id}.tsv")
-    state["pairs"] = pairs
-    state["alignments"] = alignments
-    return len(pairs), sum(len(a.beads) for a in alignments.values())
+    for (meta, _), aset in zip(pairs, results):
+        alignments[meta.pair_id] = aset
+        write_alignments(aset, stage_dir / f"{meta.pair_id}.tsv")
+    return alignments
 
 
-def _stage_dedup(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int]:
-    rows: list[tuple[str, str, str]] = []
-    for pair_id, src, tgt in state["pairs"]:
-        for bead in state["alignments"][pair_id].beads:
+def _stage_dedup(
+    config: PipelineConfig,
+    out: Path,
+    pairs: Pairs,
+    sentences: dict[str, SentenceList],
+    alignments: dict[str, AlignmentSet],
+) -> tuple[Bitext, int]:
+    """Join the sentences of every two-sided bead and drop duplicates;
+    returns the kept rows and the number removed."""
+    rows: Bitext = []
+    for src_meta, tgt_meta in pairs:
+        src, tgt = sentences[src_meta.doc_id], sentences[tgt_meta.doc_id]
+        for bead in alignments[src_meta.pair_id].beads:
             if bead.src and bead.tgt:
                 rows.append(
                     (
-                        pair_id,
+                        src_meta.pair_id,
                         _join([src.sentences[i] for i in bead.src], config.src_lang),
                         _join([tgt.sentences[j] for j in bead.tgt], config.tgt_lang),
                     )
                 )
-    kept, removed = _dedup_rows(rows)
+    kept, removed = dedup_pairs(rows)
     stage_dir = out / "04_dedup"
     stage_dir.mkdir(exist_ok=True)
     _write_rows(stage_dir / "pairs.tsv", kept)
     _write_rows(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
-    state["bitext"] = kept
-    return len(rows), len(kept)
+    return kept, removed
 
 
-def _stage_split(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int]:
+def _stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
+    """Assign articles to splits; returns the split of each pair_id."""
     per_article: dict[str, int] = {}
-    for pair_id, _, _ in state["bitext"]:
+    for pair_id, _, _ in bitext:
         per_article[pair_id] = per_article.get(pair_id, 0) + 1
-    articles = [
-        (src_meta, per_article.get(pair_id, 0))
-        for pair_id, src_meta, _ in _paired_metas(state["meta"], config.src_lang, config.tgt_lang)
-    ]
+    articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
     stage_dir = out / "05_split"
     stage_dir.mkdir(exist_ok=True)
@@ -556,25 +552,20 @@ def _stage_split(config: PipelineConfig, out: Path, state: dict) -> tuple[int, i
         stage_dir / "manifest.tsv",
         [(m.pair_id, assignment[m.pair_id], n) for m, n in order],
     )
-    for split_name in ("train", "dev", "test"):
-        rows = [(s, t) for a, s, t in state["bitext"] if assignment[a] == split_name]
+    for split_name in _SPLITS:
+        rows = [(s, t) for a, s, t in bitext if assignment[a] == split_name]
         _write_rows(stage_dir / f"{split_name}.tsv", rows)
-    state["assignment"] = assignment
-    return len(articles), len(set(assignment.values()))
+    return assignment
 
 
-def _stage_stats(config: PipelineConfig, out: Path, state: dict) -> tuple[int, int]:
-    scopes = [("all", state["bitext"])]
-    for split_name in ("train", "dev", "test"):
-        scopes.append(
-            (
-                split_name,
-                [r for r in state["bitext"] if state["assignment"][r[0]] == split_name],
-            )
-        )
+def _stage_stats(
+    config: PipelineConfig, out: Path, bitext: Bitext, assignment: dict[str, str]
+) -> None:
+    scopes = [("all", bitext)]
+    for split_name in _SPLITS:
+        scopes.append((split_name, [r for r in bitext if assignment[r[0]] == split_name]))
     rows = [("scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles")]
     for name, rows_in_scope in scopes:
         stats = corpus_stats(rows_in_scope, config.src_lang, config.tgt_lang)
         rows.append((name, *stats))
     _write_rows(out / "stats.tsv", rows)
-    return len(state["bitext"]), len(rows) - 1

@@ -46,19 +46,6 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-@dataclass(frozen=True)
-class NgramProfile:
-    """Token sequence with its n-gram counts for orders 1..n_max."""
-
-    tokens: tuple[str, ...]
-    counts: tuple[Counter, ...]
-
-    @classmethod
-    def build(cls, tokens: Sequence[str], n_max: int) -> "NgramProfile":
-        tokens = tuple(tokens)
-        return cls(tokens, tuple(ngram_counts(tokens, n) for n in range(1, n_max + 1)))
-
-
 def _order_stats(hyp: Sequence[str], ref: Sequence[str], n: int) -> tuple[int, int]:
     """(clipped matches, hypothesis n-gram count) for one order."""
     hyp_counts = ngram_counts(hyp, n)

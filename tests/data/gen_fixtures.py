@@ -644,7 +644,6 @@ def main():
     (CORPUS / "config.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8"
     )
-    (CORPUS / ".gitignore").write_text("out/\n", encoding="utf-8")
 
     write_type_distribution(random.Random(19), BASE / "gold_distribution.tsv")
 

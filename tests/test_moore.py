@@ -235,7 +235,10 @@ class TestSecondPass:
         src, tgt = training_docs()
         with caplog.at_level("WARNING"):
             aset = moore_align(src, tgt, table)
-        assert any("no vocabulary" in r.message for r in caplog.records)
+        assert any(
+            "no vocabulary" in r.message and r.message.startswith(f"{src.doc_id}: ")
+            for r in caplog.records
+        )
         assert validate_alignment(aset) == []
 
     def test_threshold_validated(self):

@@ -294,6 +294,15 @@ class TestEndToEnd:
                 continue
             assert one[rel].read_bytes() == eight[rel].read_bytes(), rel
 
+    def test_matches_the_committed_golden_run(self, runs):
+        """Every artifact except the run log equals tests/data/corpus/out/ byte
+        for byte; the README's Tests section says how to regenerate it."""
+        fresh, golden = tree(runs[1]), tree(CORPUS / "out")
+        del fresh["run_log.jsonl"], golden["run_log.jsonl"]
+        assert fresh.keys() == golden.keys()
+        for rel in fresh:
+            assert fresh[rel].read_bytes() == golden[rel].read_bytes(), rel
+
     def test_run_log_differs_only_in_timings_and_jobs(self, runs):
         logs = []
         jobs_seen = []
