@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
-from bitextkit.scoring import BleuConfig, sentence_bleu, tokenize
+from bitextkit.scoring import BleuConfig, ngram_profile, profile_bleu, sentence_bleu, tokenize
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,12 @@ class ScoreMatrix:
 def score_matrix(
     src_translation: SentenceList, tgt: SentenceList, cfg: BleuConfig = BleuConfig()
 ) -> ScoreMatrix:
-    hyp_tokens = [tokenize(s, src_translation.language) for s in src_translation.sentences]
-    ref_tokens = [tokenize(s, tgt.language) for s in tgt.sentences]
-    return ScoreMatrix(
-        tuple(
-            tuple(sentence_bleu(h, r, cfg) for r in ref_tokens) for h in hyp_tokens
-        )
-    )
+    hyps = [
+        ngram_profile(tokenize(s, src_translation.language), cfg.n_max)
+        for s in src_translation.sentences
+    ]
+    refs = [ngram_profile(tokenize(s, tgt.language), cfg.n_max) for s in tgt.sentences]
+    return ScoreMatrix(tuple(tuple(profile_bleu(h, r, cfg) for r in refs) for h in hyps))
 
 
 def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]]:
@@ -52,45 +51,43 @@ def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]
 
     Ties go to the chain nearer the main diagonal (smaller sum of |i - j|),
     then to the lexicographically smallest index sequence. Both total score
-    and diagonal distance are additive, so a suffix DP minimizes the pair
-    (-total, distance) per cell and a forward walk picks the smallest cell
-    attaining it.
+    and diagonal distance are additive, so a chain starting at cell (i, j)
+    has the key (-total, distance) = (best[i+1][j+1][0] - m[i, j],
+    best[i+1][j+1][1] + |i - j|), where the suffix-min table best[i][j] holds
+    the smallest of (0.0, 0) and the keys of all cells (i2, j2) with i2 >= i
+    and j2 >= j. A forward walk then takes, row by row after the last pick,
+    the first cell whose key is the best remaining one. Time and memory are
+    O(S*T) for an S x T matrix. Totals are compared as suffix sums, so of two
+    chains whose exact totals tie, the one whose float suffix sum is an ulp
+    higher wins.
     """
     if not 0 <= min_score < 1:
         raise ValueError(f"min_score must be in [0, 1), got {min_score}")
-    cells = [
-        (i, j)
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if m[i, j] > min_score
-    ]
-    if not cells:
-        return []
-    # suffix[(i, j)] = best (-total, distance) over chains starting at (i, j)
-    suffix: dict[tuple[int, int], tuple[float, int]] = {}
-
-    def best_continuation(i: int, j: int) -> tuple[float, int]:
-        best = (0.0, 0)
-        for i2, j2 in cells:
-            if i2 > i and j2 > j and (key := suffix[(i2, j2)]) < best:
-                best = key
-        return best
-
-    for i, j in sorted(cells, reverse=True):
-        cont = best_continuation(i, j)
-        suffix[(i, j)] = (cont[0] - m[i, j], cont[1] + abs(i - j))
+    rows, cols = m.rows, m.cols
+    empty = (0.0, 0)
+    best = [[empty] * (cols + 1) for _ in range(rows + 1)]
+    keys: list[list] = [[None] * cols for _ in range(rows)]
+    for i in range(rows - 1, -1, -1):
+        scores, here, below = m.entries[i], best[i], best[i + 1]
+        for j in range(cols - 1, -1, -1):
+            b = min(below[j], here[j + 1])
+            if scores[j] > min_score:
+                cont = below[j + 1]
+                key = keys[i][j] = (cont[0] - scores[j], cont[1] + abs(i - j))
+                b = min(b, key)
+            here[j] = b
     chain: list[tuple[int, int]] = []
-    frontier = (-1, -1)
-    remaining = min(suffix[c] for c in cells)
-    while remaining != (0.0, 0):
-        nxt = min(
-            c
-            for c in cells
-            if c[0] > frontier[0] and c[1] > frontier[1] and suffix[c] == remaining
+    remaining = best[0][0]
+    while remaining != empty:
+        i0, j0 = chain[-1] if chain else (-1, -1)
+        nxt = next(
+            (i, j)
+            for i in range(i0 + 1, rows)
+            for j in range(j0 + 1, cols)
+            if keys[i][j] == remaining
         )
         chain.append(nxt)
-        frontier = nxt
-        remaining = best_continuation(*nxt)
+        remaining = best[nxt[0] + 1][nxt[1] + 1]
     return chain
 
 

@@ -270,7 +270,13 @@ def pair_articles(metas: list[ArticleMeta], src_lang: str, tgt_lang: str) -> Pai
     appearance; an article without exactly one side per language is an error."""
     by_pair: dict[str, dict[str, ArticleMeta]] = {}
     for m in metas:
-        by_pair.setdefault(m.pair_id, {})[m.language] = m
+        sides = by_pair.setdefault(m.pair_id, {})
+        if m.language in sides:
+            raise ValueError(
+                f"article {m.pair_id} has two {m.language} documents: "
+                f"{sides[m.language].doc_id} and {m.doc_id}"
+            )
+        sides[m.language] = m
     pairs = []
     for pair_id, sides in by_pair.items():
         if set(sides) != {src_lang, tgt_lang}:

@@ -46,23 +46,47 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _order_stats(hyp: Sequence[str], ref: Sequence[str], n: int) -> tuple[int, int]:
-    """(clipped matches, hypothesis n-gram count) for one order."""
-    hyp_counts = ngram_counts(hyp, n)
-    ref_counts = ngram_counts(ref, n)
-    matches = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return matches, max(len(hyp) - n + 1, 0)
+#: A sentence's token count and its n-gram counts of orders 1..n_max.
+NgramProfile = tuple[int, tuple[Counter, ...]]
 
 
-def _combine(precisions: list[float], bp: float) -> float:
+def ngram_profile(tokens: Sequence[str], n_max: int) -> NgramProfile:
+    """What :func:`profile_bleu` needs of one sentence, so a sentence scored
+    against many others is counted once."""
+    return len(tokens), tuple(ngram_counts(tokens, n) for n in range(1, n_max + 1))
+
+
+def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
+    return sum(min(hyp_counts[g], ref_counts[g]) for g in hyp_counts.keys() & ref_counts.keys())
+
+
+def _bleu(
+    matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int, cfg: BleuConfig
+) -> float:
+    """Smoothed precisions of the orders with n-grams, times the brevity penalty."""
+    precisions = [
+        (m if m > 0 else cfg.epsilon) / t for m, t in zip(matches, totals) if t > 0
+    ]
+    if not precisions:
+        return 0.0
     log_sum = sum(math.log(p) for p in precisions)
-    return bp * math.exp(log_sum / len(precisions))
+    return _brevity_penalty(hyp_len, ref_len, cfg) * math.exp(log_sum / len(precisions))
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int, cfg: BleuConfig) -> float:
     if not cfg.use_brevity_penalty or hyp_len == 0:
         return 1.0
     return min(1.0, math.exp(1.0 - ref_len / hyp_len))
+
+
+def profile_bleu(hyp: NgramProfile, ref: NgramProfile, cfg: BleuConfig) -> float:
+    """:func:`sentence_bleu` of two :func:`ngram_profile` results built with
+    ``cfg.n_max``."""
+    hyp_len, hyp_counts = hyp
+    ref_len, ref_counts = ref
+    matches = [_clipped_matches(h, r) for h, r in zip(hyp_counts, ref_counts)]
+    totals = [hyp_len - n for n in range(len(hyp_counts))]
+    return _bleu(matches, totals, hyp_len, ref_len, cfg)
 
 
 def sentence_bleu(
@@ -75,17 +99,9 @@ def sentence_bleu(
     zero matches contributes epsilon instead; multiplied by the brevity
     penalty min(1, e^(1 - |ref|/|hyp|)). Empty hypotheses score 0.
     """
-    if not hyp_tokens:
-        return 0.0
-    precisions = []
-    for n in range(1, cfg.n_max + 1):
-        matches, total = _order_stats(hyp_tokens, ref_tokens, n)
-        if total == 0:
-            continue
-        precisions.append((matches if matches > 0 else cfg.epsilon) / total)
-    if not precisions:
-        return 0.0
-    return _combine(precisions, _brevity_penalty(len(hyp_tokens), len(ref_tokens), cfg))
+    return profile_bleu(
+        ngram_profile(hyp_tokens, cfg.n_max), ngram_profile(ref_tokens, cfg.n_max), cfg
+    )
 
 
 def corpus_bleu(
@@ -109,12 +125,6 @@ def corpus_bleu(
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, cfg.n_max + 1):
-            m, t = _order_stats(hyp, ref, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
-    precisions = [
-        (m if m > 0 else cfg.epsilon) / t for m, t in zip(matches, totals) if t > 0
-    ]
-    if not precisions:
-        return 0.0
-    return _combine(precisions, _brevity_penalty(hyp_len, ref_len, cfg))
+            matches[n - 1] += _clipped_matches(ngram_counts(hyp, n), ngram_counts(ref, n))
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+    return _bleu(matches, totals, hyp_len, ref_len, cfg)

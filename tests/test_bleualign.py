@@ -4,11 +4,13 @@ filling, and the bidirectional intersection."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.bleualign import ScoreMatrix, bleualign, find_anchors, score_matrix
 from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.gale_church import LengthParams
-from bitextkit.scoring import BleuConfig
+from bitextkit.scoring import BleuConfig, sentence_bleu, tokenize
 
 
 def brute_force_chain(m: ScoreMatrix, min_score: float) -> list[tuple[int, int]]:
@@ -40,6 +42,71 @@ def brute_force_chain(m: ScoreMatrix, min_score: float) -> list[tuple[int, int]]
     return list(best[2])
 
 
+def reference_find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]]:
+    """The O(K^2) anchor search over the K qualifying cells that the suffix-min
+    table replaced: each cell's best continuation is a scan of all cells."""
+    cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] > min_score]
+    if not cells:
+        return []
+    suffix: dict[tuple[int, int], tuple[float, int]] = {}
+
+    def best_continuation(i: int, j: int) -> tuple[float, int]:
+        best = (0.0, 0)
+        for i2, j2 in cells:
+            if i2 > i and j2 > j and (key := suffix[(i2, j2)]) < best:
+                best = key
+        return best
+
+    for i, j in sorted(cells, reverse=True):
+        cont = best_continuation(i, j)
+        suffix[(i, j)] = (cont[0] - m[i, j], cont[1] + abs(i - j))
+    chain: list[tuple[int, int]] = []
+    frontier = (-1, -1)
+    remaining = min(suffix[c] for c in cells)
+    while remaining != (0.0, 0):
+        nxt = min(
+            c
+            for c in cells
+            if c[0] > frontier[0] and c[1] > frontier[1] and suffix[c] == remaining
+        )
+        chain.append(nxt)
+        frontier = nxt
+        remaining = best_continuation(*nxt)
+    return chain
+
+
+# scores from a small set, so that totals and diagonal distances tie often
+TIED_SCORES = (0.0, 0.1, 0.25, 0.3, 0.5, 1.0)
+# multiples of 1/8, whose sums are exact in any order: brute_force_chain
+# compares whole-chain totals, find_anchors compares suffix totals, and with
+# 0.1 and 0.3 two chains can tie in total yet differ by an ulp in a suffix
+# (0.1 + 0.5 + 0.3 != 0.1 + 0.3 + 0.5)
+EXACT_TIED_SCORES = (0.0, 0.125, 0.25, 0.375, 0.5, 1.0)
+
+
+@st.composite
+def tied_matrices(draw, max_side, scores=TIED_SCORES):
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    row = st.tuples(*[st.sampled_from(scores)] * cols)
+    return ScoreMatrix(draw(st.tuples(*[row] * rows)))
+
+
+EN_WORDS = ("the", "trial", "ended", "early", "of", "patients", ".", ",")
+ZH_TOKENS = ("研", "究", "的", "试", "验", "患", "者", "。", "A1", "mg")
+
+
+@st.composite
+def sentence_lists(draw, lang, max_sentences=4):
+    """Sentences of 1-8 tokens (so 1-token hypotheses, whose bigram order is
+    skipped, occur) in the spacing tokenize expects for lang."""
+    words = EN_WORDS if lang == "en" else ZH_TOKENS
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(
+        " ".join if lang == "en" else "".join
+    )
+    return draw(st.lists(sentence, min_size=1, max_size=max_sentences))
+
+
 def sl(doc_id, lang, sentences):
     return SentenceList(doc_id, lang, tuple(sentences), (0,) * len(sentences))
 
@@ -61,6 +128,24 @@ class TestScoreMatrix:
         assert m[0, 0] == 1.0
         assert m[0, 0] > m[0, 1] and m[0, 0] > m[1, 0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        lang=st.sampled_from(("en", "zh")),
+        n_max=st.integers(1, 4),
+        brevity=st.booleans(),
+    )
+    def test_every_cell_equals_sentence_bleu(self, data, lang, n_max, brevity):
+        mt = sl("mt", lang, data.draw(sentence_lists(lang)))
+        tgt = sl("t", lang, data.draw(sentence_lists(lang)))
+        cfg = BleuConfig(n_max=n_max, use_brevity_penalty=brevity)
+        m = score_matrix(mt, tgt, cfg)
+        expected = tuple(
+            tuple(sentence_bleu(tokenize(h, lang), tokenize(r, lang), cfg) for r in tgt.sentences)
+            for h in mt.sentences
+        )
+        assert m.entries == expected
+
 
 class TestFindAnchors:
     def test_matches_brute_force(self):
@@ -70,6 +155,19 @@ class TestFindAnchors:
             m = random_matrix(rng, rows, cols)
             for min_score in (0.0, 0.3):
                 assert find_anchors(m, min_score) == brute_force_chain(m, min_score)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=tied_matrices(max_side=5, scores=EXACT_TIED_SCORES),
+        min_score=st.sampled_from((0.0, 0.3)),
+    )
+    def test_matches_brute_force_with_ties(self, m, min_score):
+        assert find_anchors(m, min_score) == brute_force_chain(m, min_score)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=tied_matrices(max_side=30), min_score=st.sampled_from((0.0, 0.3)))
+    def test_matches_the_quadratic_reference_with_ties(self, m, min_score):
+        assert find_anchors(m, min_score) == reference_find_anchors(m, min_score)
 
     def test_prefers_the_diagonal_on_ties(self):
         m = ScoreMatrix(((0.4, 0.0), (0.4, 0.0)))

@@ -4,6 +4,7 @@ import dataclasses
 import datetime
 import json
 import logging
+import shutil
 import string
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from bitextkit.pipeline import (
     dedup_pairs,
     load_config,
     normalize_for_dedup,
+    pair_articles,
     pair_hash,
     run_pipeline,
     split_corpus,
@@ -257,6 +259,33 @@ def runs(tmp_path_factory):
 
 def tree(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPairArticles:
+    def meta(self, doc_id, pair_id, language):
+        return ArticleMeta(doc_id, pair_id, language, datetime.date(2021, 1, 1))
+
+    def test_second_document_in_one_language_is_an_error(self):
+        metas = [
+            self.meta("A01-zh", "A01", "zh"),
+            self.meta("A01-en", "A01", "en"),
+            self.meta("A01b-zh", "A01", "zh"),
+        ]
+        with pytest.raises(ValueError, match="article A01 has two zh documents: A01-zh and A01b-zh"):
+            pair_articles(metas, "zh", "en")
+
+    def test_duplicate_document_fails_the_run_before_writing(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS / "raw", corpus)
+        shutil.copy(corpus / "A01-zh.txt", corpus / "A01b-zh.txt")
+        with open(corpus / "metadata.tsv", "a", encoding="utf-8") as f:
+            f.write("A01b-zh\tA01\tzh\t2021-06-30\treview\n")
+        cfg = dataclasses.replace(
+            load_config(CORPUS / "config.json"), input=corpus, output=tmp_path / "out"
+        )
+        with pytest.raises(PipelineError, match="A01-zh and A01b-zh"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "01_preprocess").exists()
 
 
 class TestEndToEnd:
