@@ -22,21 +22,23 @@ from bitextkit.core import (
     read_metadata,
     read_sentences,
     write_documents,
+    write_text,
 )
 from bitextkit.evaluation import alignment_type_distribution, prf1
+from bitextkit.moore import EM_ITERATIONS, THETA1, THETA2
 from bitextkit.pipeline import (
     PipelineConfig,
     PipelineError,
     SplitSpec,
-    _stage_align,
-    _stage_preprocess,
-    _stage_sbd,
-    _stage_split,
     corpus_stats,
     dedup_pairs,
     load_config,
     pair_articles,
     run_pipeline,
+    stage_align,
+    stage_preprocess,
+    stage_sbd,
+    stage_split,
 )
 from bitextkit.scoring import BleuConfig, corpus_bleu, sentence_bleu, tokenize
 
@@ -105,7 +107,7 @@ def _cmd_preprocess(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    docs, _ = _stage_preprocess(config, out)
+    docs, _ = stage_preprocess(config, out)
     print(f"preprocessed {len(docs)} documents -> {out / '01_preprocess'}")
     return 0
 
@@ -122,7 +124,7 @@ def _cmd_sbd(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     docs = read_documents(args.input, _langs(args))
-    sentences = _stage_sbd(config, out, docs)
+    sentences = stage_sbd(config, out, docs)
     n_sentences = sum(len(sl) for sl in sentences.values())
     print(f"segmented {len(docs)} documents into {n_sentences} sentences -> {out / '02_sbd'}")
     return 0
@@ -153,7 +155,7 @@ def _cmd_align(args) -> int:
         for m in metas
     }
     pairs = pair_articles(metas, *_langs(args))
-    alignments = _stage_align(config, out, pairs, sentences, args.jobs or 1)
+    alignments = stage_align(config, out, pairs, sentences, args.jobs or 1)
     n_beads = sum(len(a) for a in alignments.values())
     print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {out / '03_align'}")
     return 0
@@ -165,9 +167,7 @@ def _cmd_dedup(args) -> int:
     if len(widths) > 1:
         raise FormatError(f"{args.input}: mixed column counts {sorted(widths)}")
     kept, removed = dedup_pairs(rows)
-    Path(args.output).write_text(
-        "".join("\t".join(r) + "\n" for r in kept), encoding="utf-8"
-    )
+    write_text(args.output, "".join("\t".join(r) + "\n" for r in kept))
     print(f"kept {len(kept)} pairs, removed {removed} duplicates -> {args.output}")
     return 0
 
@@ -185,7 +185,7 @@ def _cmd_split(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     pairs = pair_articles(read_metadata(meta_dir, _langs(args)), *_langs(args))
-    _stage_split(config, out, pairs, rows)
+    stage_split(config, out, pairs, rows)
     print(f"split manifests written -> {out / '05_split'}")
     return 0
 
@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("gc", "moore", "bleualign"), default="gc")
     s.add_argument("--params", type=Path, help="length parameter file (skips estimation)")
     s.add_argument("--no-estimate", action="store_true", help="use default length parameters")
-    s.add_argument("--theta1", type=float, default=0.99)
-    s.add_argument("--theta2", type=float, default=0.5)
-    s.add_argument("--iterations", type=int, default=4)
-    s.add_argument("--min-score", type=float, default=0.0)
+    s.add_argument("--theta1", type=float, default=THETA1)
+    s.add_argument("--theta2", type=float, default=THETA2)
+    s.add_argument("--iterations", type=int, default=EM_ITERATIONS)
+    s.add_argument("--min-score", type=float, default=PipelineConfig.min_score)
     s.add_argument("--src-mt", type=Path, help="directory of source translations, one <pair_id>.txt each")
     s.add_argument("--tgt-mt", type=Path, help="directory of target translations (enables bidirectional mode)")
     _add_lang_flags(s)
@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("pairs", type=Path, help="3-column (article, src, tgt) TSV")
     s.add_argument("meta", type=Path, help="directory containing metadata.tsv")
     s.add_argument("output", type=Path)
-    s.add_argument("--test", type=int, default=2102, help="test sentence target")
-    s.add_argument("--dev", type=int, default=2036, help="dev sentence target")
+    s.add_argument("--test", type=int, default=SplitSpec.test_sentence_target, help="test sentence target")
+    s.add_argument("--dev", type=int, default=SplitSpec.dev_sentence_target, help="dev sentence target")
     _add_lang_flags(s)
     s.set_defaults(func=_cmd_split)
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("hyp", type=Path)
     s.add_argument("ref", type=Path)
     s.add_argument("--lang", default="en", help="tokenizer language")
-    s.add_argument("--n-max", type=int, default=2)
+    s.add_argument("--n-max", type=int, default=BleuConfig.n_max)
     s.add_argument("--sentence", action="store_true", help="print one score per line")
     s.set_defaults(func=_cmd_bleu)
 

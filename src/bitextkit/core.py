@@ -289,12 +289,21 @@ def read_documents(
     return docs
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with LF line endings to a ``.partial`` name, then
+    rename it over ``path``; a failed write leaves ``path`` untouched."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, encoding="utf-8", newline="\n")
+    partial.replace(path)
+
+
 def write_metadata(docs: list[Document], path: str | Path) -> None:
     lines = [
         "\t".join([m.doc_id, m.pair_id, m.language, m.date.isoformat(), m.article_type])
         for m in (doc.meta for doc in docs)
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_documents(docs: list[Document], directory: str | Path) -> None:
@@ -302,9 +311,7 @@ def write_documents(docs: list[Document], directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for doc in docs:
-        (directory / f"{doc.meta.doc_id}.txt").write_text(
-            "\n".join(doc.paragraphs) + "\n", encoding="utf-8"
-        )
+        write_text(directory / f"{doc.meta.doc_id}.txt", "\n".join(doc.paragraphs) + "\n")
     write_metadata(docs, directory / META_FILENAME)
 
 
@@ -386,7 +393,7 @@ def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
         if note:
             fields.append(note)
         lines.append("\t".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 read_gold = read_alignments
@@ -412,4 +419,4 @@ def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList
 
 def write_sentences(sl: SentenceList, path: str | Path) -> None:
     lines = [f"{p}\t{s}" for p, s in zip(sl.paragraph_index, sl.sentences)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

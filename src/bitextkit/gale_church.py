@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList
+from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
 
 #: Lattice moves as (source sentences consumed, target sentences consumed).
 GC_MOVES = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
@@ -237,4 +237,4 @@ def save_length_params(params: LengthParams, path: str | Path) -> None:
     lines = [f"c={params.c!r}", f"s2={params.s2!r}"]
     for (m, n), p in sorted(params.priors.items()):
         lines.append(f"priors.{m}-{n}={p!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList
+from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
 from bitextkit.scoring import tokenize
 
 log = logging.getLogger(__name__)
@@ -50,24 +50,13 @@ def _log_poisson(k: int, lam: float) -> float:
     return k * math.log(lam) - lam - math.lgamma(k + 1)
 
 
-@dataclass(frozen=True)
-class LatticePosteriors:
-    """Posterior probability of each bead, keyed by (src_start, tgt_start)
-    then bead type. Probabilities are clamped to [0, 1]."""
-
-    cells: dict
-    src_len: int
-    tgt_len: int
-
-    def one_one(self, i: int, j: int) -> float:
-        return self.cells.get((i, j), {}).get((1, 1), 0.0)
-
-
-def _forward_backward(S: int, T: int, log_bead) -> LatticePosteriors:
-    """Posteriors of every feasible bead under move set MOORE_MOVES.
+def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
+    """S×T posteriors of the 1-1 bead at each (src, tgt) cell under move set
+    MOORE_MOVES, clamped to [0, 1]; 0.0 where no path can take that bead.
 
     ``log_bead(i, j, m, n)`` is the log-probability of a bead consuming
-    src[i:i+m] and tgt[j:j+n].
+    src[i:i+m] and tgt[j:j+n]. The forward and backward sums score every
+    bead; the posterior pass scores only the 1-1 beads.
     """
     NEG = -math.inf
     alpha = [[NEG] * (T + 1) for _ in range(S + 1)]
@@ -95,20 +84,16 @@ def _forward_backward(S: int, T: int, log_bead) -> LatticePosteriors:
             ]
             beta[i][j] = _logsumexp(terms)
     z = alpha[S][T]
-    cells: dict = {}
+    post = [[0.0] * T for _ in range(S)]
     if z == NEG:
-        return LatticePosteriors(cells, S, T)
-    for i in range(S + 1):
-        for j in range(T + 1):
+        return post
+    for i in range(S):
+        for j in range(T):
             if alpha[i][j] == NEG:
                 continue
-            for m, n in MOORE_MOVES:
-                if i + m > S or j + n > T:
-                    continue
-                lp = alpha[i][j] + log_bead(i, j, m, n) + beta[i + m][j + n] - z
-                p = min(max(math.exp(lp), 0.0), 1.0)
-                cells.setdefault((i, j), {})[(m, n)] = p
-    return LatticePosteriors(cells, S, T)
+            lp = alpha[i][j] + log_bead(i, j, 1, 1) + beta[i + 1][j + 1] - z
+            post[i][j] = min(max(math.exp(lp), 0.0), 1.0)
+    return post
 
 
 def _token_lengths(sl: SentenceList) -> list[int]:
@@ -130,20 +115,19 @@ def _length_model(slen: list[int], tlen: list[int]):
 
 def length_pass(
     src: SentenceList, tgt: SentenceList, theta1: float = THETA1
-) -> tuple[LatticePosteriors, list[tuple[int, int]]]:
-    """First pass: Poisson length lattice; returns posteriors and the 1-1
-    index pairs with posterior >= theta1."""
+) -> tuple[list[list[float]], list[tuple[int, int]]]:
+    """First pass: Poisson length lattice.
+
+    Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors (all 0.0
+    when either side is empty) and, in row-major order, the (i, j) index
+    pairs whose posterior is >= theta1.
+    """
     if not 0.5 < theta1 < 1:
         raise ValueError(f"theta1 must be in (0.5, 1), got {theta1}")
     if len(src) == 0 or len(tgt) == 0:
-        return LatticePosteriors({}, len(src), len(tgt)), []
+        return [[0.0] * len(tgt) for _ in range(len(src))], []
     post = _forward_backward(len(src), len(tgt), _length_model(_token_lengths(src), _token_lengths(tgt)))
-    confident = [
-        (i, j)
-        for i in range(len(src))
-        for j in range(len(tgt))
-        if post.one_one(i, j) >= theta1
-    ]
+    confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta1]
     return post, confident
 
 
@@ -303,12 +287,7 @@ def moore_align(
 
     post = _forward_backward(S, T, log_bead)
     accepted: list[tuple[int, int, float]] = []
-    candidates = [
-        (i, j, post.one_one(i, j))
-        for i in range(S)
-        for j in range(T)
-        if post.one_one(i, j) >= theta2
-    ]
+    candidates = [(i, j, p) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta2]
     for i, j, p in sorted(candidates, key=lambda c: (-c[2], c[0], c[1])):
         if all(i != i2 and j != j2 and (i < i2) == (j < j2) for i2, j2, _ in accepted):
             accepted.append((i, j, p))
@@ -367,7 +346,7 @@ def save_table(table: TranslationTable, path: str | Path) -> None:
     for s in sorted(table.t):
         for w, p in sorted(table.t[s].items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"{s}\t{w}\t{p!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_table(path: str | Path) -> TranslationTable:

@@ -30,6 +30,7 @@ from bitextkit.core import (
     write_documents,
     write_metadata,
     write_sentences,
+    write_text,
 )
 from bitextkit.gale_church import (
     LengthParams,
@@ -42,7 +43,6 @@ from bitextkit.moore import (
     EM_ITERATIONS,
     THETA1,
     THETA2,
-    TranslationTable,
     length_pass,
     moore_align,
     save_table,
@@ -251,18 +251,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stage helpers
 
-def _write_text(path: Path, text: str) -> None:
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8", newline="\n")
-    partial.rename(path)
-
-
 def _write_rows(path: Path, rows) -> None:
-    _write_text(path, "".join("\t".join(str(f) for f in row) + "\n" for row in rows))
+    write_text(path, "".join("\t".join(str(f) for f in row) + "\n" for row in rows))
 
 
 def _write_csv(path: Path, rows) -> None:
-    _write_text(path, "".join(",".join(str(f) for f in row) + "\n" for row in rows))
+    write_text(path, "".join(",".join(str(f) for f in row) + "\n" for row in rows))
 
 
 def pair_articles(metas: list[ArticleMeta], src_lang: str, tgt_lang: str) -> Pairs:
@@ -289,31 +283,13 @@ def _join(sentences, lang: str) -> str:
     return "".join(sentences) if lang == "zh" else " ".join(sentences)
 
 
-def _pmap(fn, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+def _pmap(fn, jobs: int, *columns: list) -> list:
+    """``fn`` over the rows of equal-length argument columns, in order; in a
+    process pool when ``jobs > 1`` and there is more than one row."""
+    if jobs <= 1 or len(columns[0]) <= 1:
+        return list(map(fn, *columns))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _gc_worker(payload) -> AlignmentSet:
-    src, tgt, params = payload
-    return gc_align(src, tgt, params)
-
-
-def _length_worker(payload) -> list[tuple[int, int]]:
-    src, tgt, theta1 = payload
-    return length_pass(src, tgt, theta1)[1]
-
-
-def _moore_worker(payload) -> AlignmentSet:
-    src, tgt, table, theta2 = payload
-    return moore_align(src, tgt, table, theta2)
-
-
-def _bleualign_worker(payload) -> AlignmentSet:
-    src, tgt, mt_src, mt_tgt, cfg, min_score, params = payload
-    return bleualign(src, tgt, mt_src, mt_tgt, cfg, min_score, params)
+        return list(pool.map(fn, *columns))
 
 
 def _segment(doc: Document, abbrevs, punkt_model) -> SentenceList:
@@ -361,11 +337,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         durations[name] = round(time.monotonic() - t0, 6)
         return result
 
-    docs, pairs = stage("preprocess", _stage_preprocess, config, out)
-    sentences = stage("sbd", _stage_sbd, config, out, docs)
-    alignments = stage("align", _stage_align, config, out, pairs, sentences, jobs)
+    docs, pairs = stage("preprocess", stage_preprocess, config, out)
+    sentences = stage("sbd", stage_sbd, config, out, docs)
+    alignments = stage("align", stage_align, config, out, pairs, sentences, jobs)
     bitext, removed = stage("dedup", _stage_dedup, config, out, pairs, sentences, alignments)
-    assignment = stage("split", _stage_split, config, out, pairs, bitext)
+    assignment = stage("split", stage_split, config, out, pairs, bitext)
     stage("stats", _stage_stats, config, out, bitext, assignment)
     counts = {
         "preprocess": (len(docs), len(docs)),
@@ -380,14 +356,15 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         entries.append(
             {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
         )
-    _write_text(
+    write_text(
         out / "run_log.jsonl",
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
     )
     return 0
 
 
-def _stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
+def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
+    """Read, pair and clean the documents; returns them and the article pairs."""
     docs = read_documents(config.input, (config.src_lang, config.tgt_lang))
     pairs = pair_articles([d.meta for d in docs], config.src_lang, config.tgt_lang)
     rules = load_filter_rules(config.patterns) if config.patterns else default_filter_rules()
@@ -414,7 +391,7 @@ def _stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document]
     return post, pairs
 
 
-def _stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[str, SentenceList]:
+def stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[str, SentenceList]:
     """Segment every document; returns its sentences keyed by doc_id."""
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
@@ -464,7 +441,7 @@ def _corpus_length_params(
     return estimate_length_params(paragraph_pairs)
 
 
-def _stage_align(
+def stage_align(
     config: PipelineConfig,
     out: Path,
     pairs: Pairs,
@@ -472,31 +449,29 @@ def _stage_align(
     jobs: int,
 ) -> dict[str, AlignmentSet]:
     """Align every article pair; returns the alignments keyed by pair_id."""
-    doc_pairs = [(sentences[s.doc_id], sentences[t.doc_id]) for s, t in pairs]
+    srcs = [sentences[s.doc_id] for s, _ in pairs]
+    tgts = [sentences[t.doc_id] for _, t in pairs]
+    n = len(pairs)
     stage_dir = out / "03_align"
     stage_dir.mkdir(exist_ok=True)
     if config.method == "moore":
-        confident = _pmap(
-            _length_worker, [(src, tgt, config.theta1) for src, tgt in doc_pairs], jobs
-        )
-        table: TranslationTable = train_lexicon(
-            [(src, tgt, conf) for (src, tgt), conf in zip(doc_pairs, confident)],
+        passes = _pmap(length_pass, jobs, srcs, tgts, [config.theta1] * n)
+        table = train_lexicon(
+            [(src, tgt, confident) for src, tgt, (_, confident) in zip(srcs, tgts, passes)],
             config.em_iterations,
         )
         save_table(table, stage_dir / "translation_table.tsv")
-        results = _pmap(
-            _moore_worker, [(src, tgt, table, config.theta2) for src, tgt in doc_pairs], jobs
-        )
+        results = _pmap(moore_align, jobs, srcs, tgts, [table] * n, [config.theta2] * n)
     else:
-        params = _corpus_length_params(config, doc_pairs)
+        params = _corpus_length_params(config, list(zip(srcs, tgts)))
         save_length_params(params, stage_dir / "length_params.txt")
         if config.method == "gc":
-            results = _pmap(_gc_worker, [(src, tgt, params) for src, tgt in doc_pairs], jobs)
+            results = _pmap(gc_align, jobs, srcs, tgts, [params] * n)
         else:
             if config.mt_src is None:
                 raise ValueError("bleualign requires mt_src (directory of translation files)")
-            payloads = []
-            for (meta, _), (src, tgt) in zip(pairs, doc_pairs):
+            mt_srcs, mt_tgts = [], []
+            for (meta, _), src, tgt in zip(pairs, srcs, tgts):
                 pair_id = meta.pair_id
                 mt_src = _read_mt(
                     Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", config.tgt_lang, src
@@ -506,8 +481,12 @@ def _stage_align(
                     mt_tgt = _read_mt(
                         Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", config.src_lang, tgt
                     )
-                payloads.append((src, tgt, mt_src, mt_tgt, config.bleu, config.min_score, params))
-            results = _pmap(_bleualign_worker, payloads, jobs)
+                mt_srcs.append(mt_src)
+                mt_tgts.append(mt_tgt)
+            results = _pmap(
+                bleualign, jobs, srcs, tgts, mt_srcs, mt_tgts,
+                [config.bleu] * n, [config.min_score] * n, [params] * n,
+            )
     alignments: dict[str, AlignmentSet] = {}
     for (meta, _), aset in zip(pairs, results):
         alignments[meta.pair_id] = aset
@@ -544,7 +523,7 @@ def _stage_dedup(
     return kept, removed
 
 
-def _stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
+def stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
     """Assign articles to splits; returns the split of each pair_id."""
     per_article: dict[str, int] = {}
     for pair_id, _, _ in bitext:

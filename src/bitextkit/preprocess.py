@@ -44,21 +44,19 @@ _ZH_CITATION_FRAGMENT = re.compile(
 _EN_STITCH_MARKER = "open in new tab"
 
 
-def normalize_text(text: str, lang: str = "en") -> str:
+def normalize_text(text: str) -> str:
     """Standardize punctuation and character widths.
 
     Curly quotes become ASCII quotes, dash variants collapse to -/–/—,
     full-width Latin letters and digits become half-width, and whitespace
     runs collapse to single spaces. Chinese sentence punctuation is
-    preserved. Idempotent; ``lang`` is accepted for symmetry but the mapping
-    is language-independent.
+    preserved. Idempotent and language-independent.
     """
-    del lang
     return _WS_RUN.sub(" ", text.translate(_TRANSLATION)).strip()
 
 
 def normalize_document(doc: Document) -> Document:
-    paragraphs = [normalize_text(p, doc.meta.language) for p in doc.paragraphs]
+    paragraphs = [normalize_text(p) for p in doc.paragraphs]
     return Document(doc.meta, tuple(p for p in paragraphs if p))
 
 

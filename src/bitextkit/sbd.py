@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from bitextkit.core import Document
+from bitextkit.core import Document, write_text
 
 ZH_TERMINATORS = "。！？"  # 。！？
 _ZH_CLOSERS = "」』”’）〉》】\"')]"
@@ -442,7 +442,7 @@ def save_punkt(model: PunktModel, path: str | Path) -> None:
     lines += [
         f"colloc\t{t1}\t{t2}\t{s!r}" for (t1, t2), s in sorted(model.collocations.items())
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_punkt(path: str | Path) -> PunktModel:

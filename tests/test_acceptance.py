@@ -34,7 +34,7 @@ from bitextkit.gale_church import (
     norm_cdf,
 )
 from bitextkit.moore import length_pass, moore_align, train_ibm1, train_lexicon
-from bitextkit.pipeline import dedup_pairs, load_config, run_pipeline
+from bitextkit.pipeline import _read_mt, _segment, dedup_pairs, load_config, run_pipeline
 from bitextkit.preprocess import (
     default_filter_rules,
     filter_boilerplate,
@@ -57,16 +57,6 @@ CORPUS = DATA / "corpus"
 # ---------------------------------------------------------------------------
 # shared fixture-corpus plumbing
 
-def _segmented(doc, abbrevs) -> SentenceList:
-    sentences: list[str] = []
-    para_idx: list[int] = []
-    for idx, para in enumerate(doc.paragraphs):
-        segs = segment_zh(para) if doc.meta.language == "zh" else segment_en_rules(para, abbrevs)
-        sentences.extend(segs)
-        para_idx.extend([idx] * len(segs))
-    return SentenceList(doc.meta.doc_id, doc.meta.language, tuple(sentences), tuple(para_idx))
-
-
 @pytest.fixture(scope="module")
 def corpus_docs():
     """The bundled 12-article corpus, preprocessed the way the pipeline does."""
@@ -81,26 +71,15 @@ def corpus_docs():
 def corpus_views(corpus_docs):
     """Per article: segmented zh/en sides plus both machine translations."""
     abbrevs = default_abbrevs()
-    segmented = {d.meta.doc_id: _segmented(d, abbrevs) for d in corpus_docs}
+    segmented = {d.meta.doc_id: _segment(d, abbrevs, None) for d in corpus_docs}
     views = {}
     for pid in sorted({d.meta.pair_id for d in corpus_docs}):
         zh, en = segmented[f"{pid}-zh"], segmented[f"{pid}-en"]
-        fwd = [
-            ln.strip()
-            for ln in (CORPUS / "mt_zh2en" / f"{pid}.txt").read_text("utf-8").splitlines()
-            if ln.strip()
-        ]
-        rev = [
-            ln.strip()
-            for ln in (CORPUS / "mt_en2zh" / f"{pid}.txt").read_text("utf-8").splitlines()
-            if ln.strip()
-        ]
-        assert len(fwd) == len(zh) and len(rev) == len(en)
         views[pid] = (
             zh,
             en,
-            SentenceList(f"{pid}-mt", "en", tuple(fwd), zh.paragraph_index),
-            SentenceList(f"{pid}-mt-rev", "zh", tuple(rev), en.paragraph_index),
+            _read_mt(CORPUS / "mt_zh2en" / f"{pid}.txt", f"{pid}-mt", "en", zh),
+            _read_mt(CORPUS / "mt_en2zh" / f"{pid}.txt", f"{pid}-mt-rev", "zh", en),
         )
     return views
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from bitextkit import __version__
-from bitextkit.cli import main
+from bitextkit.cli import build_parser, main
+from bitextkit.pipeline import PipelineConfig
+from bitextkit.scoring import BleuConfig
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 RAW = CORPUS / "raw"
@@ -28,6 +30,23 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        config = PipelineConfig(input=Path("in"), output=Path("out"))
+        align = parser.parse_args(["align", "s", "o"])
+        assert (align.theta1, align.theta2, align.iterations, align.min_score) == (
+            config.theta1,
+            config.theta2,
+            config.em_iterations,
+            config.min_score,
+        )
+        split = parser.parse_args(["split", "p", "m", "o"])
+        assert (split.test, split.dev) == (
+            config.split.test_sentence_target,
+            config.split.dev_sentence_target,
+        )
+        assert parser.parse_args(["bleu", "h", "r"]).n_max == BleuConfig().n_max
 
     def test_run_without_config_is_an_error(self, capsys):
         assert main(["--log-format", "json", "run"]) == 1

@@ -24,6 +24,7 @@ from bitextkit.core import (
     write_documents,
     write_gold,
     write_sentences,
+    write_text,
 )
 
 
@@ -141,6 +142,23 @@ class TestDocumentFiles:
         )
         with pytest.raises(FormatError):
             read_metadata(tmp_path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_the_final_file_untouched(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        write_sentences(SentenceList("d", "en", ("Old.",), (0,)), path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_sentences(SentenceList("d", "en", ("New \ud800.",), (0,)), path)
+        assert path.read_bytes() == before
+
+    def test_successful_write_replaces_and_leaves_no_partial(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, "old\n")
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
 class TestSentenceFiles:

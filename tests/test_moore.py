@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.moore import (
@@ -12,6 +14,7 @@ from bitextkit.moore import (
     MOORE_MOVES,
     OTHER_TOKEN,
     PRIORS,
+    _forward_backward,
     align_with_lexicon,
     length_pass,
     load_table,
@@ -144,6 +147,78 @@ class TestRareWords:
         pairs = [(["same"], ["same"])]
         mapped = map_rare_tokens(pairs, min_count=2)
         assert mapped == [([OTHER_TOKEN], [OTHER_TOKEN])]
+
+
+def brute_force_one_one(S, T, log_bead):
+    """1-1 bead posteriors by enumerating every MOORE_MOVES path from (0, 0)
+    to (S, T); a cell no finite-probability path passes through gets 0.0."""
+    paths = []
+
+    def walk(i, j, lp, ones):
+        if (i, j) == (S, T):
+            paths.append((lp, ones))
+        for m, n in MOORE_MOVES:
+            if i + m <= S and j + n <= T:
+                step = ((i, j),) if (m, n) == (1, 1) else ()
+                walk(i + m, j + n, lp + log_bead(i, j, m, n), ones + step)
+
+    walk(0, 0, 0.0, ())
+    post = [[0.0] * T for _ in range(S)]
+    finite = [(lp, ones) for lp, ones in paths if lp > -math.inf]
+    if finite:
+        top = max(lp for lp, _ in finite)
+        z = sum(math.exp(lp - top) for lp, _ in finite)
+        for lp, ones in finite:
+            for i, j in ones:
+                post[i][j] += math.exp(lp - top) / z
+    return post
+
+
+def bead_table(S, T, value):
+    return {
+        (i, j, m, n): value(m, n)
+        for i in range(S + 1)
+        for j in range(T + 1)
+        for m, n in MOORE_MOVES
+        if i + m <= S and j + n <= T
+    }
+
+
+def scorer(table):
+    return lambda i, j, m, n: table[(i, j, m, n)]
+
+
+def only_one_one(m, n):
+    return 0.0 if (m, n) == (1, 1) else -math.inf
+
+
+@st.composite
+def lattices(draw):
+    S, T = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # a draw below -7 blocks the bead, so some cells and lattices are unreachable
+    weight = st.floats(-8.0, 0.0).map(lambda v: -math.inf if v < -7.0 else v)
+    return S, T, bead_table(S, T, lambda m, n: draw(weight))
+
+
+class TestForwardBackward:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice=lattices())
+    # only the diagonal path: cells (0, 1) and (1, 0) are unreachable
+    @example(lattice=(2, 2, bead_table(2, 2, only_one_one)))
+    # 1-1 beads alone cannot reach (2, 3): Z = -inf
+    @example(lattice=(2, 3, bead_table(2, 3, only_one_one)))
+    def test_one_one_posteriors_match_path_enumeration(self, lattice):
+        S, T, table = lattice
+        log_bead = scorer(table)
+        got = _forward_backward(S, T, log_bead)
+        want = brute_force_one_one(S, T, log_bead)
+        assert len(got) == S and all(len(row) == T for row in got)
+        for i in range(S):
+            for j in range(T):
+                if want[i][j] == 0.0:
+                    assert got[i][j] == 0.0, (i, j)
+                else:
+                    assert got[i][j] == pytest.approx(want[i][j], rel=1e-9, abs=1e-12), (i, j)
 
 
 class TestLengthPass:

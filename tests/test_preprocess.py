@@ -39,7 +39,7 @@ class TestNormalize:
 
     def test_chinese_punctuation_preserved(self):
         s = "试验结果。（见图）：好，真的！"
-        assert normalize_text(s, "zh") == s
+        assert normalize_text(s) == s
 
     def test_idempotent_on_random_text(self):
         rng = random.Random(11)
