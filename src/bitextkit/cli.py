@@ -27,6 +27,8 @@ from bitextkit.core import (
 from bitextkit.evaluation import alignment_type_distribution, prf1
 from bitextkit.moore import EM_ITERATIONS, THETA1, THETA2
 from bitextkit.pipeline import (
+    SRC_LANG,
+    TGT_LANG,
     PipelineConfig,
     PipelineError,
     SplitSpec,
@@ -76,10 +78,6 @@ def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]
     return rows
 
 
-def _langs(args) -> tuple[str, str]:
-    return args.src_lang, args.tgt_lang
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -90,7 +88,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    docs = read_documents(args.input, _langs(args))
+    docs = read_documents(args.input)
     write_documents(docs, args.output)
     print(f"ingested {len(docs)} documents into {args.output}")
     return 0
@@ -102,8 +100,6 @@ def _cmd_preprocess(args) -> int:
         output=args.output,
         patterns=args.patterns,
         truecase=not args.no_truecase,
-        src_lang=args.src_lang,
-        tgt_lang=args.tgt_lang,
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,12 +114,10 @@ def _cmd_sbd(args) -> int:
         output=args.output,
         abbreviations=args.abbreviations,
         en_sbd=args.en_method,
-        src_lang=args.src_lang,
-        tgt_lang=args.tgt_lang,
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    docs = read_documents(args.input, _langs(args))
+    docs = read_documents(args.input)
     sentences = stage_sbd(config, out, docs)
     n_sentences = sum(len(sl) for sl in sentences.values())
     print(f"segmented {len(docs)} documents into {n_sentences} sentences -> {out / '02_sbd'}")
@@ -136,25 +130,22 @@ def _cmd_align(args) -> int:
         output=args.output,
         method=args.method,
         params_file=args.params,
-        estimate_params=not args.no_estimate,
         theta1=args.theta1,
         theta2=args.theta2,
         em_iterations=args.iterations,
         min_score=args.min_score,
         mt_src=args.src_mt,
         mt_tgt=args.tgt_mt,
-        src_lang=args.src_lang,
-        tgt_lang=args.tgt_lang,
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     directory = Path(args.sentences)
-    metas = read_metadata(directory, _langs(args))
+    metas = read_metadata(directory)
     sentences = {
         m.doc_id: read_sentences(directory / f"{m.doc_id}.tsv", m.doc_id, m.language)
         for m in metas
     }
-    pairs = pair_articles(metas, *_langs(args))
+    pairs = pair_articles(metas, SRC_LANG, TGT_LANG)
     alignments = stage_align(config, out, pairs, sentences, args.jobs or 1)
     n_beads = sum(len(a) for a in alignments.values())
     print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {out / '03_align'}")
@@ -179,12 +170,10 @@ def _cmd_split(args) -> int:
         input=meta_dir,
         output=args.output,
         split=SplitSpec(args.test, args.dev),
-        src_lang=args.src_lang,
-        tgt_lang=args.tgt_lang,
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = pair_articles(read_metadata(meta_dir, _langs(args)), *_langs(args))
+    pairs = pair_articles(read_metadata(meta_dir), SRC_LANG, TGT_LANG)
     stage_split(config, out, pairs, rows)
     print(f"split manifests written -> {out / '05_split'}")
     return 0
@@ -204,9 +193,7 @@ def _cmd_eval(args) -> int:
 def _cmd_stats(args) -> int:
     rows = _read_tsv(Path(args.pairs), 2, 3)
     triples = [r if len(r) == 3 else ("-",) + r for r in rows]
-    pairs, src_tokens, tgt_tokens, articles = corpus_stats(
-        triples, args.src_lang, args.tgt_lang
-    )
+    pairs, src_tokens, tgt_tokens, articles = corpus_stats(triples)
     print(
         f"sentence_pairs={pairs} src_tokens={src_tokens} "
         f"tgt_tokens={tgt_tokens} articles={articles}"
@@ -233,11 +220,6 @@ def _cmd_bleu(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_lang_flags(sub) -> None:
-    sub.add_argument("--src-lang", default="zh", help="source language tag (default zh)")
-    sub.add_argument("--tgt-lang", default="en", help="target language tag (default en)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitextkit",
@@ -255,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ingest", help="validate and copy a raw document directory")
     s.add_argument("input", type=Path)
     s.add_argument("output", type=Path)
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_ingest)
 
     s = sub.add_parser("preprocess", help="normalize, stitch, filter boilerplate, truecase")
@@ -263,30 +244,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("output", type=Path)
     s.add_argument("--patterns", type=Path, help="boilerplate pattern file")
     s.add_argument("--no-truecase", action="store_true")
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_preprocess)
 
     s = sub.add_parser("sbd", help="split paragraphs into sentences")
     s.add_argument("input", type=Path, help="preprocessed document directory")
     s.add_argument("output", type=Path)
-    s.add_argument("--en-method", choices=("rules", "punkt"), default="rules")
+    s.add_argument("--en-method", choices=("rules", "punkt"), default=PipelineConfig.en_sbd)
     s.add_argument("--abbreviations", type=Path, help="abbreviation list file")
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_sbd)
 
     s = sub.add_parser("align", help="align sentences of each article pair")
     s.add_argument("sentences", type=Path, help="sentence directory (sbd output)")
     s.add_argument("output", type=Path)
-    s.add_argument("--method", choices=("gc", "moore", "bleualign"), default="gc")
+    s.add_argument("--method", choices=("gc", "moore", "bleualign"), default=PipelineConfig.method)
     s.add_argument("--params", type=Path, help="length parameter file (skips estimation)")
-    s.add_argument("--no-estimate", action="store_true", help="use default length parameters")
     s.add_argument("--theta1", type=float, default=THETA1)
     s.add_argument("--theta2", type=float, default=THETA2)
     s.add_argument("--iterations", type=int, default=EM_ITERATIONS)
     s.add_argument("--min-score", type=float, default=PipelineConfig.min_score)
     s.add_argument("--src-mt", type=Path, help="directory of source translations, one <pair_id>.txt each")
     s.add_argument("--tgt-mt", type=Path, help="directory of target translations (enables bidirectional mode)")
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_align)
 
     s = sub.add_parser("dedup", help="drop near-duplicate sentence pairs")
@@ -300,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("output", type=Path)
     s.add_argument("--test", type=int, default=SplitSpec.test_sentence_target, help="test sentence target")
     s.add_argument("--dev", type=int, default=SplitSpec.dev_sentence_target, help="dev sentence target")
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_split)
 
     s = sub.add_parser("eval", help="score an alignment against gold")
@@ -312,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stats", help="corpus size statistics from a pair TSV")
     s.add_argument("pairs", type=Path)
-    _add_lang_flags(s)
     s.set_defaults(func=_cmd_stats)
 
     s = sub.add_parser("bleu", help="BLEU of line-parallel files")

@@ -291,11 +291,16 @@ def read_documents(
 
 def write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text with LF line endings to a ``.partial`` name, then
-    rename it over ``path``; a failed write leaves ``path`` untouched."""
+    rename it over ``path``; a failed write leaves ``path`` untouched and
+    removes the ``.partial`` file."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8", newline="\n")
-    partial.replace(path)
+    try:
+        partial.write_text(text, encoding="utf-8", newline="\n")
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_metadata(docs: list[Document], path: str | Path) -> None:

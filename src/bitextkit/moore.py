@@ -116,11 +116,12 @@ def _length_model(slen: list[int], tlen: list[int]):
 def length_pass(
     src: SentenceList, tgt: SentenceList, theta1: float = THETA1
 ) -> tuple[list[list[float]], list[tuple[int, int]]]:
-    """First pass: Poisson length lattice.
+    """First pass: Poisson length lattice over the token counts of both
+    sides; it needs no trained parameters.
 
     Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors (all 0.0
     when either side is empty) and, in row-major order, the (i, j) index
-    pairs whose posterior is >= theta1.
+    pairs whose posterior is >= theta1, which must lie in (0.5, 1).
     """
     if not 0.5 < theta1 < 1:
         raise ValueError(f"theta1 must be in (0.5, 1), got {theta1}")
@@ -137,13 +138,12 @@ class TranslationTable:
     counts of the training corpus (add-one smoothed on lookup)."""
 
     t: dict
-    null_token: str = NULL_TOKEN
     tgt_counts: dict = field(default_factory=dict)
     ll_history: tuple = ()
 
     @property
     def src_vocab(self) -> set:
-        return set(self.t) - {self.null_token}
+        return set(self.t) - {NULL_TOKEN}
 
     @property
     def tgt_vocab(self) -> set:
@@ -198,7 +198,7 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
             for s, ws in counts.items()
             if (total := sum(ws.values())) > 0
         }
-    return TranslationTable(t, NULL_TOKEN, tgt_counts, tuple(history))
+    return TranslationTable(t, tgt_counts, tuple(history))
 
 
 def map_rare_tokens(pairs: list, min_count: int = 2) -> list:
@@ -235,7 +235,7 @@ def _lexical_log_ratio(table: TranslationTable, src_toks: list, tgt_toks: list) 
 
     (1/(l_s+1)^{l_t}) prod_j sum_i t(t_j|s_i)  /  prod_j u(t_j)
     """
-    context = [table.null_token] + src_toks
+    context = [NULL_TOKEN] + src_toks
     total = -len(tgt_toks) * math.log(len(context))
     for w in tgt_toks:
         mass = sum(table.t.get(s, {}).get(w, 0.0) for s in context)

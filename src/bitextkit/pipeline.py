@@ -75,6 +75,11 @@ log = logging.getLogger(__name__)
 #: The one supported content hash for dedup (recorded in the run log).
 HASH_NAME = "blake2b-64"
 
+#: The aligners' source and target sides. One zh/en corpus serves both
+#: translation directions, so the direction is not a setting.
+SRC_LANG = "zh"
+TGT_LANG = "en"
+
 #: Article pairs as (source, target) metadata, from :func:`pair_articles`.
 Pairs = list[tuple[ArticleMeta, ArticleMeta]]
 #: (article, src, tgt) sentence-pair rows.
@@ -142,7 +147,8 @@ def split_corpus(
 
     Articles are ordered by date descending (id breaks ties); each phase
     consumes articles until its cumulative sentence-pair count reaches the
-    target. Running out of articles mid-phase logs a warning.
+    target. Running out of articles mid-phase logs a warning. The returned
+    dict is in that order, newest article first.
     """
     ids = [meta.pair_id for meta, _ in articles]
     if len(set(ids)) != len(ids):
@@ -195,13 +201,10 @@ class PipelineConfig:
     output: Path
     patterns: Path | None = None
     abbreviations: Path | None = None
-    src_lang: str = "zh"
-    tgt_lang: str = "en"
     en_sbd: str = "rules"  # "rules" | "punkt"
     truecase: bool = True
     method: str = "gc"  # "gc" | "moore" | "bleualign"
     params_file: Path | None = None
-    estimate_params: bool = True
     theta1: float = THETA1
     theta2: float = THETA2
     em_iterations: int = EM_ITERATIONS
@@ -365,8 +368,8 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
 def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
     """Read, pair and clean the documents; returns them and the article pairs."""
-    docs = read_documents(config.input, (config.src_lang, config.tgt_lang))
-    pairs = pair_articles([d.meta for d in docs], config.src_lang, config.tgt_lang)
+    docs = read_documents(config.input, (SRC_LANG, TGT_LANG))
+    pairs = pair_articles([d.meta for d in docs], SRC_LANG, TGT_LANG)
     rules = load_filter_rules(config.patterns) if config.patterns else default_filter_rules()
     pre = [stitch_paragraphs(normalize_document(d)) for d in docs]
     removal_rows: list[tuple[str, int, str]] = []
@@ -404,13 +407,10 @@ def stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[s
     for doc_id, sl in sentence_lists.items():
         write_sentences(sl, stage_dir / f"{doc_id}.tsv")
     write_metadata(docs, stage_dir / META_FILENAME)
-    counts: dict[str, dict[str, int]] = {config.src_lang: {}, config.tgt_lang: {}}
+    counts: dict[str, dict[str, int]] = {SRC_LANG: {}, TGT_LANG: {}}
     for d in docs:
         counts[d.meta.language][d.meta.pair_id] = len(sentence_lists[d.meta.doc_id])
-    _write_csv(
-        out / "sbd_report.csv",
-        sbd_diff_report(counts[config.src_lang], counts[config.tgt_lang]),
-    )
+    _write_csv(out / "sbd_report.csv", sbd_diff_report(counts[SRC_LANG], counts[TGT_LANG]))
     return sentence_lists
 
 
@@ -424,16 +424,16 @@ def _reconstructed_paragraphs(sl: SentenceList, lang: str) -> list[str]:
 def _corpus_length_params(
     config: PipelineConfig, doc_pairs: list[tuple[SentenceList, SentenceList]]
 ) -> LengthParams:
-    """Length-model parameters for gc/bleualign: loaded, default, or fitted
-    on paragraph pairs rebuilt from the segmented sentences."""
+    """Length-model parameters for gc/bleualign: loaded from
+    ``config.params_file`` when it is set, otherwise fitted on the paragraph
+    pairs rebuilt from the segmented sentences (a document whose paragraph
+    counts differ counts as one pair)."""
     if config.params_file:
         return load_length_params(config.params_file)
-    if not config.estimate_params:
-        return LengthParams()
     paragraph_pairs: list[tuple[str, str]] = []
     for src, tgt in doc_pairs:
-        src_paras = _reconstructed_paragraphs(src, config.src_lang)
-        tgt_paras = _reconstructed_paragraphs(tgt, config.tgt_lang)
+        src_paras = _reconstructed_paragraphs(src, SRC_LANG)
+        tgt_paras = _reconstructed_paragraphs(tgt, TGT_LANG)
         if len(src_paras) == len(tgt_paras):
             paragraph_pairs.extend(zip(src_paras, tgt_paras))
         else:
@@ -474,12 +474,12 @@ def stage_align(
             for (meta, _), src, tgt in zip(pairs, srcs, tgts):
                 pair_id = meta.pair_id
                 mt_src = _read_mt(
-                    Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", config.tgt_lang, src
+                    Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src
                 )
                 mt_tgt = None
                 if config.mt_tgt is not None:
                     mt_tgt = _read_mt(
-                        Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", config.src_lang, tgt
+                        Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
                     )
                 mt_srcs.append(mt_src)
                 mt_tgts.append(mt_tgt)
@@ -511,8 +511,8 @@ def _stage_dedup(
                 rows.append(
                     (
                         src_meta.pair_id,
-                        _join([src.sentences[i] for i in bead.src], config.src_lang),
-                        _join([tgt.sentences[j] for j in bead.tgt], config.tgt_lang),
+                        _join([src.sentences[i] for i in bead.src], SRC_LANG),
+                        _join([tgt.sentences[j] for j in bead.tgt], TGT_LANG),
                     )
                 )
     kept, removed = dedup_pairs(rows)
@@ -532,10 +532,9 @@ def stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext)
     assignment = split_corpus(articles, config.split)
     stage_dir = out / "05_split"
     stage_dir.mkdir(exist_ok=True)
-    order = sorted(articles, key=lambda a: (-a[0].date.toordinal(), a[0].pair_id))
     _write_rows(
         stage_dir / "manifest.tsv",
-        [(m.pair_id, assignment[m.pair_id], n) for m, n in order],
+        [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],
     )
     for split_name in _SPLITS:
         rows = [(s, t) for a, s, t in bitext if assignment[a] == split_name]
@@ -551,6 +550,6 @@ def _stage_stats(
         scopes.append((split_name, [r for r in bitext if assignment[r[0]] == split_name]))
     rows = [("scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles")]
     for name, rows_in_scope in scopes:
-        stats = corpus_stats(rows_in_scope, config.src_lang, config.tgt_lang)
+        stats = corpus_stats(rows_in_scope, SRC_LANG, TGT_LANG)
         rows.append((name, *stats))
     _write_rows(out / "stats.tsv", rows)

@@ -213,13 +213,11 @@ def segment_en_rules(paragraph: str, abbrevs: AbbrevList | None = None) -> list[
 
 ABBREV_THRESHOLD = 0.3
 STARTER_THRESHOLD = 30.0
-COLLOC_THRESHOLD = 7.88
-_MIN_COLLOC_FREQ = 2
 
 
 @dataclass(frozen=True)
 class PunktModel:
-    """Learned segmentation parameters.
+    """Learned abbreviations and frequent sentence starters.
 
     The membership sets are stored as score maps (type -> log-likelihood
     score) so the model can be serialized with its evidence; ``in`` tests
@@ -228,16 +226,6 @@ class PunktModel:
 
     abbreviations: dict = field(default_factory=dict)
     sentence_starters: dict = field(default_factory=dict)
-    collocations: dict = field(default_factory=dict)
-    params: tuple[float, float, float] = (
-        ABBREV_THRESHOLD,
-        STARTER_THRESHOLD,
-        COLLOC_THRESHOLD,
-    )
-
-    def __post_init__(self):
-        if any(t <= 0 for t in self.params):
-            raise ValueError("params: thresholds must be positive")
 
 
 _TOKEN_CORE = re.compile(r"[a-z0-9][a-z0-9.'&-]*")
@@ -299,8 +287,8 @@ def _col_llr(count_a: int, count_b: int, count_ab: int, n: int) -> float:
 
 
 def train_punkt(corpus: list[Document]) -> PunktModel:
-    """Learn abbreviations, frequent sentence starters and collocations from
-    raw (unsegmented) English paragraphs.
+    """Learn abbreviations and frequent sentence starters from raw
+    (unsegmented) English paragraphs.
 
     Deterministic in the corpus as a multiset: only aggregate counts feed
     the log-likelihood scores.
@@ -343,29 +331,24 @@ def train_punkt(corpus: list[Document]) -> PunktModel:
             abbreviations[typ] = score
 
     # second pass: annotate sentence breaks with the learned abbreviations,
-    # then score types that follow a break (starters) and cross-break pairs.
+    # then score the types that follow a break (starters).
     type_total: Counter = Counter()
     at_break: Counter = Counter()
-    pair_counts: Counter = Counter()
     n_breaks = 0
     for tokens in _iter_tokens(corpus):
         prev_break = False
-        prev_typ = None
         for tok in tokens:
             typ = _token_type(tok)
             if typ:
                 type_total[typ] += 1
                 if prev_break:
                     at_break[typ] += 1
-                    if prev_typ:
-                        pair_counts[(prev_typ, typ)] += 1
             stripped = tok.rstrip(_EN_CLOSERS)
-            is_break = stripped.endswith(("?", "!")) or (
+            prev_break = stripped.endswith(("?", "!")) or (
                 stripped.endswith(".") and typ is not None and typ not in abbreviations
             )
-            if is_break:
+            if prev_break:
                 n_breaks += 1
-            prev_break, prev_typ = is_break, typ
 
     starters: dict[str, float] = {}
     if n_breaks:
@@ -378,16 +361,7 @@ def train_punkt(corpus: list[Document]) -> PunktModel:
                 and n_tokens / n_breaks > type_total[typ] / at_break[typ]
             ):
                 starters[typ] = llr
-
-    collocations: dict[tuple[str, str], float] = {}
-    for (t1, t2), c in sorted(pair_counts.items()):
-        if c < _MIN_COLLOC_FREQ:
-            continue
-        llr = _col_llr(type_total[t1], type_total[t2], c, n_tokens)
-        if llr >= COLLOC_THRESHOLD and n_tokens / type_total[t1] > type_total[t2] / c:
-            collocations[(t1, t2)] = llr
-
-    return PunktModel(abbreviations, starters, collocations)
+    return PunktModel(abbreviations, starters)
 
 
 def segment_punkt(paragraph: str, model: PunktModel) -> list[str]:
@@ -432,36 +406,22 @@ def segment_punkt(paragraph: str, model: PunktModel) -> list[str]:
 
 
 def save_punkt(model: PunktModel, path: str | Path) -> None:
-    lines = [
-        f"param\tabbrev_threshold\t{model.params[0]!r}",
-        f"param\tstarter_threshold\t{model.params[1]!r}",
-        f"param\tcolloc_threshold\t{model.params[2]!r}",
-    ]
-    lines += [f"abbrev\t{t}\t{s!r}" for t, s in sorted(model.abbreviations.items())]
+    lines = [f"abbrev\t{t}\t{s!r}" for t, s in sorted(model.abbreviations.items())]
     lines += [f"starter\t{t}\t{s!r}" for t, s in sorted(model.sentence_starters.items())]
-    lines += [
-        f"colloc\t{t1}\t{t2}\t{s!r}" for (t1, t2), s in sorted(model.collocations.items())
-    ]
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_punkt(path: str | Path) -> PunktModel:
-    abbreviations, starters, collocations = {}, {}, {}
-    params = [ABBREV_THRESHOLD, STARTER_THRESHOLD, COLLOC_THRESHOLD]
-    names = ["abbrev_threshold", "starter_threshold", "colloc_threshold"]
+    """Read a model written by :func:`save_punkt`; records of any other
+    kind (the ``param`` and ``colloc`` lines of older files) are skipped."""
+    abbreviations, starters = {}, {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
         fields = line.split("\t")
-        if fields[0] == "param":
-            params[names.index(fields[1])] = float(fields[2])
-        elif fields[0] == "abbrev":
+        if fields[0] == "abbrev":
             abbreviations[fields[1]] = float(fields[2])
         elif fields[0] == "starter":
             starters[fields[1]] = float(fields[2])
-        elif fields[0] == "colloc":
-            collocations[(fields[1], fields[2])] = float(fields[3])
-    return PunktModel(abbreviations, starters, collocations, tuple(params))
+    return PunktModel(abbreviations, starters)
 
 
 def sbd_diff_report(zh_counts: dict, en_counts: dict) -> list[list]:

@@ -47,6 +47,8 @@ class TestParser:
             config.split.dev_sentence_target,
         )
         assert parser.parse_args(["bleu", "h", "r"]).n_max == BleuConfig().n_max
+        assert align.method == config.method
+        assert parser.parse_args(["sbd", "i", "o"]).en_method == config.en_sbd
 
     def test_run_without_config_is_an_error(self, capsys):
         assert main(["--log-format", "json", "run"]) == 1

@@ -152,6 +152,7 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             write_sentences(SentenceList("d", "en", ("New \ud800.",), (0,)), path)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
 
     def test_successful_write_replaces_and_leaves_no_partial(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -102,6 +102,7 @@ class TestSplitCorpus:
         ]
         got = split_corpus(articles, SplitSpec(test_sentence_target=10, dev_sentence_target=10))
         assert got == {"A02": "test", "A03": "dev", "A01": "train", "A04": "train"}
+        assert list(got) == ["A02", "A03", "A01", "A04"]
 
     def test_date_ties_break_by_id(self):
         articles = [
@@ -200,9 +201,10 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="expected a JSON object"):
             load_config(path)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = self.write(tmp_path, {"input": "raw", "output": "out", "alignerr": "gc"})
-        with pytest.raises(ValueError, match="alignerr"):
+    @pytest.mark.parametrize("key", ["alignerr", "src_lang", "tgt_lang", "estimate_params"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        path = self.write(tmp_path, {"input": "raw", "output": "out", key: "gc"})
+        with pytest.raises(ValueError, match=key):
             load_config(path)
 
     def test_unknown_method_rejected(self, tmp_path):

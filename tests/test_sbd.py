@@ -152,12 +152,21 @@ class TestUnsupervised:
         assert got == ["Really?", "yes!", "done."]
 
     def test_save_load_round_trip(self, tmp_path):
-        model = PunktModel(
-            {"fig": 1.432}, {"we": 31.25}, {("et", "al"): 8.0}, (0.3, 30.0, 7.88)
-        )
+        model = PunktModel({"fig": 1.432}, {"we": 31.25})
         path = tmp_path / "model.tsv"
         save_punkt(model, path)
         assert load_punkt(path) == model
+
+    def test_load_skips_param_and_colloc_records_of_older_files(self, tmp_path):
+        path = tmp_path / "model.tsv"
+        path.write_text(
+            "param\tabbrev_threshold\t0.3\n"
+            "abbrev\tfig\t1.432\n"
+            "starter\twe\t31.25\n"
+            "colloc\tet\tal\t8.0\n",
+            encoding="utf-8",
+        )
+        assert load_punkt(path) == PunktModel({"fig": 1.432}, {"we": 31.25})
 
     def test_training_is_deterministic(self):
         a = train_punkt(self.corpus())
