@@ -8,14 +8,11 @@ from bitextkit.core import (  # noqa: F401
     Bead,
     Document,
     FormatError,
-    GoldAlignment,
     SentenceList,
     read_alignments,
     read_documents,
-    read_gold,
     validate_alignment,
     validate_gold,
     write_alignments,
     write_documents,
-    write_gold,
 )

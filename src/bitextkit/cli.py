@@ -18,7 +18,6 @@ from bitextkit.core import (
     FormatError,
     read_alignments,
     read_documents,
-    read_gold,
     read_metadata,
     read_sentences,
     write_documents,
@@ -181,7 +180,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_eval(args) -> int:
     pred = read_alignments(args.pred)
-    gold = read_gold(args.gold)
+    gold = read_alignments(args.gold)
     p, r, f1 = prf1(pred, gold, one_to_one_only=not args.all_types)
     print(f"precision={p:.4f} recall={r:.4f} f1={f1:.4f}")
     if args.distribution:

@@ -161,11 +161,6 @@ class AlignmentSet:
         return len(self.beads)
 
 
-#: A hand-made reference alignment is an :class:`AlignmentSet` whose notes
-#: come from the annotator.
-GoldAlignment = AlignmentSet
-
-
 def _check_block(indices: tuple[int, ...]) -> bool:
     """True if indices form a contiguous ascending run (or are empty)."""
     return all(b == a + 1 for a, b in zip(indices, indices[1:]))
@@ -399,10 +394,6 @@ def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
             fields.append(note)
         lines.append("\t".join(fields))
     write_text(path, "\n".join(lines) + "\n")
-
-
-read_gold = read_alignments
-write_gold = write_alignments
 
 
 def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList:

@@ -243,6 +243,65 @@ def _lexical_log_ratio(table: TranslationTable, src_toks: list, tgt_toks: list) 
     return total
 
 
+def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
+    """Pass two's ``log_bead(i, j, m, n)`` for one document, and whether it
+    has a lexical term.
+
+    Each bead's score equals, bit for bit, the length model plus
+    ``_lexical_log_ratio`` over the merged sentences. The per-token term of
+    each target type is worked out once per source sentence ``i``: the
+    Model-1 mass under ``[NULL] + src_tokens[i]`` sums a prefix of the
+    lookups under the 2-1 context ``[NULL] + src_tokens[i] +
+    src_tokens[i + 1]``, so both sums add the reference's floats in its
+    order. Every bead is scored once, up front, and the forward, backward
+    and posterior passes share the scores. A table that shares no
+    vocabulary with the document leaves the length model alone.
+    """
+    length_term = _length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
+    src_vocab, tgt_vocab = table.src_vocab, table.tgt_vocab
+    doc_src = {w for ts in src_tokens for w in ts}
+    doc_tgt = {w for ts in tgt_tokens for w in ts}
+    lexical = bool(doc_src & src_vocab) and bool(doc_tgt & tgt_vocab)
+    # one[i][w], two[i][w]: the per-token term of target type w in a 1-x and
+    # in a 2-1 bead that start at source sentence i
+    one: list[dict] = []
+    two: list[dict] = []
+    if lexical:
+        src_tokens = [_map_oov(ts, src_vocab) for ts in src_tokens]
+        tgt_tokens = [_map_oov(ts, tgt_vocab) for ts in tgt_tokens]
+        counts = table.tgt_counts
+        denom = sum(counts.values()) + len(counts) + 1  # TranslationTable.unigram's, summed once
+        log_unigram = {
+            w: math.log((counts.get(w, 0) + 1) / denom) for w in {w for ts in tgt_tokens for w in ts}
+        }
+        for i, toks in enumerate(src_tokens):
+            k = len(toks) + 1
+            context = [NULL_TOKEN] + [s for ts in src_tokens[i : i + 2] for s in ts]
+            rows = [table.t.get(s, {}) for s in context]
+            masses = {w: [row.get(w, 0.0) for row in rows] for w in log_unigram}
+            one.append({w: math.log(max(sum(ms[:k]), _LEX_FLOOR)) - log_unigram[w] for w, ms in masses.items()})
+            two.append({w: math.log(max(sum(ms), _LEX_FLOOR)) - log_unigram[w] for w, ms in masses.items()})
+
+    def score(i: int, j: int, m: int, n: int) -> float:
+        lp = length_term(i, j, m, n)
+        if not lexical or m == 0 or n == 0:
+            return lp
+        terms = one[i] if m == 1 else two[i]
+        merged_tgt = [w for ts in tgt_tokens[j : j + n] for w in ts]
+        total = -len(merged_tgt) * math.log(1 + sum(len(ts) for ts in src_tokens[i : i + m]))
+        for w in merged_tgt:
+            total += terms[w]
+        return lp + total
+
+    S, T = len(src_tokens), len(tgt_tokens)
+    # per move, the score of the bead at each start cell (i, j) it fits from
+    grids = {
+        (m, n): [[score(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)]
+        for m, n in MOORE_MOVES
+    }
+    return (lambda i, j, m, n: grids[m, n][i][j]), lexical
+
+
 def moore_align(
     src: SentenceList, tgt: SentenceList, table: TranslationTable, theta2: float = THETA2
 ) -> AlignmentSet:
@@ -251,6 +310,10 @@ def moore_align(
     Emits 1-1 beads whose posterior reaches theta2; all other sentences come
     out as 1-0/0-1 beads. A table that shares no vocabulary with the
     document degenerates to the length-only model (warned once per call).
+
+    Pass two looks up one translation mass per (source sentence, target
+    type) pair for each of the two context widths, and scores each bead
+    once (see ``_bead_scorer``).
     """
     if not 0 < theta2 < 1:
         raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
@@ -261,30 +324,12 @@ def moore_align(
         return AlignmentSet(tuple(beads), S, T)
     src_tokens = [tokenize(s, src.language) for s in src.sentences]
     tgt_tokens = [tokenize(t, tgt.language) for t in tgt.sentences]
-    slen = [len(ts) for ts in src_tokens]
-    tlen = [len(ts) for ts in tgt_tokens]
-    length_term = _length_model(slen, tlen)
-
-    doc_src = {w for ts in src_tokens for w in ts}
-    doc_tgt = {w for ts in tgt_tokens for w in ts}
-    degenerate = not (doc_src & table.src_vocab) or not (doc_tgt & table.tgt_vocab)
-    if degenerate:
+    log_bead, lexical = _bead_scorer(src_tokens, tgt_tokens, table)
+    if not lexical:
         log.warning(
             "%s: translation table shares no vocabulary with the document; using length model only",
             src.doc_id,
         )
-    else:
-        src_tokens = [_map_oov(ts, table.src_vocab) for ts in src_tokens]
-        tgt_tokens = [_map_oov(ts, table.tgt_vocab) for ts in tgt_tokens]
-
-    def log_bead(i: int, j: int, m: int, n: int) -> float:
-        lp = length_term(i, j, m, n)
-        if degenerate or m == 0 or n == 0:
-            return lp
-        merged_src = [w for ts in src_tokens[i : i + m] for w in ts]
-        merged_tgt = [w for ts in tgt_tokens[j : j + n] for w in ts]
-        return lp + _lexical_log_ratio(table, merged_src, merged_tgt)
-
     post = _forward_backward(S, T, log_bead)
     accepted: list[tuple[int, int, float]] = []
     candidates = [(i, j, p) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta2]
@@ -305,19 +350,6 @@ def moore_align(
             beads.append(Bead((i,), (j,), p, "moore"))
             si, ti = i + 1, j + 1
     return AlignmentSet(tuple(beads), S, T)
-
-
-def align_with_lexicon(
-    src: SentenceList,
-    tgt: SentenceList,
-    theta1: float = THETA1,
-    theta2: float = THETA2,
-    iterations: int = EM_ITERATIONS,
-) -> AlignmentSet:
-    """Both passes on a single document pair (convenience wrapper)."""
-    _, confident = length_pass(src, tgt, theta1)
-    table = train_lexicon([(src, tgt, confident)], iterations)
-    return moore_align(src, tgt, table, theta2)
 
 
 def train_lexicon(

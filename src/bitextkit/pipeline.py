@@ -313,7 +313,11 @@ def _segment(doc: Document, abbrevs, punkt_model) -> SentenceList:
 def _read_mt(path: Path, doc_id: str, language: str, template: SentenceList) -> SentenceList:
     if not path.is_file():
         raise FileNotFoundError(f"translation file not found: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    while lines and not lines[-1]:
+        lines.pop()
+    if "" in lines:
+        raise ValueError(f"{path} line {lines.index('') + 1}: blank translation line")
     if len(lines) != len(template):
         raise ValueError(
             f"{path}: {len(lines)} translation lines for {len(template)} sentences"

@@ -34,11 +34,10 @@ from bitextkit.core import (
     ArticleMeta,
     Bead,
     Document,
-    GoldAlignment,
     SentenceList,
     validate_gold,
+    write_alignments,
     write_documents,
-    write_gold,
 )
 from bitextkit.evaluation import prf1
 from bitextkit.gale_church import estimate_length_params, gc_align, norm_cdf
@@ -473,7 +472,7 @@ def _pooled(per_article: list[tuple]):
         tgt_off += gold.tgt_len
     return (
         AlignmentSet(tuple(beads_p), src_off, tgt_off),
-        GoldAlignment(tuple(beads_g), src_off, tgt_off, tuple(notes)),
+        AlignmentSet(tuple(beads_g), src_off, tgt_off, tuple(notes)),
     )
 
 
@@ -572,9 +571,9 @@ def write_type_distribution(rng: random.Random, path: Path):
         beads.append(Bead(tuple(range(i, i + m)), tuple(range(j, j + n)), None, "gold"))
         i += m
         j += n
-    gold = GoldAlignment(tuple(beads), i, j)
+    gold = AlignmentSet(tuple(beads), i, j)
     assert validate_gold(gold) == []
-    write_gold(gold, path)
+    write_alignments(gold, path)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +598,7 @@ def main():
             meta = ArticleMeta(f"{pair_id}-{lang}", pair_id, lang, d, art_type)
             raw_docs.append(Document(meta, tuple(paras)))
         zh_sents, en_sents, _, _, beads, notes = article_views(paragraphs)
-        gold = GoldAlignment(tuple(beads), len(zh_sents), len(en_sents), tuple(notes))
+        gold = AlignmentSet(tuple(beads), len(zh_sents), len(en_sents), tuple(notes))
         assert validate_gold(gold) == [], (pair_id, validate_gold(gold))
         golds[pair_id] = gold
 
@@ -615,7 +614,7 @@ def main():
     gold_dir = CORPUS / "gold"
     gold_dir.mkdir(exist_ok=True)
     for pair_id, gold in golds.items():
-        write_gold(gold, gold_dir / f"{pair_id}.tsv")
+        write_alignments(gold, gold_dir / f"{pair_id}.tsv")
     for direction, lang_key in (("mt_zh2en", "mt_fwd"), ("mt_en2zh", "mt_rev")):
         mt_dir = CORPUS / direction
         mt_dir.mkdir(exist_ok=True)

@@ -20,8 +20,8 @@ import pytest
 from bitextkit.bleualign import ScoreMatrix, bleualign, find_anchors
 from bitextkit.core import (
     SentenceList,
+    read_alignments,
     read_documents,
-    read_gold,
     validate_alignment,
 )
 from bitextkit.evaluation import alignment_type_distribution
@@ -283,7 +283,7 @@ def test_criterion_05_anchor_search_oracle_and_intersection_subset():
 def test_criterion_06_gold_bead_type_distribution():
     """The bundled 1,019-bead gold file reproduces the documented type
     percentages exactly at one-decimal rounding."""
-    gold = read_gold(DATA / "gold_distribution.tsv")
+    gold = read_alignments(DATA / "gold_distribution.tsv")
     assert len(gold.beads) == 1019
     assert alignment_type_distribution(gold) == [
         ("1-1", 964, 94.6),
@@ -315,7 +315,7 @@ def test_criterion_07_aligner_quality_ordering(corpus_views):
     """On the bundled corpus: F1(lexicon) >= F1(translation-uni) >= F1(length);
     intersection trades recall for precision. Under 30 s."""
     t0 = time.monotonic()
-    golds = {pid: read_gold(CORPUS / "gold" / f"{pid}.tsv") for pid in corpus_views}
+    golds = {pid: read_alignments(CORPUS / "gold" / f"{pid}.tsv") for pid in corpus_views}
 
     paragraph_pairs = []
     for zh, en, _, _ in corpus_views.values():

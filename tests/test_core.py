@@ -10,19 +10,16 @@ from bitextkit.core import (
     Bead,
     Document,
     FormatError,
-    GoldAlignment,
     SentenceList,
     check_language,
     read_alignments,
     read_documents,
-    read_gold,
     read_metadata,
     read_sentences,
     validate_alignment,
     validate_gold,
     write_alignments,
     write_documents,
-    write_gold,
     write_sentences,
     write_text,
 )
@@ -99,9 +96,9 @@ class TestModelValidation:
         assert validate_alignment(aset) == []
 
     def test_validate_gold_requires_full_coverage(self):
-        partial = GoldAlignment((Bead((0,), (0,), None, "gold"),), 2, 1, (None,))
+        partial = AlignmentSet((Bead((0,), (0,), None, "gold"),), 2, 1, (None,))
         assert any("not covered" in p for p in validate_gold(partial))
-        full = GoldAlignment(
+        full = AlignmentSet(
             (Bead((0,), (0,), None, "gold"), Bead((1,), (), None, "gold")),
             2,
             1,
@@ -193,15 +190,15 @@ class TestAlignmentFiles:
         assert read_alignments(path) == aset
 
     def test_gold_round_trip_with_notes(self, tmp_path):
-        gold = GoldAlignment(
+        gold = AlignmentSet(
             (Bead((0,), (0,), None, "gold"), Bead((1,), (), None, "gold")),
             2,
             1,
             (None, "no counterpart"),
         )
         path = tmp_path / "gold.tsv"
-        write_gold(gold, path)
-        assert read_gold(path) == gold
+        write_alignments(gold, path)
+        assert read_alignments(path) == gold
 
     def test_header_carries_side_lengths(self, tmp_path):
         # deletions at the end are only representable through the header

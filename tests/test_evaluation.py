@@ -2,7 +2,7 @@
 
 import pytest
 
-from bitextkit.core import AlignmentSet, Bead, GoldAlignment
+from bitextkit.core import AlignmentSet, Bead
 from bitextkit.evaluation import (
     aligner_report,
     alignment_type_distribution,
@@ -16,7 +16,7 @@ def aset(beads, src_len, tgt_len):
 
 
 def gold(beads, src_len, tgt_len):
-    return GoldAlignment(tuple(beads), src_len, tgt_len)
+    return AlignmentSet(tuple(beads), src_len, tgt_len)
 
 
 class TestPrf1:

@@ -12,10 +12,15 @@ from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.moore import (
     EM_ITERATIONS,
     MOORE_MOVES,
+    NULL_TOKEN,
     OTHER_TOKEN,
     PRIORS,
+    TranslationTable,
+    _bead_scorer,
     _forward_backward,
-    align_with_lexicon,
+    _length_model,
+    _lexical_log_ratio,
+    _map_oov,
     length_pass,
     load_table,
     map_rare_tokens,
@@ -257,22 +262,28 @@ def training_docs(n_extra_tokens=0):
     return doc("src", src_sents), doc("tgt", tgt_sents)
 
 
+def both_passes(src, tgt):
+    """Pass one, lexicon training and pass two on a single document pair."""
+    _post, confident = length_pass(src, tgt)
+    return moore_align(src, tgt, train_lexicon([(src, tgt, confident)]))
+
+
 class TestSecondPass:
     def test_identity_like_documents_align_diagonally(self):
         src, tgt = training_docs()
-        aset = align_with_lexicon(src, tgt)
+        aset = both_passes(src, tgt)
         one_one = [b for b in aset.beads if b.bead_type == (1, 1)]
         assert [b.key for b in one_one] == [((i,), (i,)) for i in range(len(src))]
         assert all(b.score >= 0.5 for b in one_one)
 
     def test_output_is_monotone_without_crossings(self):
         src, tgt = training_docs()
-        aset = align_with_lexicon(src, tgt)
+        aset = both_passes(src, tgt)
         assert validate_alignment(aset) == []
 
     def test_only_one_to_one_and_deletion_beads_emitted(self):
         src, tgt = training_docs()
-        aset = align_with_lexicon(src, tgt)
+        aset = both_passes(src, tgt)
         assert {b.bead_type for b in aset.beads} <= {(1, 1), (1, 0), (0, 1)}
 
     def test_unmatched_sentence_comes_out_as_deletion(self):
@@ -331,6 +342,90 @@ class TestSecondPass:
         src, tgt = training_docs()
         with pytest.raises(ValueError):
             train_lexicon([(src, tgt, [])])
+
+
+def reference_scorer(src_tokens, tgt_tokens, table):
+    """Pass two's bead score recomputed for every bead: the length model plus
+    _lexical_log_ratio over the merged sentences. Returns it and whether the
+    table shares vocabulary with both sides."""
+    length_term = _length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
+    lexical = bool({w for ts in src_tokens for w in ts} & table.src_vocab) and bool(
+        {w for ts in tgt_tokens for w in ts} & table.tgt_vocab
+    )
+    if lexical:
+        src_tokens = [_map_oov(ts, table.src_vocab) for ts in src_tokens]
+        tgt_tokens = [_map_oov(ts, table.tgt_vocab) for ts in tgt_tokens]
+
+    def log_bead(i, j, m, n):
+        lp = length_term(i, j, m, n)
+        if not lexical or m == 0 or n == 0:
+            return lp
+        merged_src = [w for ts in src_tokens[i : i + m] for w in ts]
+        merged_tgt = [w for ts in tgt_tokens[j : j + n] for w in ts]
+        return lp + _lexical_log_ratio(table, merged_src, merged_tgt)
+
+    return log_bead, lexical
+
+
+# "d" and "x" are in no table, so they are out of vocabulary
+SRC_WORDS = ("a", "b", "c", "d")
+TGT_WORDS = ("u", "v", "w", "x")
+
+
+@st.composite
+def scorer_cases(draw):
+    with_other = draw(st.booleans())
+    extra = (OTHER_TOKEN,) if with_other else ()
+    # a 0.0 entry, a missing entry and an empty row all give zero mass
+    row = st.dictionaries(st.sampled_from(TGT_WORDS[:3] + extra), st.floats(0.0, 1.0))
+    t = {s: draw(row) for s in (NULL_TOKEN, *SRC_WORDS[:3], *extra)}
+    counts = draw(st.dictionaries(st.sampled_from(TGT_WORDS[:3] + extra), st.integers(1, 9)))
+
+    def doc(words):
+        return draw(st.lists(st.lists(st.sampled_from(words), max_size=5), min_size=1, max_size=4))
+
+    return doc(SRC_WORDS), doc(TGT_WORDS), TranslationTable({s: r for s, r in t.items() if r}, counts)
+
+
+class TestBeadScorer:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scorer_cases())
+    # OOV "d" and "x" score as OTHER
+    @example(case=(
+        [["a", "d"], ["b"], ["c", "d", "a"]],
+        [["u", "x"], ["v", "x"]],
+        TranslationTable(
+            {
+                NULL_TOKEN: {"u": 0.25, OTHER_TOKEN: 0.5},
+                "a": {"u": 0.75},
+                OTHER_TOKEN: {OTHER_TOKEN: 0.5, "v": 0.125},
+            },
+            {"u": 3, OTHER_TOKEN: 2},
+        ),
+    ))
+    # no OTHER: "x" keeps zero mass and hits the floor
+    @example(case=(
+        [["a", "d"], ["b", "a"]],
+        [["u", "x"], ["x"], ["v"]],
+        TranslationTable({NULL_TOKEN: {"u": 0.5}, "a": {"u": 0.3, "v": 0.1}, "b": {"v": 0.7}}, {"u": 1}),
+    ))
+    # a table that shares no vocabulary with the document
+    @example(case=(
+        [["a"], ["b", "c"]],
+        [["u"], ["v", "w"]],
+        TranslationTable({NULL_TOKEN: {"y": 1.0}, "z": {"y": 1.0}}, {"y": 1}),
+    ))
+    def test_every_bead_equals_the_reference_score(self, case):
+        src_tokens, tgt_tokens, table = case
+        got, lexical = _bead_scorer(src_tokens, tgt_tokens, table)
+        want, want_lexical = reference_scorer(src_tokens, tgt_tokens, table)
+        assert lexical == want_lexical
+        S, T = len(src_tokens), len(tgt_tokens)
+        for i in range(S + 1):
+            for j in range(T + 1):
+                for m, n in MOORE_MOVES:
+                    if i + m <= S and j + n <= T:
+                        assert got(i, j, m, n) == want(i, j, m, n), (i, j, m, n)
 
 
 class TestTableSerialization:

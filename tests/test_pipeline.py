@@ -229,11 +229,26 @@ class TestReadMt:
 
     def test_blank_lines_skipped_and_paragraphs_carried(self, tmp_path):
         path = tmp_path / "A01.txt"
-        path.write_text("One.\n\nTwo.\nThree.\n", encoding="utf-8")
+        path.write_text("One.\nTwo.\nThree.\n\n \n", encoding="utf-8")
         sl = _read_mt(path, "A01-mt", "en", self.template())
         assert sl.sentences == ("One.", "Two.", "Three.")
         assert sl.paragraph_index == (0, 0, 1)
         assert (sl.doc_id, sl.language) == ("A01-mt", "en")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("One.\n\nTwo.\nThree.\n", 2),
+            # a blank line and an extra line elsewhere keep the count right
+            ("One.\n\nThree.\nFour.\n", 2),
+            (" \nOne.\nTwo.\nThree.\n", 1),
+        ],
+    )
+    def test_blank_line_before_the_last_line_is_an_error(self, tmp_path, text, lineno):
+        path = tmp_path / "A01.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"A01.txt line {lineno}: blank translation line"):
+            _read_mt(path, "A01-mt", "en", self.template())
 
     def test_line_count_mismatch(self, tmp_path):
         path = tmp_path / "A01.txt"
