@@ -61,15 +61,3 @@ def alignment_type_distribution(gold) -> list[tuple[str, int, float]]:
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows
 
-
-def aligner_report(src, tgt, gold, methods: dict) -> list[list[str]]:
-    """One CSV row per aligner: method name, P, R, F1 to six decimals.
-
-    ``methods`` maps a name to a callable taking (src, tgt) and returning
-    an alignment; rows keep the mapping's order, after the header.
-    """
-    rows = [["method", "precision", "recall", "f1"]]
-    for name, align in methods.items():
-        p, r, f1 = prf1(align(src, tgt), gold)
-        rows.append([name, f"{p:.6f}", f"{r:.6f}", f"{f1:.6f}"])
-    return rows

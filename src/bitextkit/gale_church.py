@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
@@ -46,10 +47,14 @@ class LengthParams:
     priors: dict = field(default_factory=lambda: dict(DEFAULT_PRIORS))
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c: must be > 0")
-        if self.s2 <= 0:
-            raise ValueError("s2: must be > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c: must be finite and > 0")
+        if not 0 < self.s2 < math.inf:
+            raise ValueError("s2: must be finite and > 0")
+        missing = [m for m in GC_MOVES if m not in self.priors]
+        unknown = [m for m in self.priors if m not in GC_MOVES]
+        if missing or unknown:
+            raise ValueError(f"priors: missing moves {missing}, unknown moves {unknown}")
         total = sum(self.priors.values())
         if abs(total - 1.0) > 1e-6 or any(p <= 0 for p in self.priors.values()):
             raise ValueError("priors: must be positive and sum to 1")
@@ -60,6 +65,7 @@ class LengthParams:
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def _tail_poly(ax: float) -> float:
@@ -76,11 +82,16 @@ def norm_cdf(x: float) -> float:
     return 1.0 - tail if x > 0 else tail
 
 
-def _log_two_tail(ax: float) -> float:
-    """log(2 * (1 - Phi(ax))) for ax >= 0, stable for large ax."""
+def _log_match(src_chars: int, tgt_chars: int, c: float, s2: float) -> float:
+    """log(2 * (1 - Phi(|delta|))) of a bead's normalized length mismatch
+    delta, stable for large |delta|."""
+    base = src_chars if src_chars > 0 else tgt_chars
+    if base <= 0:
+        return 0.0
+    ax = abs((tgt_chars - src_chars * c) / math.sqrt(base * s2))
     if ax == 0.0:
         return 0.0
-    return math.log(2.0) - 0.5 * ax * ax - _LOG_SQRT_2PI + math.log(_tail_poly(ax))
+    return _LOG_2 - 0.5 * ax * ax - _LOG_SQRT_2PI + math.log(_tail_poly(ax))
 
 
 def gc_cost(
@@ -89,12 +100,9 @@ def gc_cost(
     """Negative log probability of one bead given block character lengths."""
     if bead_type not in params.priors:
         raise ValueError(f"unknown bead type {bead_type!r}")
-    base = src_chars if src_chars > 0 else tgt_chars
-    if base <= 0:
-        delta = 0.0
-    else:
-        delta = (tgt_chars - src_chars * params.c) / math.sqrt(base * params.s2)
-    return -math.log(params.priors[bead_type]) - _log_two_tail(abs(delta))
+    return -math.log(params.priors[bead_type]) - _log_match(
+        src_chars, tgt_chars, params.c, params.s2
+    )
 
 
 def estimate_length_params(
@@ -125,41 +133,50 @@ def _align_block(
     Cost ties are broken by most 1-1 beads, then fewest beads overall, then
     the lexicographically smallest move sequence. The first three are
     additive along the path, so a backward pass minimizes the triple
-    (cost, -ones, beads) per node and a forward pass picks the smallest move
-    that attains it.
+    (cost, -ones, beads) per node. It tries the moves in sorted order and
+    keeps the first that attains the minimum, with its step cost, so the
+    forward pass only follows those moves: each cell and move costs one
+    evaluation of the length model.
     """
     S, T = len(src_sents), len(tgt_sents)
-    slen = [len(s) for s in src_sents]
-    tlen = [len(t) for t in tgt_sents]
-    best: list[list[tuple | None]] = [[None] * (T + 1) for _ in range(S + 1)]
-    best[S][T] = (0.0, 0, 0)
-
-    def step_key(i: int, j: int, m: int, n: int) -> tuple:
-        nxt = best[i + m][j + n]
-        step = gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
-        return (step + nxt[0], nxt[1] - ((m, n) == (1, 1)), nxt[2] + 1), step
-
+    spre = list(accumulate(map(len, src_sents), initial=0))
+    tpre = list(accumulate(map(len, tgt_sents), initial=0))
+    c, s2 = params.c, params.s2
+    moves = [
+        ((m, n), m, n, -math.log(params.priors[m, n]), int((m, n) == (1, 1)))
+        for m, n in sorted(GC_MOVES)
+    ]
+    cost = [[0.0] * (T + 1) for _ in range(S + 1)]
+    neg_ones = [[0] * (T + 1) for _ in range(S + 1)]
+    beads = [[0] * (T + 1) for _ in range(S + 1)]
+    choice: list[list[tuple | None]] = [[None] * (T + 1) for _ in range(S + 1)]
     for i in range(S, -1, -1):
+        # per move: the rows it lands in and its source block length
+        row_moves = [
+            (move, n, prior_cost, one, cost[i + m], neg_ones[i + m], beads[i + m],
+             spre[i + m] - spre[i])
+            for move, m, n, prior_cost, one in moves
+            if i + m <= S
+        ]
         for j in range(T, -1, -1):
-            if i == S and j == T:
-                continue
-            for m, n in GC_MOVES:
-                if i + m > S or j + n > T:
+            best = None
+            for move, n, prior_cost, one, cost_row, ones_row, beads_row, sc in row_moves:
+                jn = j + n
+                if jn > T:
                     continue
-                key, _ = step_key(i, j, m, n)
-                if best[i][j] is None or key < best[i][j]:
-                    best[i][j] = key
+                step = prior_cost - _log_match(sc, tpre[jn] - tpre[j], c, s2)
+                k, o, b = step + cost_row[jn], ones_row[jn] - one, beads_row[jn] + 1
+                # (k, o, b) < (bk, bo, bb) as tuples, compared field by field
+                if best is None or (k < bk if k != bk else o < bo if o != bo else b < bb):
+                    bk, bo, bb, best = k, o, b, (move, step)
+            if best is not None:
+                cost[i][j], neg_ones[i][j], beads[i][j], choice[i][j] = bk, bo, bb, best
     path = []
     i = j = 0
     while (i, j) != (S, T):
-        for m, n in sorted(GC_MOVES):
-            if i + m > S or j + n > T:
-                continue
-            key, step = step_key(i, j, m, n)
-            if key == best[i][j]:
-                path.append(((m, n), step))
-                i, j = i + m, j + n
-                break
+        (m, n), _ = step = choice[i][j]
+        path.append(step)
+        i, j = i + m, j + n
     return path
 
 

@@ -120,9 +120,20 @@ _TWO_WORDS_BEFORE = re.compile(
 
 def _is_abbreviation(text: str, period_pos: int, abbrevs: AbbrevList) -> bool:
     """True if the word(s) ending at ``period_pos`` form a known abbreviation
-    or a single-letter initial."""
-    left = text[:period_pos]
-    m = _WORD_BEFORE.search(left)
+    or a single-letter initial.
+
+    A match of either pattern ends at the period and spans at most the last
+    two whitespace-delimited tokens before it (``str.isspace`` accepts
+    exactly the patterns' ``\\s``), so the search starts at the
+    second-to-last token: O(token length) per candidate period.
+    """
+    lo = period_pos
+    for _ in range(2):
+        while lo > 0 and text[lo - 1].isspace():
+            lo -= 1
+        while lo > 0 and not text[lo - 1].isspace():
+            lo -= 1
+    m = _WORD_BEFORE.search(text, lo, period_pos)
     if not m:
         return False
     word = m.group(1).rstrip(".").lower()
@@ -130,7 +141,7 @@ def _is_abbreviation(text: str, period_pos: int, abbrevs: AbbrevList) -> bool:
         return True  # initials such as "F." in person names
     if word in abbrevs.entries:
         return True
-    m2 = _TWO_WORDS_BEFORE.search(left)
+    m2 = _TWO_WORDS_BEFORE.search(text, lo, period_pos)
     if m2:
         two = f"{m2.group(1)} {m2.group(2)}".rstrip(".").lower()
         if two in abbrevs.entries:

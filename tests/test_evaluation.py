@@ -4,7 +4,6 @@ import pytest
 
 from bitextkit.core import AlignmentSet, Bead
 from bitextkit.evaluation import (
-    aligner_report,
     alignment_type_distribution,
     bead_type_counts,
     prf1,
@@ -115,18 +114,3 @@ class TestDistribution:
         rows = alignment_type_distribution(g)
         assert [r[0] for r in rows] == ["1-2", "2-1"]
 
-
-class TestAlignerReport:
-    def test_rows_follow_method_order(self):
-        reference = gold([Bead((0,), (0,), None, "gold")], 1, 1)
-        right = aset([Bead((0,), (0,), None, "m")], 1, 1)
-        wrong = aset([Bead((0,), (), None, "m"), Bead((), (0,), None, "m")], 1, 1)
-        rows = aligner_report(
-            None,
-            None,
-            reference,
-            {"good": lambda s, t: right, "bad": lambda s, t: wrong},
-        )
-        assert rows[0] == ["method", "precision", "recall", "f1"]
-        assert rows[1] == ["good", "1.000000", "1.000000", "1.000000"]
-        assert rows[2] == ["bad", "0.000000", "0.000000", "0.000000"]

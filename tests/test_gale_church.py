@@ -5,12 +5,15 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.gale_church import (
     DEFAULT_PRIORS,
     GC_MOVES,
     LengthParams,
+    _align_block,
     estimate_length_params,
     gc_align,
     gc_cost,
@@ -62,6 +65,66 @@ def exhaustive_best(slen, tlen, params):
         if best is None or key < best:
             best = key
     return best
+
+
+def reference_align_block(src_sents, tgt_sents, params):
+    """The lattice search scored through gc_cost with tuple keys: the
+    backward pass keeps the smallest (cost, -ones, beads) per node, and the
+    forward pass re-scores each node's moves in sorted order and takes the
+    first whose key equals it."""
+    S, T = len(src_sents), len(tgt_sents)
+    slen = [len(s) for s in src_sents]
+    tlen = [len(t) for t in tgt_sents]
+    best = [[None] * (T + 1) for _ in range(S + 1)]
+    best[S][T] = (0.0, 0, 0)
+
+    def step_key(i, j, m, n):
+        nxt = best[i + m][j + n]
+        step = gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
+        return (step + nxt[0], nxt[1] - ((m, n) == (1, 1)), nxt[2] + 1), step
+
+    for i in range(S, -1, -1):
+        for j in range(T, -1, -1):
+            if i == S and j == T:
+                continue
+            for m, n in GC_MOVES:
+                if i + m <= S and j + n <= T:
+                    key, _ = step_key(i, j, m, n)
+                    if best[i][j] is None or key < best[i][j]:
+                        best[i][j] = key
+    path = []
+    i = j = 0
+    while (i, j) != (S, T):
+        for m, n in sorted(GC_MOVES):
+            if i + m <= S and j + n <= T:
+                key, step = step_key(i, j, m, n)
+                if key == best[i][j]:
+                    path.append(((m, n), step))
+                    i, j = i + m, j + n
+                    break
+    return path
+
+
+# With uniform priors every move costs only its length term, so equal
+# sentence lengths tie exactly and the move order decides.
+UNIFORM_PRIORS = dict.fromkeys(GC_MOVES, 1 / 6)
+# -log(1/4) == 2 * -log(1/2) exactly: a 2-2 bead ties two 1-1 beads on cost
+# and loses on 1-1 count, though it wins on bead count.
+HALVING_PRIORS = {**dict.fromkeys(GC_MOVES, 1 / 16), (1, 1): 1 / 2, (2, 2): 1 / 4}
+lattice_params = st.builds(
+    LengthParams,
+    c=st.sampled_from((1.0, 1.3)),
+    s2=st.sampled_from((6.8, 1.0)),
+    priors=st.sampled_from((DEFAULT_PRIORS, UNIFORM_PRIORS, HALVING_PRIORS)),
+)
+
+
+def sentence_lengths(max_size):
+    # the small length set with c = 1 gives exact cost ties between paths
+    return st.one_of(
+        st.lists(st.integers(0, 60), max_size=max_size),
+        st.lists(st.sampled_from((1, 2, 20, 40)), max_size=max_size),
+    )
 
 
 def sentences(lengths, lang="en", doc_id="d", paragraph_index=None):
@@ -130,6 +193,34 @@ class TestBeadCost:
         assert DEFAULT_PRIORS[(1, 0)] == DEFAULT_PRIORS[(0, 1)]
 
 
+class TestLengthParams:
+    def test_missing_move_prior_rejected(self):
+        priors = {k: v for k, v in DEFAULT_PRIORS.items() if k != (2, 2)}
+        total = sum(priors.values())
+        with pytest.raises(ValueError, match=r"missing moves \[\(2, 2\)\]"):
+            LengthParams(priors={k: v / total for k, v in priors.items()})
+
+    def test_unknown_move_prior_rejected(self):
+        priors = {k: v * 0.99 for k, v in DEFAULT_PRIORS.items()}
+        priors[(3, 1)] = 0.01
+        with pytest.raises(ValueError, match=r"unknown moves \[\(3, 1\)\]"):
+            LengthParams(priors=priors)
+
+    def test_unknown_move_in_params_file_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("priors.3-1=0.01\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"unknown moves \[\(3, 1\)\]"):
+            load_length_params(path)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"c": math.nan}, {"c": math.inf}, {"s2": math.nan}, {"s2": 0.0}]
+    )
+    def test_non_finite_or_non_positive_scale_rejected(self, kwargs):
+        # a NaN c would make every lattice key incomparable
+        with pytest.raises(ValueError):
+            LengthParams(**kwargs)
+
+
 class TestEstimateParams:
     def test_hand_computed_ratio_and_variance(self):
         pairs = [("ab", "abcd"), ("ab", "abcdefgh")]
@@ -174,6 +265,31 @@ class TestLatticeSearch:
             cost, _ones, _beads, best_moves = exhaustive_best(slen, tlen, params)
             assert total == cost, (slen, tlen)
             assert moves == best_moves, (slen, tlen)
+
+    @settings(max_examples=100, deadline=None)
+    @given(slen=sentence_lengths(5), tlen=sentence_lengths(5), params=lattice_params)
+    # 1-0 then 0-1 ties 0-1 then 1-0 exactly; the smaller move sequence wins
+    @example(slen=[1], tlen=[20], params=LengthParams())
+    # four paths tie on cost; the two with a 1-1 bead win, then the move order
+    @example(slen=[1, 1], tlen=[1, 1, 1], params=LengthParams(priors=UNIFORM_PRIORS))
+    @example(slen=[20, 20], tlen=[20, 20], params=LengthParams(priors=HALVING_PRIORS))
+    def test_block_matches_exhaustive_enumeration(self, slen, tlen, params):
+        path = _align_block(["x" * n for n in slen], ["x" * n for n in tlen], params)
+        total, i, j = 0.0, 0, 0
+        for (m, n), step in path:
+            assert step == gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
+            i, j = i + m, j + n
+        for _move, step in reversed(path):
+            total = step + total
+        cost, _ones, _beads, best_moves = exhaustive_best(slen, tlen, params)
+        assert tuple(move for move, _ in path) == best_moves
+        assert total == cost
+
+    @settings(max_examples=200, deadline=None)
+    @given(slen=sentence_lengths(25), tlen=sentence_lengths(25), params=lattice_params)
+    def test_block_equals_the_reference_search(self, slen, tlen, params):
+        src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
+        assert _align_block(src, tgt, params) == reference_align_block(src, tgt, params)
 
     def test_balanced_documents_align_one_to_one(self):
         params = LengthParams(c=1.0, s2=6.8)

@@ -3,9 +3,13 @@ unsupervised English segmenter."""
 
 import datetime
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bitextkit import sbd
 from bitextkit.core import ArticleMeta, Document
 from bitextkit.sbd import (
     AbbrevList,
@@ -113,6 +117,56 @@ class TestEnglishRules:
     def test_default_list_loads(self):
         entries = default_abbrevs().entries
         assert "dr" in entries and "et al" in entries
+
+
+def full_prefix_is_abbreviation(text, period_pos, abbrevs):
+    """The abbreviation check searching the whole text before the period."""
+    left = text[:period_pos]
+    m = sbd._WORD_BEFORE.search(left)
+    if not m:
+        return False
+    word = m.group(1).rstrip(".").lower()
+    if (len(word) == 1 and word.isalpha()) or word in abbrevs.entries:
+        return True
+    m2 = sbd._TWO_WORDS_BEFORE.search(left)
+    return bool(m2) and f"{m2.group(1)} {m2.group(2)}".rstrip(".").lower() in abbrevs.entries
+
+
+# words (bundled abbreviations, the halves of "op. cit", initials, digits)
+# each followed by a separator (periods, the patterns' punctuation, runs of
+# spaces, tabs, newlines and U+00A0)
+abbreviation_text = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["et al", "e.g", "Fig", "vs", "op", "cit", "op. cit", "A", "b", "J", "Trial", "12", "3"]
+        ),
+        st.sampled_from(
+            [".", ". ", ".\u00a0", " ", "  ", "\t", "\n", "\u00a0", " \u00a0\t",
+             "'", "&", "-", "–", "("]
+        ),
+    ),
+    max_size=20,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+class TestAbbreviationWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(text=abbreviation_text)
+    @example(text="see et al. and et \u00a0al. or op.\tcit. vs. x -b. Fig. 3")
+    def test_window_matches_the_full_prefix_search(self, text):
+        abbrevs = default_abbrevs()
+        for pos in (i for i, ch in enumerate(text) if ch == "."):
+            assert sbd._is_abbreviation(text, pos, abbrevs) == full_prefix_is_abbreviation(
+                text, pos, abbrevs
+            ), (text, pos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=abbreviation_text)
+    @example(text="Trial op. cit. Trial op.\u00a0\tcit. Trial et al. A")
+    def test_segmentation_matches_the_full_prefix_search(self, text):
+        got = segment_en_rules(text)
+        with mock.patch.object(sbd, "_is_abbreviation", full_prefix_is_abbreviation):
+            assert got == segment_en_rules(text)
 
 
 class TestUnsupervised:
