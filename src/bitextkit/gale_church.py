@@ -133,7 +133,9 @@ def _align_block(
     Cost ties are broken by most 1-1 beads, then fewest beads overall, then
     the lexicographically smallest move sequence. The first three are
     additive along the path, so a backward pass minimizes the triple
-    (cost, -ones, beads) per node. It tries the moves in sorted order and
+    (cost, -ones, beads) per node. Costs are float sums, added back to front:
+    a suffix that loses at a node by rounding alone is not reconsidered when
+    a prefix makes the totals equal. It tries the moves in sorted order and
     keeps the first that attains the minimum, with its step cost, so the
     forward pass only follows those moves: each cell and move costs one
     evaluation of the length model.

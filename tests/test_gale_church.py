@@ -33,7 +33,10 @@ def exhaustive_best(slen, tlen, params):
     (cost, -ones, beads, moves) tuple under the alignment's own ordering.
 
     Costs are accumulated back-to-front so float totals are bit-identical
-    with the backward dynamic program.
+    with the backward dynamic program. Rounding can make a suffix that costs
+    more at some node tie once a prefix is added; the search never revisits
+    such a suffix, so the candidates are the paths whose every suffix costs
+    the least of all suffixes from its start node.
     """
     S, T = len(slen), len(tlen)
 
@@ -46,22 +49,32 @@ def exhaustive_best(slen, tlen, params):
                 for rest in rec(i + m, j + n):
                     yield ((m, n),) + rest
 
-    best = None
-    for moves in rec(0, 0):
+    def suffix_costs(i, j, moves):
+        """The path's cost from each node it leaves, keyed by that node."""
         spans = []
-        i = j = 0
         for m, n in moves:
             spans.append((i, j, m, n))
             i, j = i + m, j + n
-        cost, ones, beads = 0.0, 0, 0
+        costs, cost = {}, 0.0
         for i0, j0, m, n in reversed(spans):
             step = gc_cost(
                 (m, n), sum(slen[i0 : i0 + m]), sum(tlen[j0 : j0 + n]), params
             )
-            cost = step + cost
-            ones += (m, n) == (1, 1)
-            beads += 1
-        key = (cost, -ones, beads, moves)
+            cost = costs[i0, j0] = step + cost
+        return costs
+
+    # every suffix from a node is the tail of some path from the origin
+    paths = [(moves, suffix_costs(0, 0, moves)) for moves in rec(0, 0)]
+    least = {}
+    for _moves, costs in paths:
+        for node, cost in costs.items():
+            least[node] = min(cost, least.get(node, cost))
+    best = None
+    for moves, costs in paths:
+        if any(cost != least[node] for node, cost in costs.items()):
+            continue
+        ones = sum(move == (1, 1) for move in moves)
+        key = (costs.get((0, 0), 0.0), -ones, len(moves), moves)
         if best is None or key < best:
             best = key
     return best
@@ -111,6 +124,14 @@ UNIFORM_PRIORS = dict.fromkeys(GC_MOVES, 1 / 6)
 # -log(1/4) == 2 * -log(1/2) exactly: a 2-2 bead ties two 1-1 beads on cost
 # and loses on 1-1 count, though it wins on bead count.
 HALVING_PRIORS = {**dict.fromkeys(GC_MOVES, 1 / 16), (1, 1): 1 / 2, (2, 2): 1 / 4}
+# p(1-0) * p(1-2) == p(2-2): with an empty source sentence and a length
+# match, 1-0 then 1-2 ties a 2-2 bead on cost and 1-1 count, and loses on
+# bead count though its first move sorts first.
+SPLIT_PRIORS = {
+    **dict.fromkeys(((1, 1), (1, 0), (1, 2)), 1 / 4),
+    **dict.fromkeys(((2, 1), (2, 2)), 1 / 16),
+    (0, 1): 1 / 8,
+}
 lattice_params = st.builds(
     LengthParams,
     c=st.sampled_from((1.0, 1.3)),
@@ -273,6 +294,10 @@ class TestLatticeSearch:
     # four paths tie on cost; the two with a 1-1 bead win, then the move order
     @example(slen=[1, 1], tlen=[1, 1, 1], params=LengthParams(priors=UNIFORM_PRIORS))
     @example(slen=[20, 20], tlen=[20, 20], params=LengthParams(priors=HALVING_PRIORS))
+    # the same five steps in two orders: from (0, 2) one suffix costs less
+    # after rounding, and only the prefix makes the totals equal
+    @example(slen=[3], tlen=[20, 20, 20, 40], params=LengthParams(c=1.3, s2=1.0))
+    @example(slen=[0, 2], tlen=[1, 1], params=LengthParams(priors=SPLIT_PRIORS))
     def test_block_matches_exhaustive_enumeration(self, slen, tlen, params):
         path = _align_block(["x" * n for n in slen], ["x" * n for n in tlen], params)
         total, i, j = 0.0, 0, 0
