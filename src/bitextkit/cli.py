@@ -26,8 +26,6 @@ from bitextkit.core import (
 from bitextkit.evaluation import alignment_type_distribution, prf1
 from bitextkit.moore import EM_ITERATIONS, THETA1, THETA2
 from bitextkit.pipeline import (
-    SRC_LANG,
-    TGT_LANG,
     PipelineConfig,
     PipelineError,
     SplitSpec,
@@ -101,7 +99,6 @@ def _cmd_preprocess(args) -> int:
         truecase=not args.no_truecase,
     )
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     docs, _ = stage_preprocess(config, out)
     print(f"preprocessed {len(docs)} documents -> {out / '01_preprocess'}")
     return 0
@@ -115,7 +112,6 @@ def _cmd_sbd(args) -> int:
         en_sbd=args.en_method,
     )
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     docs = read_documents(args.input)
     sentences = stage_sbd(config, out, docs)
     n_sentences = sum(len(sl) for sl in sentences.values())
@@ -135,17 +131,17 @@ def _cmd_align(args) -> int:
         min_score=args.min_score,
         mt_src=args.src_mt,
         mt_tgt=args.tgt_mt,
+        jobs=PipelineConfig.jobs if args.jobs is None else args.jobs,
     )
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     directory = Path(args.sentences)
     metas = read_metadata(directory)
     sentences = {
         m.doc_id: read_sentences(directory / f"{m.doc_id}.tsv", m.doc_id, m.language)
         for m in metas
     }
-    pairs = pair_articles(metas, SRC_LANG, TGT_LANG)
-    alignments = stage_align(config, out, pairs, sentences, args.jobs or 1)
+    pairs = pair_articles(metas)
+    alignments = stage_align(config, out, pairs, sentences)
     n_beads = sum(len(a) for a in alignments.values())
     print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {out / '03_align'}")
     return 0
@@ -171,8 +167,7 @@ def _cmd_split(args) -> int:
         split=SplitSpec(args.test, args.dev),
     )
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    pairs = pair_articles(read_metadata(meta_dir), SRC_LANG, TGT_LANG)
+    pairs = pair_articles(read_metadata(meta_dir))
     stage_split(config, out, pairs, rows)
     print(f"split manifests written -> {out / '05_split'}")
     return 0

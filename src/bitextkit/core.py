@@ -26,6 +26,11 @@ from pathlib import Path
 #: hand-aligned reference data).
 BEAD_TYPES = frozenset({(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)})
 
+#: The corpus's source and target languages. One zh/en corpus serves both
+#: translation directions, so the pair is not a setting.
+SRC_LANG = "zh"
+TGT_LANG = "en"
+
 _LANG_RE = re.compile(r"[a-z]{2,8}")
 
 
@@ -103,6 +108,16 @@ class SentenceList:
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    def paragraph_spans(self) -> list[tuple[int, int]]:
+        """(start, end) sentence ranges of each paragraph, in order."""
+        spans = []
+        start = 0
+        for i in range(1, len(self) + 1):
+            if i == len(self) or self.paragraph_index[i] != self.paragraph_index[start]:
+                spans.append((start, i))
+                start = i
+        return spans
 
 
 @dataclass(frozen=True)
@@ -229,7 +244,7 @@ _META_FIELDS = "id, pair_id, language, date, article_type"
 META_FILENAME = "metadata.tsv"
 
 
-def _iter_metadata(meta_path: Path, languages: tuple[str, ...]):
+def _iter_metadata(meta_path: Path):
     if not meta_path.is_file():
         raise FormatError(f"{meta_path}: metadata file not found")
     for lineno, line in enumerate(
@@ -244,10 +259,10 @@ def _iter_metadata(meta_path: Path, languages: tuple[str, ...]):
                 f"({_META_FIELDS})"
             )
         doc_id, pair_id, language, date_s, article_type = fields
-        if language not in languages:
+        if language not in (SRC_LANG, TGT_LANG):
             raise FormatError(
                 f"{meta_path} line {lineno}: unknown language tag {language!r} "
-                f"(expected one of {sorted(languages)})"
+                f"(expected one of {sorted((SRC_LANG, TGT_LANG))})"
             )
         try:
             date = datetime.date.fromisoformat(date_s)
@@ -258,22 +273,18 @@ def _iter_metadata(meta_path: Path, languages: tuple[str, ...]):
         yield lineno, ArticleMeta(doc_id, pair_id, language, date, article_type)
 
 
-def read_metadata(
-    directory: str | Path, languages: tuple[str, ...] = ("zh", "en")
-) -> list[ArticleMeta]:
+def read_metadata(directory: str | Path) -> list[ArticleMeta]:
     """Read just the ``metadata.tsv`` of a document or sentence directory."""
-    return [m for _, m in _iter_metadata(Path(directory) / META_FILENAME, languages)]
+    return [m for _, m in _iter_metadata(Path(directory) / META_FILENAME)]
 
 
-def read_documents(
-    directory: str | Path, languages: tuple[str, ...] = ("zh", "en")
-) -> list[Document]:
+def read_documents(directory: str | Path) -> list[Document]:
     """Read a document directory: ``metadata.tsv`` plus one ``<id>.txt`` per
     record (one paragraph per line, blank lines skipped)."""
     directory = Path(directory)
     meta_path = directory / META_FILENAME
     docs = []
-    for lineno, meta in _iter_metadata(meta_path, languages):
+    for lineno, meta in _iter_metadata(meta_path):
         text_path = directory / f"{meta.doc_id}.txt"
         if not text_path.is_file():
             raise FormatError(f"{meta_path} line {lineno}: missing text file {text_path}")

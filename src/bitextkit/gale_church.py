@@ -105,9 +105,7 @@ def gc_cost(
     )
 
 
-def estimate_length_params(
-    paragraph_pairs: list[tuple[str, str]], priors: dict | None = None
-) -> LengthParams:
+def estimate_length_params(paragraph_pairs: list[tuple[str, str]]) -> LengthParams:
     """Fit c and s2 from parallel text blocks.
 
     c is the corpus character ratio; s2 the mean squared normalized residual
@@ -122,7 +120,7 @@ def estimate_length_params(
         (len(t) - c * len(s)) ** 2 / len(s) for s, t in paragraph_pairs if len(s) > 0
     ]
     s2 = max(sum(residuals) / len(residuals), 1.0) if residuals else 1.0
-    return LengthParams(c, s2, dict(priors) if priors else dict(DEFAULT_PRIORS))
+    return LengthParams(c, s2)
 
 
 def _align_block(
@@ -194,17 +192,6 @@ def path_beads(
     return beads
 
 
-def _paragraph_blocks(sl: SentenceList) -> list[tuple[int, int]]:
-    """(start, end) sentence ranges of each paragraph, in order."""
-    blocks = []
-    start = 0
-    for i in range(1, len(sl) + 1):
-        if i == len(sl) or sl.paragraph_index[i] != sl.paragraph_index[start]:
-            blocks.append((start, i))
-            start = i
-    return blocks
-
-
 def gc_align(
     src: SentenceList, tgt: SentenceList, params: LengthParams | None = None
 ) -> AlignmentSet:
@@ -217,8 +204,8 @@ def gc_align(
     """
     if params is None:
         params = LengthParams()
-    src_blocks = _paragraph_blocks(src)
-    tgt_blocks = _paragraph_blocks(tgt)
+    src_blocks = src.paragraph_spans()
+    tgt_blocks = tgt.paragraph_spans()
     if len(src_blocks) != len(tgt_blocks) or not src_blocks:
         src_blocks, tgt_blocks = [(0, len(src))], [(0, len(tgt))]
     beads: list[Bead] = []
@@ -240,15 +227,18 @@ def load_length_params(path: str | Path) -> LengthParams:
         key = key.strip()
         if not sep:
             raise ValueError(f"{path} line {lineno}: expected key=value")
-        if key == "c":
-            c = float(value)
-        elif key == "s2":
-            s2 = float(value)
-        elif re.fullmatch(r"priors\.\d-\d", key):
-            m, n = key.split(".")[1].split("-")
-            priors[(int(m), int(n))] = float(value)
-        else:
-            raise ValueError(f"{path} line {lineno}: unknown key {key!r}")
+        try:
+            if key == "c":
+                c = float(value)
+            elif key == "s2":
+                s2 = float(value)
+            elif re.fullmatch(r"priors\.\d-\d", key):
+                m, n = key.split(".")[1].split("-")
+                priors[(int(m), int(n))] = float(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return LengthParams(c, s2, priors)
 
 

@@ -55,9 +55,14 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
     MOORE_MOVES, clamped to [0, 1]; 0.0 where no path can take that bead.
 
     ``log_bead(i, j, m, n)`` is the log-probability of a bead consuming
-    src[i:i+m] and tgt[j:j+n]. The forward and backward sums score every
-    bead; the posterior pass scores only the 1-1 beads.
+    src[i:i+m] and tgt[j:j+n]. Every bead is scored once, up front, and the
+    forward, backward and posterior passes share the scores.
     """
+    # per move, the score of the bead at each start cell (i, j) it fits from
+    grids = {
+        (m, n): [[log_bead(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)]
+        for m, n in MOORE_MOVES
+    }
     NEG = -math.inf
     alpha = [[NEG] * (T + 1) for _ in range(S + 1)]
     beta = [[NEG] * (T + 1) for _ in range(S + 1)]
@@ -67,8 +72,8 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
             if i == 0 and j == 0:
                 continue
             terms = [
-                alpha[i - m][j - n] + log_bead(i - m, j - n, m, n)
-                for m, n in MOORE_MOVES
+                alpha[i - m][j - n] + grid[i - m][j - n]
+                for (m, n), grid in grids.items()
                 if i - m >= 0 and j - n >= 0
             ]
             alpha[i][j] = _logsumexp(terms)
@@ -78,8 +83,8 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
             if i == S and j == T:
                 continue
             terms = [
-                log_bead(i, j, m, n) + beta[i + m][j + n]
-                for m, n in MOORE_MOVES
+                grid[i][j] + beta[i + m][j + n]
+                for (m, n), grid in grids.items()
                 if i + m <= S and j + n <= T
             ]
             beta[i][j] = _logsumexp(terms)
@@ -91,7 +96,7 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
         for j in range(T):
             if alpha[i][j] == NEG:
                 continue
-            lp = alpha[i][j] + log_bead(i, j, 1, 1) + beta[i + 1][j + 1] - z
+            lp = alpha[i][j] + grids[1, 1][i][j] + beta[i + 1][j + 1] - z
             post[i][j] = min(max(math.exp(lp), 0.0), 1.0)
     return post
 
@@ -253,9 +258,8 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
     Model-1 mass under ``[NULL] + src_tokens[i]`` sums a prefix of the
     lookups under the 2-1 context ``[NULL] + src_tokens[i] +
     src_tokens[i + 1]``, so both sums add the reference's floats in its
-    order. Every bead is scored once, up front, and the forward, backward
-    and posterior passes share the scores. A table that shares no
-    vocabulary with the document leaves the length model alone.
+    order. A table that shares no vocabulary with the document leaves the
+    length model alone.
     """
     length_term = _length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
     src_vocab, tgt_vocab = table.src_vocab, table.tgt_vocab
@@ -293,13 +297,7 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
             total += terms[w]
         return lp + total
 
-    S, T = len(src_tokens), len(tgt_tokens)
-    # per move, the score of the bead at each start cell (i, j) it fits from
-    grids = {
-        (m, n): [[score(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)]
-        for m, n in MOORE_MOVES
-    }
-    return (lambda i, j, m, n: grids[m, n][i][j]), lexical
+    return score, lexical
 
 
 def moore_align(
@@ -312,8 +310,7 @@ def moore_align(
     document degenerates to the length-only model (warned once per call).
 
     Pass two looks up one translation mass per (source sentence, target
-    type) pair for each of the two context widths, and scores each bead
-    once (see ``_bead_scorer``).
+    type) pair for each of the two context widths (see ``_bead_scorer``).
     """
     if not 0 < theta2 < 1:
         raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
@@ -388,14 +385,15 @@ def load_table(path: str | Path) -> TranslationTable:
         if not line.strip():
             continue
         fields = line.split("\t")
-        if fields[0] == "#count":
-            if len(fields) != 3:
-                raise ValueError(f"{path} line {lineno}: expected '#count<TAB>word<TAB>n'")
-            tgt_counts[fields[1]] = int(fields[2])
-            continue
-        if fields[0].startswith("#"):
+        if fields[0].startswith("#") and fields[0] != "#count":
             continue
         if len(fields) != 3:
             raise ValueError(f"{path} line {lineno}: expected 3 tab-separated fields")
-        t.setdefault(fields[0], {})[fields[1]] = float(fields[2])
+        try:
+            if fields[0] == "#count":
+                tgt_counts[fields[1]] = int(fields[2])
+            else:
+                t.setdefault(fields[0], {})[fields[1]] = float(fields[2])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return TranslationTable(t, tgt_counts=tgt_counts)

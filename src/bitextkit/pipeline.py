@@ -14,13 +14,15 @@ import logging
 import time
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
 
 from bitextkit.bleualign import bleualign
 from bitextkit.core import (
     META_FILENAME,
+    SRC_LANG,
+    TGT_LANG,
     AlignmentSet,
     ArticleMeta,
     Document,
@@ -74,11 +76,6 @@ log = logging.getLogger(__name__)
 
 #: The one supported content hash for dedup (recorded in the run log).
 HASH_NAME = "blake2b-64"
-
-#: The aligners' source and target sides. One zh/en corpus serves both
-#: translation directions, so the direction is not a setting.
-SRC_LANG = "zh"
-TGT_LANG = "en"
 
 #: Article pairs as (source, target) metadata, from :func:`pair_articles`.
 Pairs = list[tuple[ArticleMeta, ArticleMeta]]
@@ -182,13 +179,11 @@ def split_corpus(
 # ---------------------------------------------------------------------------
 # statistics
 
-def corpus_stats(
-    bitext: list[tuple[str, str, str]], src_lang: str = "zh", tgt_lang: str = "en"
-) -> tuple[int, int, int, int]:
+def corpus_stats(bitext: list[tuple[str, str, str]]) -> tuple[int, int, int, int]:
     """(sentence pairs, source tokens, target tokens, distinct articles)
     over (article, src, tgt) rows."""
-    src_tokens = sum(len(tokenize(src, src_lang)) for _, src, _ in bitext)
-    tgt_tokens = sum(len(tokenize(tgt, tgt_lang)) for _, _, tgt in bitext)
+    src_tokens = sum(len(tokenize(src, SRC_LANG)) for _, src, _ in bitext)
+    tgt_tokens = sum(len(tokenize(tgt, TGT_LANG)) for _, _, tgt in bitext)
     return len(bitext), src_tokens, tgt_tokens, len({a for a, _, _ in bitext})
 
 
@@ -236,16 +231,16 @@ def load_config(path: str | Path) -> PipelineConfig:
     if raw.pop("hash", HASH_NAME) != HASH_NAME:
         raise ValueError(f"{path}: unsupported hash (only {HASH_NAME})")
     kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _PATH_KEYS:
-            kwargs[key] = (path.parent / value).resolve() if value is not None else None
-        elif key == "bleu":
-            kwargs[key] = BleuConfig(**value)
-        elif key == "split":
-            kwargs[key] = SplitSpec(**value)
-        else:
-            kwargs[key] = value
     try:
+        for key, value in raw.items():
+            if key in _PATH_KEYS:
+                kwargs[key] = (path.parent / value).resolve() if value is not None else None
+            elif key == "bleu":
+                kwargs[key] = BleuConfig(**value)
+            elif key == "split":
+                kwargs[key] = SplitSpec(**value)
+            else:
+                kwargs[key] = value
         return PipelineConfig(**kwargs)
     except TypeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -254,15 +249,11 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stage helpers
 
-def _write_rows(path: Path, rows) -> None:
-    write_text(path, "".join("\t".join(str(f) for f in row) + "\n" for row in rows))
+def _write_rows(path: Path, rows, sep: str = "\t") -> None:
+    write_text(path, "".join(sep.join(str(f) for f in row) + "\n" for row in rows))
 
 
-def _write_csv(path: Path, rows) -> None:
-    write_text(path, "".join(",".join(str(f) for f in row) + "\n" for row in rows))
-
-
-def pair_articles(metas: list[ArticleMeta], src_lang: str, tgt_lang: str) -> Pairs:
+def pair_articles(metas: list[ArticleMeta]) -> Pairs:
     """(source, target) metadata of each article, in order of first
     appearance; an article without exactly one side per language is an error."""
     by_pair: dict[str, dict[str, ArticleMeta]] = {}
@@ -276,14 +267,10 @@ def pair_articles(metas: list[ArticleMeta], src_lang: str, tgt_lang: str) -> Pai
         sides[m.language] = m
     pairs = []
     for pair_id, sides in by_pair.items():
-        if set(sides) != {src_lang, tgt_lang}:
-            raise ValueError(f"article {pair_id} lacks a {src_lang}/{tgt_lang} pair")
-        pairs.append((sides[src_lang], sides[tgt_lang]))
+        if set(sides) != {SRC_LANG, TGT_LANG}:
+            raise ValueError(f"article {pair_id} lacks a {SRC_LANG}/{TGT_LANG} pair")
+        pairs.append((sides[SRC_LANG], sides[TGT_LANG]))
     return pairs
-
-
-def _join(sentences, lang: str) -> str:
-    return "".join(sentences) if lang == "zh" else " ".join(sentences)
 
 
 def _pmap(fn, jobs: int, *columns: list) -> list:
@@ -329,10 +316,11 @@ def _read_mt(path: Path, doc_id: str, language: str, template: SentenceList) -> 
 # the pipeline
 
 def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
-    """Execute all stages; returns 0 on success, raises PipelineError otherwise."""
-    jobs = config.jobs if jobs is None else jobs
+    """Execute all stages, with ``jobs`` in place of ``config.jobs`` when it
+    is given; returns 0 on success, raises PipelineError otherwise."""
+    if jobs is not None:
+        config = replace(config, jobs=jobs)
     out = Path(config.output)
-    out.mkdir(parents=True, exist_ok=True)
     durations: dict[str, float] = {}
 
     def stage(name: str, fn, *args):
@@ -346,7 +334,7 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     docs, pairs = stage("preprocess", stage_preprocess, config, out)
     sentences = stage("sbd", stage_sbd, config, out, docs)
-    alignments = stage("align", stage_align, config, out, pairs, sentences, jobs)
+    alignments = stage("align", stage_align, config, out, pairs, sentences)
     bitext, removed = stage("dedup", _stage_dedup, config, out, pairs, sentences, alignments)
     assignment = stage("split", stage_split, config, out, pairs, bitext)
     stage("stats", _stage_stats, config, out, bitext, assignment)
@@ -358,7 +346,7 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         "split": (len(pairs), len(set(assignment.values()))),
         "stats": (len(bitext), 1 + len(_SPLITS)),
     }
-    entries = [{"stage": "start", "method": config.method, "hash": HASH_NAME, "jobs": jobs}]
+    entries = [{"stage": "start", "method": config.method, "hash": HASH_NAME, "jobs": config.jobs}]
     for name, (n_in, n_out) in counts.items():
         entries.append(
             {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
@@ -372,8 +360,8 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
 def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
     """Read, pair and clean the documents; returns them and the article pairs."""
-    docs = read_documents(config.input, (SRC_LANG, TGT_LANG))
-    pairs = pair_articles([d.meta for d in docs], SRC_LANG, TGT_LANG)
+    docs = read_documents(config.input)
+    pairs = pair_articles([d.meta for d in docs])
     rules = load_filter_rules(config.patterns) if config.patterns else default_filter_rules()
     pre = [stitch_paragraphs(normalize_document(d)) for d in docs]
     removal_rows: list[tuple[str, int, str]] = []
@@ -385,16 +373,14 @@ def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document],
     if config.truecase:
         model = train_truecaser([d for d in post if d.meta.language == "en"])
         post = [apply_truecaser(d, model) if d.meta.language == "en" else d for d in post]
-    stage_dir = out / "01_preprocess"
-    stage_dir.mkdir(exist_ok=True)
-    write_documents(post, stage_dir)
+    write_documents(post, out / "01_preprocess")
     _write_rows(out / "removal_log.tsv", removal_rows)
     position = {d.meta.doc_id: k for k, d in enumerate(docs)}
 
     def paired(ds: list[Document]) -> list[tuple[Document, Document]]:
         return [(ds[position[s.doc_id]], ds[position[t.doc_id]]) for s, t in pairs]
 
-    _write_csv(out / "paragraph_report.csv", paragraph_count_report(paired(pre), paired(post)))
+    _write_rows(out / "paragraph_report.csv", paragraph_count_report(paired(pre), paired(post)), ",")
     return post, pairs
 
 
@@ -403,7 +389,7 @@ def stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[s
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
     stage_dir = out / "02_sbd"
-    stage_dir.mkdir(exist_ok=True)
+    stage_dir.mkdir(parents=True, exist_ok=True)
     if config.en_sbd == "punkt":
         punkt_model = train_punkt([d for d in docs if d.meta.language == "en"])
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
@@ -414,15 +400,8 @@ def stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[s
     counts: dict[str, dict[str, int]] = {SRC_LANG: {}, TGT_LANG: {}}
     for d in docs:
         counts[d.meta.language][d.meta.pair_id] = len(sentence_lists[d.meta.doc_id])
-    _write_csv(out / "sbd_report.csv", sbd_diff_report(counts[SRC_LANG], counts[TGT_LANG]))
+    _write_rows(out / "sbd_report.csv", sbd_diff_report(counts[SRC_LANG], counts[TGT_LANG]), ",")
     return sentence_lists
-
-
-def _reconstructed_paragraphs(sl: SentenceList, lang: str) -> list[str]:
-    by_para: dict[int, list[str]] = {}
-    for sent, idx in zip(sl.sentences, sl.paragraph_index):
-        by_para.setdefault(idx, []).append(sent)
-    return [_join(by_para[k], lang) for k in sorted(by_para)]
 
 
 def _corpus_length_params(
@@ -436,8 +415,8 @@ def _corpus_length_params(
         return load_length_params(config.params_file)
     paragraph_pairs: list[tuple[str, str]] = []
     for src, tgt in doc_pairs:
-        src_paras = _reconstructed_paragraphs(src, SRC_LANG)
-        tgt_paras = _reconstructed_paragraphs(tgt, TGT_LANG)
+        src_paras = ["".join(src.sentences[a:b]) for a, b in src.paragraph_spans()]
+        tgt_paras = [" ".join(tgt.sentences[a:b]) for a, b in tgt.paragraph_spans()]
         if len(src_paras) == len(tgt_paras):
             paragraph_pairs.extend(zip(src_paras, tgt_paras))
         else:
@@ -450,27 +429,27 @@ def stage_align(
     out: Path,
     pairs: Pairs,
     sentences: dict[str, SentenceList],
-    jobs: int,
 ) -> dict[str, AlignmentSet]:
-    """Align every article pair; returns the alignments keyed by pair_id."""
+    """Align every article pair, in ``config.jobs`` processes; returns the
+    alignments keyed by pair_id."""
     srcs = [sentences[s.doc_id] for s, _ in pairs]
     tgts = [sentences[t.doc_id] for _, t in pairs]
     n = len(pairs)
     stage_dir = out / "03_align"
-    stage_dir.mkdir(exist_ok=True)
+    stage_dir.mkdir(parents=True, exist_ok=True)
     if config.method == "moore":
-        passes = _pmap(length_pass, jobs, srcs, tgts, [config.theta1] * n)
+        passes = _pmap(length_pass, config.jobs, srcs, tgts, [config.theta1] * n)
         table = train_lexicon(
             [(src, tgt, confident) for src, tgt, (_, confident) in zip(srcs, tgts, passes)],
             config.em_iterations,
         )
         save_table(table, stage_dir / "translation_table.tsv")
-        results = _pmap(moore_align, jobs, srcs, tgts, [table] * n, [config.theta2] * n)
+        results = _pmap(moore_align, config.jobs, srcs, tgts, [table] * n, [config.theta2] * n)
     else:
         params = _corpus_length_params(config, list(zip(srcs, tgts)))
         save_length_params(params, stage_dir / "length_params.txt")
         if config.method == "gc":
-            results = _pmap(gc_align, jobs, srcs, tgts, [params] * n)
+            results = _pmap(gc_align, config.jobs, srcs, tgts, [params] * n)
         else:
             if config.mt_src is None:
                 raise ValueError("bleualign requires mt_src (directory of translation files)")
@@ -488,7 +467,7 @@ def stage_align(
                 mt_srcs.append(mt_src)
                 mt_tgts.append(mt_tgt)
             results = _pmap(
-                bleualign, jobs, srcs, tgts, mt_srcs, mt_tgts,
+                bleualign, config.jobs, srcs, tgts, mt_srcs, mt_tgts,
                 [config.bleu] * n, [config.min_score] * n, [params] * n,
             )
     alignments: dict[str, AlignmentSet] = {}
@@ -515,13 +494,13 @@ def _stage_dedup(
                 rows.append(
                     (
                         src_meta.pair_id,
-                        _join([src.sentences[i] for i in bead.src], SRC_LANG),
-                        _join([tgt.sentences[j] for j in bead.tgt], TGT_LANG),
+                        "".join(src.sentences[i] for i in bead.src),
+                        " ".join(tgt.sentences[j] for j in bead.tgt),
                     )
                 )
     kept, removed = dedup_pairs(rows)
     stage_dir = out / "04_dedup"
-    stage_dir.mkdir(exist_ok=True)
+    stage_dir.mkdir(parents=True, exist_ok=True)
     _write_rows(stage_dir / "pairs.tsv", kept)
     _write_rows(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
     return kept, removed
@@ -535,7 +514,7 @@ def stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext)
     articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
     stage_dir = out / "05_split"
-    stage_dir.mkdir(exist_ok=True)
+    stage_dir.mkdir(parents=True, exist_ok=True)
     _write_rows(
         stage_dir / "manifest.tsv",
         [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],
@@ -554,6 +533,6 @@ def _stage_stats(
         scopes.append((split_name, [r for r in bitext if assignment[r[0]] == split_name]))
     rows = [("scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles")]
     for name, rows_in_scope in scopes:
-        stats = corpus_stats(rows_in_scope, SRC_LANG, TGT_LANG)
+        stats = corpus_stats(rows_in_scope)
         rows.append((name, *stats))
     _write_rows(out / "stats.tsv", rows)

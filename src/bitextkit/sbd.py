@@ -20,7 +20,8 @@ from pathlib import Path
 from bitextkit.core import Document, write_text
 
 ZH_TERMINATORS = "。！？"  # 。！？
-_ZH_CLOSERS = "」』”’）〉》】\"')]"
+# closing punctuation, and any further terminators, attach to the left
+_ZH_CLOSERS = "」』”’）〉》】\"')]" + ZH_TERMINATORS
 _EN_CLOSERS = "\"')]"
 _EN_OPENERS = "\"'(["
 
@@ -37,6 +38,18 @@ def _citation_end(text: str, pos: int) -> int:
     if m and (m.end() == len(text) or not text[m.end()].isdigit()):
         return m.end()
     return pos
+
+
+def _attach_left(text: str, pos: int, closers: str) -> int:
+    """End of the closing punctuation and citation digits that follow a
+    terminator ending at ``pos``; they belong to the sentence on its left."""
+    while True:
+        k = pos
+        while pos < len(text) and text[pos] in closers:
+            pos += 1
+        pos = _citation_end(text, pos)
+        if pos == k:
+            return pos
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +72,7 @@ def segment_zh(paragraph: str) -> list[str]:
         if text[i] not in ZH_TERMINATORS:
             i += 1
             continue
-        j = i + 1
-        while True:
-            k = j
-            while j < n and (text[j] in _ZH_CLOSERS or text[j] in ZH_TERMINATORS):
-                j += 1
-            j = _citation_end(text, j)
-            if j == k:
-                break
+        j = _attach_left(text, i + 1, _ZH_CLOSERS)
         while j < n and text[j].isspace():
             j += 1
         sentences.append(text[start:j])
@@ -179,14 +185,7 @@ def segment_en_rules(paragraph: str, abbrevs: AbbrevList | None = None) -> list[
             if _is_abbreviation(text, i, abbrevs):
                 i = j
                 continue
-        # citation digits and closing punctuation attach to the left
-        while True:
-            k = j
-            while j < n and text[j] in _EN_CLOSERS:
-                j += 1
-            j = _citation_end(text, j)
-            if j == k:
-                break
+        j = _attach_left(text, j, _EN_CLOSERS)
         if j >= n:
             break
         s = j
@@ -425,14 +424,18 @@ def save_punkt(model: PunktModel, path: str | Path) -> None:
 def load_punkt(path: str | Path) -> PunktModel:
     """Read a model written by :func:`save_punkt`; records of any other
     kind (the ``param`` and ``colloc`` lines of older files) are skipped."""
-    abbreviations, starters = {}, {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    scores: dict[str, dict] = {"abbrev": {}, "starter": {}}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         fields = line.split("\t")
-        if fields[0] == "abbrev":
-            abbreviations[fields[1]] = float(fields[2])
-        elif fields[0] == "starter":
-            starters[fields[1]] = float(fields[2])
-    return PunktModel(abbreviations, starters)
+        if fields[0] not in scores:
+            continue
+        if len(fields) != 3:
+            raise ValueError(f"{path} line {lineno}: expected 3 tab-separated fields")
+        try:
+            scores[fields[0]][fields[1]] = float(fields[2])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+    return PunktModel(scores["abbrev"], scores["starter"])
 
 
 def sbd_diff_report(zh_counts: dict, en_counts: dict) -> list[list]:

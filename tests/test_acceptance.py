@@ -63,7 +63,7 @@ def corpus_docs():
     rules = default_filter_rules()
     return [
         filter_boilerplate(stitch_paragraphs(normalize_document(d)), rules)[0]
-        for d in read_documents(CORPUS / "raw", ("zh", "en"))
+        for d in read_documents(CORPUS / "raw")
     ]
 
 

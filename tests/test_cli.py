@@ -86,6 +86,15 @@ class TestRun:
         assert main(["--config", str(config), "run"]) == 1
         assert "unsupported hash" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, capsys, stages, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(RAW), "output": "out"}), encoding="utf-8")
+        assert main(["--config", str(config), "--jobs", jobs, "run"]) == 1
+        assert main(["--jobs", jobs, "align", str(stages / "s" / "02_sbd"), str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err.count("jobs must be >= 1") == 2
+        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
+
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):

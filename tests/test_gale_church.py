@@ -267,6 +267,12 @@ class TestEstimateParams:
         assert back.c == params.c and back.s2 == params.s2
         assert back.priors == params.priors
 
+    def test_malformed_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("s2=2.0\nc=abc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"params\.txt line 2: .*'abc'"):
+            load_length_params(path)
+
 
 class TestLatticeSearch:
     def test_matches_exhaustive_enumeration(self):

@@ -440,6 +440,13 @@ class TestTableSerialization:
                 assert back.t[s][w] == p
         assert back.tgt_counts == table.tgt_counts
 
+    @pytest.mark.parametrize("line", ["a\tu\t0.5x", "#count\tu\tmany", "#count\tu"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"#count\tu\t3\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"table\.tsv line 2: "):
+            load_table(path)
+
 
 class TestPriors:
     def test_normalized_and_without_two_two(self):

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from bitextkit.core import ArticleMeta, SentenceList, read_alignments, validate_alignment
+from bitextkit.gale_church import estimate_length_params
 from bitextkit.pipeline import (
     HASH_NAME,
     PipelineError,
     SplitSpec,
+    _corpus_length_params,
     _read_mt,
     corpus_stats,
     dedup_pairs,
@@ -24,6 +26,8 @@ from bitextkit.pipeline import (
     pair_hash,
     run_pipeline,
     split_corpus,
+    stage_preprocess,
+    stage_sbd,
 )
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
@@ -217,6 +221,14 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="unknown en segmenter"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("bleu", {"nmax": 3}), ("split", {"test": 5})]
+    )
+    def test_misspelled_nested_key_rejected(self, tmp_path, key, value):
+        path = self.write(tmp_path, {"input": "raw", "output": "out", key: value})
+        with pytest.raises(ValueError, match=rf"config\.json: .*'{next(iter(value))}'"):
+            load_config(path)
+
     def test_bad_jobs_rejected(self, tmp_path):
         path = self.write(tmp_path, {"input": "raw", "output": "out", "jobs": 0})
         with pytest.raises(ValueError, match="jobs"):
@@ -261,6 +273,38 @@ class TestReadMt:
             _read_mt(tmp_path / "nope.txt", "A01-mt", "en", self.template())
 
 
+class TestCorpusLengthParams:
+    def test_fit_equals_the_preprocessed_documents_paragraphs(self, tmp_path):
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path)
+        docs, pairs = stage_preprocess(config, tmp_path)
+        sentences = stage_sbd(config, tmp_path, docs)
+        paragraphs = {d.meta.doc_id: d.paragraphs for d in docs}
+        want = []
+        for src, tgt in pairs:
+            zh, en = paragraphs[src.doc_id], paragraphs[tgt.doc_id]
+            want.extend(zip(zh, en) if len(zh) == len(en) else [("\n".join(zh), "\n".join(en))])
+        doc_pairs = [(sentences[s.doc_id], sentences[t.doc_id]) for s, t in pairs]
+        assert _corpus_length_params(config, doc_pairs) == estimate_length_params(want)
+
+    def test_mismatched_paragraph_counts_make_one_pair(self, tmp_path):
+        config = load_config(CORPUS / "config.json")
+        mismatched = (
+            SentenceList("A-zh", "zh", ("甲乙。", "丙。", "丁戊己。"), (0, 0, 2)),
+            SentenceList("A-en", "en", ("One two.", "Three.", "Four five six."), (0, 0, 0)),
+        )
+        matched = (
+            SentenceList("B-zh", "zh", ("庚。", "辛壬。"), (0, 1)),
+            SentenceList("B-en", "en", ("Seven.", "Eight nine."), (0, 1)),
+        )
+        want = [
+            ("甲乙。丙。\n丁戊己。", "One two. Three. Four five six."),
+            ("庚。", "Seven."),
+            ("辛壬。", "Eight nine."),
+        ]
+        got = _corpus_length_params(config, [mismatched, matched])
+        assert got == estimate_length_params(want)
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """The fixture corpus pushed through the whole pipeline at 1 and 8 workers."""
@@ -289,7 +333,7 @@ class TestPairArticles:
             self.meta("A01b-zh", "A01", "zh"),
         ]
         with pytest.raises(ValueError, match="article A01 has two zh documents: A01-zh and A01b-zh"):
-            pair_articles(metas, "zh", "en")
+            pair_articles(metas)
 
     def test_duplicate_document_fails_the_run_before_writing(self, tmp_path):
         corpus = tmp_path / "corpus"

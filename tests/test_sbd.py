@@ -222,6 +222,13 @@ class TestUnsupervised:
         )
         assert load_punkt(path) == PunktModel({"fig": 1.432}, {"we": 31.25})
 
+    @pytest.mark.parametrize("line", ["abbrev\tfig", "starter\twe\thigh"])
+    def test_load_malformed_record_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "model.tsv"
+        path.write_text(f"abbrev\tal\t2.5\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"model\.tsv line 2: "):
+            load_punkt(path)
+
     def test_training_is_deterministic(self):
         a = train_punkt(self.corpus())
         b = train_punkt(self.corpus())
