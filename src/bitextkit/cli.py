@@ -98,9 +98,8 @@ def _cmd_preprocess(args) -> int:
         patterns=args.patterns,
         truecase=not args.no_truecase,
     )
-    out = Path(args.output)
-    docs, _ = stage_preprocess(config, out)
-    print(f"preprocessed {len(docs)} documents -> {out / '01_preprocess'}")
+    docs, _ = stage_preprocess(config)
+    print(f"preprocessed {len(docs)} documents -> {args.output / '01_preprocess'}")
     return 0
 
 
@@ -111,11 +110,10 @@ def _cmd_sbd(args) -> int:
         abbreviations=args.abbreviations,
         en_sbd=args.en_method,
     )
-    out = Path(args.output)
     docs = read_documents(args.input)
-    sentences = stage_sbd(config, out, docs)
-    n_sentences = sum(len(sl) for sl in sentences.values())
-    print(f"segmented {len(docs)} documents into {n_sentences} sentences -> {out / '02_sbd'}")
+    sentences = stage_sbd(config, pair_articles([d.meta for d in docs]), docs)
+    n_sents = sum(len(sl) for sl in sentences.values())
+    print(f"segmented {len(docs)} documents into {n_sents} sentences -> {args.output / '02_sbd'}")
     return 0
 
 
@@ -133,7 +131,6 @@ def _cmd_align(args) -> int:
         mt_tgt=args.tgt_mt,
         jobs=PipelineConfig.jobs if args.jobs is None else args.jobs,
     )
-    out = Path(args.output)
     directory = Path(args.sentences)
     metas = read_metadata(directory)
     sentences = {
@@ -141,9 +138,9 @@ def _cmd_align(args) -> int:
         for m in metas
     }
     pairs = pair_articles(metas)
-    alignments = stage_align(config, out, pairs, sentences)
+    alignments = stage_align(config, pairs, sentences)
     n_beads = sum(len(a) for a in alignments.values())
-    print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {out / '03_align'}")
+    print(f"aligned {len(pairs)} article pairs into {n_beads} beads -> {args.output / '03_align'}")
     return 0
 
 
@@ -166,10 +163,9 @@ def _cmd_split(args) -> int:
         output=args.output,
         split=SplitSpec(args.test, args.dev),
     )
-    out = Path(args.output)
     pairs = pair_articles(read_metadata(meta_dir))
-    stage_split(config, out, pairs, rows)
-    print(f"split manifests written -> {out / '05_split'}")
+    stage_split(config, pairs, rows)
+    print(f"split manifests written -> {args.output / '05_split'}")
     return 0
 
 

@@ -31,17 +31,16 @@ BEAD_TYPES = frozenset({(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)})
 SRC_LANG = "zh"
 TGT_LANG = "en"
 
-_LANG_RE = re.compile(r"[a-z]{2,8}")
-
 
 class FormatError(ValueError):
     """Raised when an input file does not match its documented format."""
 
 
 def check_language(code: str) -> str:
-    """Validate a language tag (lowercase ASCII token, e.g. ``zh``/``en``)."""
-    if not isinstance(code, str) or not _LANG_RE.fullmatch(code):
-        raise ValueError(f"language: {code!r} is not a lowercase ASCII language tag")
+    """Validate a language tag. This is the corpus's one language rule: a
+    tag is exactly ``SRC_LANG`` or ``TGT_LANG``."""
+    if code not in (SRC_LANG, TGT_LANG):
+        raise ValueError(f"language: {code!r} is not {SRC_LANG!r} or {TGT_LANG!r}")
     return code
 
 
@@ -259,18 +258,17 @@ def _iter_metadata(meta_path: Path):
                 f"({_META_FIELDS})"
             )
         doc_id, pair_id, language, date_s, article_type = fields
-        if language not in (SRC_LANG, TGT_LANG):
-            raise FormatError(
-                f"{meta_path} line {lineno}: unknown language tag {language!r} "
-                f"(expected one of {sorted((SRC_LANG, TGT_LANG))})"
-            )
         try:
             date = datetime.date.fromisoformat(date_s)
         except ValueError as exc:
             raise FormatError(
                 f"{meta_path} line {lineno}: bad date {date_s!r} (expected ISO-8601)"
             ) from exc
-        yield lineno, ArticleMeta(doc_id, pair_id, language, date, article_type)
+        try:
+            meta = ArticleMeta(doc_id, pair_id, language, date, article_type)
+        except ValueError as exc:
+            raise FormatError(f"{meta_path} line {lineno}: {exc}") from exc
+        yield lineno, meta
 
 
 def read_metadata(directory: str | Path) -> list[ArticleMeta]:
@@ -421,7 +419,10 @@ def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList
             )
         para_idx.append(int(fields[0]))
         sentences.append(fields[1])
-    return SentenceList(doc_id, language, tuple(sentences), tuple(para_idx))
+    try:
+        return SentenceList(doc_id, language, tuple(sentences), tuple(para_idx))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_sentences(sl: SentenceList, path: str | Path) -> None:

@@ -239,7 +239,10 @@ def load_length_params(path: str | Path) -> LengthParams:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return LengthParams(c, s2, priors)
+    try:
+        return LengthParams(c, s2, priors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_length_params(params: LengthParams, path: str | Path) -> None:

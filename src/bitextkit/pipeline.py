@@ -56,7 +56,6 @@ from bitextkit.preprocess import (
     filter_boilerplate,
     load_filter_rules,
     normalize_document,
-    paragraph_count_report,
     stitch_paragraphs,
     train_truecaser,
 )
@@ -320,7 +319,6 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     is given; returns 0 on success, raises PipelineError otherwise."""
     if jobs is not None:
         config = replace(config, jobs=jobs)
-    out = Path(config.output)
     durations: dict[str, float] = {}
 
     def stage(name: str, fn, *args):
@@ -332,12 +330,12 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         durations[name] = round(time.monotonic() - t0, 6)
         return result
 
-    docs, pairs = stage("preprocess", stage_preprocess, config, out)
-    sentences = stage("sbd", stage_sbd, config, out, docs)
-    alignments = stage("align", stage_align, config, out, pairs, sentences)
-    bitext, removed = stage("dedup", _stage_dedup, config, out, pairs, sentences, alignments)
-    assignment = stage("split", stage_split, config, out, pairs, bitext)
-    stage("stats", _stage_stats, config, out, bitext, assignment)
+    docs, pairs = stage("preprocess", stage_preprocess, config)
+    sentences = stage("sbd", stage_sbd, config, pairs, docs)
+    alignments = stage("align", stage_align, config, pairs, sentences)
+    bitext, removed = stage("dedup", _stage_dedup, config, pairs, sentences, alignments)
+    assignment = stage("split", stage_split, config, pairs, bitext)
+    stage("stats", _stage_stats, config, bitext, assignment)
     counts = {
         "preprocess": (len(docs), len(docs)),
         "sbd": (len(docs), sum(len(sl) for sl in sentences.values())),
@@ -352,14 +350,15 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
             {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
         )
     write_text(
-        out / "run_log.jsonl",
+        Path(config.output) / "run_log.jsonl",
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
     )
     return 0
 
 
-def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document], Pairs]:
+def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
     """Read, pair and clean the documents; returns them and the article pairs."""
+    out = Path(config.output)
     docs = read_documents(config.input)
     pairs = pair_articles([d.meta for d in docs])
     rules = load_filter_rules(config.patterns) if config.patterns else default_filter_rules()
@@ -371,36 +370,43 @@ def stage_preprocess(config: PipelineConfig, out: Path) -> tuple[list[Document],
         removal_rows.extend((doc.meta.doc_id, idx, rule) for idx, rule in removals)
         post.append(filtered)
     if config.truecase:
-        model = train_truecaser([d for d in post if d.meta.language == "en"])
-        post = [apply_truecaser(d, model) if d.meta.language == "en" else d for d in post]
+        model = train_truecaser(post)
+        post = [apply_truecaser(d, model) for d in post]
     write_documents(post, out / "01_preprocess")
     _write_rows(out / "removal_log.tsv", removal_rows)
-    position = {d.meta.doc_id: k for k, d in enumerate(docs)}
-
-    def paired(ds: list[Document]) -> list[tuple[Document, Document]]:
-        return [(ds[position[s.doc_id]], ds[position[t.doc_id]]) for s, t in pairs]
-
-    _write_rows(out / "paragraph_report.csv", paragraph_count_report(paired(pre), paired(post)), ",")
+    n_pre = {d.meta.doc_id: len(d.paragraphs) for d in pre}
+    n_post = {d.meta.doc_id: len(d.paragraphs) for d in post}
+    report = [["pair_id", "zh_pre", "en_pre", "zh_post", "en_post"]] + [
+        [s.pair_id, n_pre[s.doc_id], n_pre[t.doc_id], n_post[s.doc_id], n_post[t.doc_id]]
+        for s, t in pairs
+    ]
+    _write_rows(out / "paragraph_report.csv", report, ",")
     return post, pairs
 
 
-def stage_sbd(config: PipelineConfig, out: Path, docs: list[Document]) -> dict[str, SentenceList]:
-    """Segment every document; returns its sentences keyed by doc_id."""
+def stage_sbd(
+    config: PipelineConfig, pairs: Pairs, docs: list[Document]
+) -> dict[str, SentenceList]:
+    """Segment ``docs``, the documents of ``pairs``; returns the sentences
+    keyed by doc_id. ``sbd_report.csv`` compares each pair's zh and en
+    sentence counts."""
+    out = Path(config.output)
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
     stage_dir = out / "02_sbd"
     stage_dir.mkdir(parents=True, exist_ok=True)
     if config.en_sbd == "punkt":
-        punkt_model = train_punkt([d for d in docs if d.meta.language == "en"])
+        punkt_model = train_punkt(docs)
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
     sentence_lists = {d.meta.doc_id: _segment(d, abbrevs, punkt_model) for d in docs}
     for doc_id, sl in sentence_lists.items():
         write_sentences(sl, stage_dir / f"{doc_id}.tsv")
     write_metadata(docs, stage_dir / META_FILENAME)
-    counts: dict[str, dict[str, int]] = {SRC_LANG: {}, TGT_LANG: {}}
-    for d in docs:
-        counts[d.meta.language][d.meta.pair_id] = len(sentence_lists[d.meta.doc_id])
-    _write_rows(out / "sbd_report.csv", sbd_diff_report(counts[SRC_LANG], counts[TGT_LANG]), ",")
+    counts = [
+        (s.pair_id, len(sentence_lists[s.doc_id]), len(sentence_lists[t.doc_id]))
+        for s, t in pairs
+    ]
+    _write_rows(out / "sbd_report.csv", sbd_diff_report(counts), ",")
     return sentence_lists
 
 
@@ -426,7 +432,6 @@ def _corpus_length_params(
 
 def stage_align(
     config: PipelineConfig,
-    out: Path,
     pairs: Pairs,
     sentences: dict[str, SentenceList],
 ) -> dict[str, AlignmentSet]:
@@ -435,7 +440,7 @@ def stage_align(
     srcs = [sentences[s.doc_id] for s, _ in pairs]
     tgts = [sentences[t.doc_id] for _, t in pairs]
     n = len(pairs)
-    stage_dir = out / "03_align"
+    stage_dir = Path(config.output) / "03_align"
     stage_dir.mkdir(parents=True, exist_ok=True)
     if config.method == "moore":
         passes = _pmap(length_pass, config.jobs, srcs, tgts, [config.theta1] * n)
@@ -479,7 +484,6 @@ def stage_align(
 
 def _stage_dedup(
     config: PipelineConfig,
-    out: Path,
     pairs: Pairs,
     sentences: dict[str, SentenceList],
     alignments: dict[str, AlignmentSet],
@@ -499,21 +503,21 @@ def _stage_dedup(
                     )
                 )
     kept, removed = dedup_pairs(rows)
-    stage_dir = out / "04_dedup"
+    stage_dir = Path(config.output) / "04_dedup"
     stage_dir.mkdir(parents=True, exist_ok=True)
     _write_rows(stage_dir / "pairs.tsv", kept)
     _write_rows(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
     return kept, removed
 
 
-def stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
+def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
     """Assign articles to splits; returns the split of each pair_id."""
     per_article: dict[str, int] = {}
     for pair_id, _, _ in bitext:
         per_article[pair_id] = per_article.get(pair_id, 0) + 1
     articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
-    stage_dir = out / "05_split"
+    stage_dir = Path(config.output) / "05_split"
     stage_dir.mkdir(parents=True, exist_ok=True)
     _write_rows(
         stage_dir / "manifest.tsv",
@@ -525,9 +529,7 @@ def stage_split(config: PipelineConfig, out: Path, pairs: Pairs, bitext: Bitext)
     return assignment
 
 
-def _stage_stats(
-    config: PipelineConfig, out: Path, bitext: Bitext, assignment: dict[str, str]
-) -> None:
+def _stage_stats(config: PipelineConfig, bitext: Bitext, assignment: dict[str, str]) -> None:
     scopes = [("all", bitext)]
     for split_name in _SPLITS:
         scopes.append((split_name, [r for r in bitext if assignment[r[0]] == split_name]))
@@ -535,4 +537,4 @@ def _stage_stats(
     for name, rows_in_scope in scopes:
         stats = corpus_stats(rows_in_scope)
         rows.append((name, *stats))
-    _write_rows(out / "stats.tsv", rows)
+    _write_rows(Path(config.output) / "stats.tsv", rows)

@@ -230,38 +230,3 @@ def apply_truecaser(doc: Document, model: TruecaseModel) -> Document:
     if doc.meta.language != "en":
         return doc
     return Document(doc.meta, tuple(truecase_initial(p, model) for p in doc.paragraphs))
-
-
-def paragraph_count_report(
-    pre: list[tuple[Document, Document]], post: list[tuple[Document, Document]]
-) -> list[list]:
-    """Per-pair paragraph counts before and after filtering as CSV rows
-    (header first). Pairs are matched by pair_id; a pair present on only one
-    side is an error."""
-    def index(pairs):
-        by_id = {}
-        for zh_doc, en_doc in pairs:
-            if zh_doc.meta.pair_id != en_doc.meta.pair_id:
-                raise ValueError(
-                    f"pair mismatch: {zh_doc.meta.pair_id} vs {en_doc.meta.pair_id}"
-                )
-            by_id[zh_doc.meta.pair_id] = (zh_doc, en_doc)
-        return by_id
-
-    pre_by_id, post_by_id = index(pre), index(post)
-    if set(pre_by_id) != set(post_by_id):
-        missing = set(pre_by_id) ^ set(post_by_id)
-        raise ValueError(f"unmatched pair_id(s): {sorted(missing)}")
-    rows: list[list] = [["pair_id", "zh_pre", "en_pre", "zh_post", "en_post"]]
-    for pair_id, (zh_pre, en_pre) in pre_by_id.items():
-        zh_post, en_post = post_by_id[pair_id]
-        rows.append(
-            [
-                pair_id,
-                len(zh_pre.paragraphs),
-                len(en_pre.paragraphs),
-                len(zh_post.paragraphs),
-                len(en_post.paragraphs),
-            ]
-        )
-    return rows

@@ -438,19 +438,16 @@ def load_punkt(path: str | Path) -> PunktModel:
     return PunktModel(scores["abbrev"], scores["starter"])
 
 
-def sbd_diff_report(zh_counts: dict, en_counts: dict) -> list[list]:
-    """Per-article zh/en sentence-count comparison as CSV rows (header
-    first), closed by a summary row with the quartiles of |diff|."""
-    if set(zh_counts) != set(en_counts):
-        raise ValueError(
-            f"article sets differ: {sorted(set(zh_counts) ^ set(en_counts))}"
-        )
+def sbd_diff_report(counts: list[tuple[str, int, int]]) -> list[list]:
+    """Per-article zh/en sentence-count comparison as CSV rows: a header,
+    one row per ``(article, zh, en)`` count row sorted by article, and a
+    summary row with the quartiles of |diff|. Each article appears once,
+    as :func:`bitextkit.pipeline.pair_articles` guarantees."""
     rows: list[list] = [["article", "zh", "en", "diff"]]
     diffs = []
-    for article in sorted(zh_counts):
-        diff = zh_counts[article] - en_counts[article]
-        diffs.append(abs(diff))
-        rows.append([article, zh_counts[article], en_counts[article], diff])
+    for article, zh, en in sorted(counts):
+        diffs.append(abs(zh - en))
+        rows.append([article, zh, en, zh - en])
     if diffs:
         if len(diffs) == 1:
             q1 = q2 = q3 = float(diffs[0])

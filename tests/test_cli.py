@@ -142,6 +142,30 @@ class TestStageCommands:
         assert (tmp_path / "02_sbd" / "punkt_model.txt").is_file()
 
 
+class TestStepByStep:
+    def test_chain_matches_the_golden_run(self, tmp_path):
+        """preprocess -> sbd -> align -> split, each through main(), writes
+        the same bytes as the golden `run` for every artifact it covers."""
+        golden, out = CORPUS / "out", tmp_path / "out"
+        for argv in (
+            ["preprocess", str(RAW), str(out), "--no-truecase"],
+            ["sbd", str(out / "01_preprocess"), str(out)],
+            ["align", str(out / "02_sbd"), str(out), "--method", "moore"],
+            ["split", str(golden / "04_dedup" / "pairs.tsv"), str(out / "02_sbd"), str(out),
+             "--test", "25", "--dev", "25"],
+        ):
+            assert main(argv) == 0, argv
+
+        def tree(root: Path, skip=()) -> list[str]:
+            names = (p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+            return sorted(n for n in names if not n.startswith(skip))
+
+        written = tree(out)
+        assert written == tree(golden, skip=("04_dedup/", "stats.tsv", "run_log.jsonl"))
+        for name in written:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 class TestPairCommands:
     def test_dedup_two_columns(self, tmp_path, capsys):
         src = tmp_path / "pairs.tsv"

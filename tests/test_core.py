@@ -39,7 +39,7 @@ class TestModelValidation:
     def test_language_codes(self):
         assert check_language("zh") == "zh"
         assert check_language("en") == "en"
-        for bad in ("", "ZH", "z", "english-text"):
+        for bad in ("", "ZH", "z", "english-text", "fr"):
             with pytest.raises(ValueError):
                 check_language(bad)
 
@@ -140,6 +140,21 @@ class TestDocumentFiles:
         with pytest.raises(FormatError):
             read_metadata(tmp_path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A02-fr\tA02\tfr\t2021-03-04\toriginal", "language: 'fr' is not"),
+            ("\tA02\ten\t2021-03-04\toriginal", "doc_id: must be non-empty"),
+        ],
+        ids=["unknown-language", "empty-doc-id"],
+    )
+    def test_rejected_metadata_row_names_file_and_line(self, tmp_path, row, message):
+        write_documents([Document(meta(), ("段落。",))], tmp_path)
+        meta_file = tmp_path / "metadata.tsv"
+        meta_file.write_text(meta_file.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"metadata.tsv line 2: {message}"):
+            read_metadata(tmp_path)
+
 
 class TestAtomicWrite:
     def test_failed_write_leaves_the_final_file_untouched(self, tmp_path):
@@ -172,6 +187,12 @@ class TestSentenceFiles:
         path = tmp_path / "x.txt"
         write_sentences(sl, path)
         assert read_sentences(path, "x", "en") == sl
+
+    def test_decreasing_paragraph_index_names_the_file(self, tmp_path):
+        path = tmp_path / "A01-en.tsv"
+        path.write_text("1\tOne.\n0\tTwo.\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"A01-en\.tsv: paragraph_index: must be non-decr"):
+            read_sentences(path, "A01-en", "en")
 
 
 class TestAlignmentFiles:

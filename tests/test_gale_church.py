@@ -273,6 +273,12 @@ class TestEstimateParams:
         with pytest.raises(ValueError, match=r"params\.txt line 2: .*'abc'"):
             load_length_params(path)
 
+    def test_rejected_value_names_file(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("c=nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"params\.txt: c: must be finite and > 0"):
+            load_length_params(path)
+
 
 class TestLatticeSearch:
     def test_matches_exhaustive_enumeration(self):

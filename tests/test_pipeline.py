@@ -276,8 +276,8 @@ class TestReadMt:
 class TestCorpusLengthParams:
     def test_fit_equals_the_preprocessed_documents_paragraphs(self, tmp_path):
         config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path)
-        docs, pairs = stage_preprocess(config, tmp_path)
-        sentences = stage_sbd(config, tmp_path, docs)
+        docs, pairs = stage_preprocess(config)
+        sentences = stage_sbd(config, pairs, docs)
         paragraphs = {d.meta.doc_id: d.paragraphs for d in docs}
         want = []
         for src, tgt in pairs:

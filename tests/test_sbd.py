@@ -237,13 +237,7 @@ class TestUnsupervised:
 
 class TestDiffReport:
     def test_rows_and_quartiles(self):
-        zh = {"A1": 10, "A2": 8, "A3": 12}
-        en = {"A1": 10, "A2": 9, "A3": 9}
-        rows = sbd_diff_report(zh, en)
+        rows = sbd_diff_report([("A3", 12, 9), ("A1", 10, 10), ("A2", 8, 9)])
         assert rows[0] == ["article", "zh", "en", "diff"]
         assert rows[1:4] == [["A1", 10, 10, 0], ["A2", 8, 9, -1], ["A3", 12, 9, 3]]
         assert rows[4][2] == 1  # median |diff|
-
-    def test_mismatched_article_sets_rejected(self):
-        with pytest.raises(ValueError):
-            sbd_diff_report({"A1": 1}, {"A2": 1})
