@@ -246,6 +246,7 @@ META_FILENAME = "metadata.tsv"
 def _iter_metadata(meta_path: Path):
     if not meta_path.is_file():
         raise FormatError(f"{meta_path}: metadata file not found")
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(
         meta_path.read_text(encoding="utf-8").splitlines(), start=1
     ):
@@ -268,6 +269,11 @@ def _iter_metadata(meta_path: Path):
             meta = ArticleMeta(doc_id, pair_id, language, date, article_type)
         except ValueError as exc:
             raise FormatError(f"{meta_path} line {lineno}: {exc}") from exc
+        first = first_line.setdefault(doc_id, lineno)
+        if first != lineno:
+            raise FormatError(
+                f"{meta_path} line {lineno}: doc_id {doc_id!r} already on line {first}"
+            )
         yield lineno, meta
 
 

@@ -40,11 +40,18 @@ DEFAULT_S2 = 6.8
 @dataclass(frozen=True)
 class LengthParams:
     """Length-model parameters: expected target chars per source char (c),
-    per-char variance of the mismatch (s2), and bead-type priors."""
+    per-char variance of the mismatch (s2), and bead-type priors.
+
+    The lattice memoizes its length term on the instance, as
+    ``{source chars: {target chars: value}}``: one instance passed to every
+    block scores each distinct pair of lengths once. The memo is not a
+    parameter; it takes no part in equality or ``repr``.
+    """
 
     c: float = DEFAULT_C
     s2: float = DEFAULT_S2
     priors: dict = field(default_factory=lambda: dict(DEFAULT_PRIORS))
+    _log_match_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
@@ -135,13 +142,14 @@ def _align_block(
     a suffix that loses at a node by rounding alone is not reconsidered when
     a prefix makes the totals equal. It tries the moves in sorted order and
     keeps the first that attains the minimum, with its step cost, so the
-    forward pass only follows those moves: each cell and move costs one
-    evaluation of the length model.
+    forward pass only follows those moves. The length term of each cell and
+    move is read from ``params``' memo, so each distinct pair of block
+    lengths is evaluated once per ``params`` instance.
     """
     S, T = len(src_sents), len(tgt_sents)
     spre = list(accumulate(map(len, src_sents), initial=0))
     tpre = list(accumulate(map(len, tgt_sents), initial=0))
-    c, s2 = params.c, params.s2
+    c, s2, memo = params.c, params.s2, params._log_match_memo
     moves = [
         ((m, n), m, n, -math.log(params.priors[m, n]), int((m, n) == (1, 1)))
         for m, n in sorted(GC_MOVES)
@@ -151,20 +159,25 @@ def _align_block(
     beads = [[0] * (T + 1) for _ in range(S + 1)]
     choice: list[list[tuple | None]] = [[None] * (T + 1) for _ in range(S + 1)]
     for i in range(S, -1, -1):
-        # per move: the rows it lands in and its source block length
+        # per move: the rows it lands in, its source block length and the
+        # length terms memoized for that length
         row_moves = [
             (move, n, prior_cost, one, cost[i + m], neg_ones[i + m], beads[i + m],
-             spre[i + m] - spre[i])
+             spre[i + m] - spre[i], memo.setdefault(spre[i + m] - spre[i], {}))
             for move, m, n, prior_cost, one in moves
             if i + m <= S
         ]
         for j in range(T, -1, -1):
             best = None
-            for move, n, prior_cost, one, cost_row, ones_row, beads_row, sc in row_moves:
+            for move, n, prior_cost, one, cost_row, ones_row, beads_row, sc, by_tc in row_moves:
                 jn = j + n
                 if jn > T:
                     continue
-                step = prior_cost - _log_match(sc, tpre[jn] - tpre[j], c, s2)
+                tc = tpre[jn] - tpre[j]
+                match = by_tc.get(tc)
+                if match is None:
+                    match = by_tc[tc] = _log_match(sc, tc, c, s2)
+                step = prior_cost - match
                 k, o, b = step + cost_row[jn], ones_row[jn] - one, beads_row[jn] + 1
                 # (k, o, b) < (bk, bo, bb) as tuples, compared field by field
                 if best is None or (k < bk if k != bk else o < bo if o != bo else b < bb):

@@ -91,14 +91,24 @@ class PipelineError(Exception):
 # ---------------------------------------------------------------------------
 # deduplication
 
+class _DedupDropTable(dict):
+    """``str.translate`` table that deletes digits and punctuation: each code
+    point's entry is decided on first sight and depends on nothing else, so
+    one table serves every caller."""
+
+    def __missing__(self, code_point: int) -> int | None:
+        ch = chr(code_point)
+        drop = ch.isdigit() or unicodedata.category(ch).startswith("P")
+        entry = self[code_point] = None if drop else code_point
+        return entry
+
+
+_DEDUP_DROP = _DedupDropTable()
+
+
 def normalize_for_dedup(text: str) -> str:
     """Casefold, drop digits and punctuation, collapse whitespace."""
-    kept = []
-    for ch in text.lower():
-        if ch.isdigit() or unicodedata.category(ch).startswith("P"):
-            continue
-        kept.append(ch)
-    return " ".join("".join(kept).split())
+    return " ".join(text.lower().translate(_DEDUP_DROP).split())
 
 
 def pair_hash(src: str, tgt: str) -> str:
@@ -178,12 +188,24 @@ def split_corpus(
 # ---------------------------------------------------------------------------
 # statistics
 
-def corpus_stats(bitext: list[tuple[str, str, str]]) -> tuple[int, int, int, int]:
+def _token_counts(bitext: Bitext) -> list[tuple[str, int, int]]:
+    """(article, source tokens, target tokens) of each (article, src, tgt) row."""
+    return [
+        (a, len(tokenize(src, SRC_LANG)), len(tokenize(tgt, TGT_LANG))) for a, src, tgt in bitext
+    ]
+
+
+def _sum_counts(counts: list[tuple[str, int, int]]) -> tuple[int, int, int, int]:
+    return (
+        len(counts), sum(n for _, n, _ in counts), sum(n for _, _, n in counts),
+        len({a for a, _, _ in counts}),
+    )
+
+
+def corpus_stats(bitext: Bitext) -> tuple[int, int, int, int]:
     """(sentence pairs, source tokens, target tokens, distinct articles)
     over (article, src, tgt) rows."""
-    src_tokens = sum(len(tokenize(src, SRC_LANG)) for _, src, _ in bitext)
-    tgt_tokens = sum(len(tokenize(tgt, TGT_LANG)) for _, _, tgt in bitext)
-    return len(bitext), src_tokens, tgt_tokens, len({a for a, _, _ in bitext})
+    return _sum_counts(_token_counts(bitext))
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +552,13 @@ def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[st
 
 
 def _stage_stats(config: PipelineConfig, bitext: Bitext, assignment: dict[str, str]) -> None:
-    scopes = [("all", bitext)]
+    """Write ``stats.tsv``: :func:`corpus_stats` of the whole bitext and of
+    each split, tokenizing each row once."""
+    counts = _token_counts(bitext)
+    scopes = [("all", counts)]
     for split_name in _SPLITS:
-        scopes.append((split_name, [r for r in bitext if assignment[r[0]] == split_name]))
+        scopes.append((split_name, [r for r in counts if assignment[r[0]] == split_name]))
     rows = [("scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles")]
-    for name, rows_in_scope in scopes:
-        stats = corpus_stats(rows_in_scope)
-        rows.append((name, *stats))
+    for name, counts_in_scope in scopes:
+        rows.append((name, *_sum_counts(counts_in_scope)))
     _write_rows(Path(config.output) / "stats.tsv", rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -194,18 +195,21 @@ class TruecaseModel:
 def train_truecaser(corpus: list[Document]) -> TruecaseModel:
     """Count surface forms of non-paragraph-initial English tokens and keep
     the majority form per lowercased key (ties toward the form seen first)."""
-    counts: dict[str, dict[str, int]] = {}
+    tokens: Counter[str] = Counter()
     for doc in corpus:
         if doc.meta.language != "en":
             continue
         for para in doc.paragraphs:
-            for token in para.split()[1:]:
-                m = _INITIAL_TOKEN.match(token)
-                if not m:
-                    continue
-                core = m.group(2)
-                counts.setdefault(core.lower(), {}).setdefault(core, 0)
-                counts[core.lower()][core] += 1
+            tokens.update(para.split()[1:])
+    # Counter keeps first-occurrence order, so each surface form still enters
+    # its key's dict in the order it was first seen in the corpus
+    counts: dict[str, dict[str, int]] = {}
+    for token, n in tokens.items():
+        m = _INITIAL_TOKEN.match(token)
+        if m:
+            core = m.group(2)
+            forms = counts.setdefault(core.lower(), {})
+            forms[core] = forms.get(core, 0) + n
     casing = {}
     for key, forms in counts.items():
         best = max(forms.items(), key=lambda kv: kv[1])  # first-seen wins ties

@@ -2,6 +2,7 @@
 the lattice search checked against exhaustive enumeration."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from bitextkit.gale_church import (
     GC_MOVES,
     LengthParams,
     _align_block,
+    _log_match,
     estimate_length_params,
     gc_align,
     gc_cost,
@@ -240,6 +242,53 @@ class TestLengthParams:
         # a NaN c would make every lattice key incomparable
         with pytest.raises(ValueError):
             LengthParams(**kwargs)
+
+
+class TestLengthTermMemo:
+    """The lattice memoizes its length term on the LengthParams it is given."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        blocks=st.lists(st.tuples(sentence_lengths(8), sentence_lengths(8)), max_size=6),
+        params=lattice_params,
+    )
+    def test_one_instance_over_many_blocks_equals_a_fresh_one_per_block(self, blocks, params):
+        for slen, tlen in blocks:
+            src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
+            fresh = LengthParams(params.c, params.s2, params.priors)
+            assert _align_block(src, tgt, params) == _align_block(src, tgt, fresh)
+
+    def test_instances_with_other_scales_share_no_entries(self):
+        src = ["x" * n for n in (12, 30, 7, 44)]
+        tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+        instances = [LengthParams(), LengthParams(c=1.3), LengthParams(s2=1.0)]
+        paths = [_align_block(src, tgt, p) for p in instances]
+        for p, path in zip(instances, paths):
+            entries = [
+                (sc, tc, value)
+                for sc, by_tc in p._log_match_memo.items()
+                for tc, value in by_tc.items()
+            ]
+            assert entries
+            assert all(value == _log_match(sc, tc, p.c, p.s2) for sc, tc, value in entries)
+            assert path == _align_block(src, tgt, LengthParams(p.c, p.s2))
+        # the three instances hold different values for one length pair
+        assert len({p._log_match_memo[12][10] for p in instances}) == 3
+
+    def test_filled_memo_changes_no_value_semantics(self, tmp_path):
+        filled, empty = LengthParams(c=1.1, s2=5.0), LengthParams(c=1.1, s2=5.0)
+        src, tgt = ["x" * 12, "x" * 30], ["x" * 10, "x" * 35]
+        path = _align_block(src, tgt, filled)
+        assert filled._log_match_memo
+        assert filled == empty
+        assert repr(filled) == repr(empty)
+        save_length_params(filled, tmp_path / "filled.txt")
+        save_length_params(empty, tmp_path / "empty.txt")
+        assert (tmp_path / "filled.txt").read_bytes() == (tmp_path / "empty.txt").read_bytes()
+        back = pickle.loads(pickle.dumps(filled))
+        assert back == empty
+        assert repr(back) == repr(empty)
+        assert _align_block(src, tgt, back) == path
 
 
 class TestEstimateParams:

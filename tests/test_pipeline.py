@@ -6,18 +6,23 @@ import json
 import logging
 import shutil
 import string
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitextkit.core import ArticleMeta, SentenceList, read_alignments, validate_alignment
 from bitextkit.gale_church import estimate_length_params
 from bitextkit.pipeline import (
     HASH_NAME,
+    PipelineConfig,
     PipelineError,
     SplitSpec,
     _corpus_length_params,
     _read_mt,
+    _stage_stats,
     corpus_stats,
     dedup_pairs,
     load_config,
@@ -33,7 +38,38 @@ from bitextkit.pipeline import (
 CORPUS = Path(__file__).parent / "data" / "corpus"
 
 
+def reference_normalize_for_dedup(text):
+    """The per-character loop that normalize_for_dedup's table replaced."""
+    kept = []
+    for ch in text.lower():
+        if ch.isdigit() or unicodedata.category(ch).startswith("P"):
+            continue
+        kept.append(ch)
+    return " ".join("".join(kept).split())
+
+
+# superscript and Arabic-Indic digits, a capital whose lowercase is two code
+# points, CJK text and punctuation, and one character of every P* category
+_DEDUP_SAMPLES = "²٣İI患者随访。，、Aa1 \t\n" + "_-([)]«»!"
+
+
 class TestDedupNormalization:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(
+            st.one_of(
+                st.sampled_from(_DEDUP_SAMPLES),
+                st.characters(categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
+                st.characters(categories=("Nd", "No", "Lu", "Lo", "Zs")),
+                st.characters(),
+            ),
+            max_size=30,
+        )
+    )
+    @example("İ² ٣随访3年。Follow-Up!")
+    def test_equals_the_per_character_loop(self, text):
+        assert normalize_for_dedup(text) == reference_normalize_for_dedup(text)
+
     def test_case_digits_punctuation_whitespace(self):
         assert normalize_for_dedup("Results: 12 of 30 patients improved.") == (
             "results of patients improved"
@@ -163,6 +199,35 @@ class TestCorpusStats:
 
     def test_empty(self):
         assert corpus_stats([]) == (0, 0, 0, 0)
+
+    @staticmethod
+    def assert_stats_rows(path, bitext, split_of):
+        scopes = {"all": bitext}
+        for name in ("train", "dev", "test"):
+            scopes[name] = [r for r in bitext if split_of[r[0]] == name]
+        want = [["scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles"]] + [
+            [name, *map(str, corpus_stats(rows))] for name, rows in scopes.items()
+        ]
+        got = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        assert got == want
+
+    def test_stats_rows_of_the_fixture_run_are_corpus_stats_of_each_scope(self, runs):
+        out = runs[1]
+        pairs = (out / "04_dedup" / "pairs.tsv").read_text(encoding="utf-8").splitlines()
+        manifest = (out / "05_split" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+        split_of = {pair_id: split for pair_id, split, _ in (ln.split("\t") for ln in manifest)}
+        bitext = [tuple(line.split("\t")) for line in pairs]
+        self.assert_stats_rows(out / "stats.tsv", bitext, split_of)
+
+    def test_stats_rows_with_an_empty_split(self, tmp_path):
+        bitext = [
+            ("A01", "患者。", "The patient."),
+            ("A02", "随访", "Follow - up"),
+            ("A01", "一", "one"),
+        ]
+        split_of = {"A01": "train", "A02": "test", "A03": "dev"}
+        _stage_stats(PipelineConfig(tmp_path, tmp_path), bitext, split_of)
+        self.assert_stats_rows(tmp_path / "stats.tsv", bitext, split_of)
 
 
 class TestLoadConfig:
@@ -345,6 +410,23 @@ class TestPairArticles:
             load_config(CORPUS / "config.json"), input=corpus, output=tmp_path / "out"
         )
         with pytest.raises(PipelineError, match="A01-zh and A01b-zh"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "01_preprocess").exists()
+
+    def test_doc_id_on_two_metadata_rows_fails_the_run_before_writing(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS / "raw", corpus)
+        meta_file = corpus / "metadata.tsv"
+        rows = meta_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        line = next(k for k, row in enumerate(rows, 1) if row.startswith("A02-zh\t"))
+        rows[line - 1] = "A01-zh" + rows[line - 1][len("A02-zh"):]
+        meta_file.write_text("".join(rows), encoding="utf-8")
+        cfg = dataclasses.replace(
+            load_config(CORPUS / "config.json"), input=corpus, output=tmp_path / "out"
+        )
+        with pytest.raises(
+            PipelineError, match=f"metadata.tsv line {line}: doc_id 'A01-zh' already on line 1"
+        ):
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "01_preprocess").exists()
 

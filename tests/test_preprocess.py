@@ -4,9 +4,12 @@ import datetime
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitextkit.core import ArticleMeta, Document
 from bitextkit.preprocess import (
+    _INITIAL_TOKEN,
     FilterRules,
     TruecaseModel,
     apply_truecaser,
@@ -120,7 +123,55 @@ class TestFilter:
         assert removed == [(1, "=Advertisement")]
 
 
+def reference_train_truecaser(corpus):
+    """The per-token loop that train_truecaser's token count replaced."""
+    counts = {}
+    for d in corpus:
+        if d.meta.language != "en":
+            continue
+        for para in d.paragraphs:
+            for token in para.split()[1:]:
+                m = _INITIAL_TOKEN.match(token)
+                if not m:
+                    continue
+                core = m.group(2)
+                counts.setdefault(core.lower(), {}).setdefault(core, 0)
+                counts[core.lower()][core] += 1
+    return {key: max(forms.items(), key=lambda kv: kv[1]) for key, forms in counts.items()}
+
+
+# case variants of one word, alone and wrapped in punctuation, so that forms
+# tie on count and reach their key through different raw tokens
+_TRUECASE_TOKENS = (
+    "data", "Data", "DATA", "(Data", "data,", "Data.", "'data'", "--", "x", "X.", "it's", "It's",
+)
+
+
 class TestTruecase:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("en", "zh")),
+                st.lists(
+                    st.lists(st.sampled_from(_TRUECASE_TOKENS), min_size=1, max_size=8),
+                    max_size=4,
+                ),
+            ),
+            max_size=4,
+        )
+    )
+    # Data and data tie at two each, and Data is seen first through "(Data"
+    @example([("en", [["x", "(Data", "data,", "Data.", "data"]])])
+    def test_equals_the_per_token_loop(self, docs):
+        corpus = [
+            doc(lang, *(" ".join(tokens) for tokens in paras), pair_id=f"P{k}")
+            for k, (lang, paras) in enumerate(docs)
+        ]
+        got = train_truecaser(corpus).casing
+        # equal entries, in the same key order
+        assert list(got.items()) == list(reference_train_truecaser(corpus).items())
+
     def test_majority_casing_learned_from_non_initial_positions(self):
         corpus = [
             doc("en", "The drug lowered risk.", "Patients got the drug."),
