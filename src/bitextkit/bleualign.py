@@ -10,11 +10,13 @@ repeated target-to-source and only beads found by both directions are kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
-from bitextkit.scoring import BleuConfig, ngram_profile, profile_bleu, sentence_bleu, tokenize
+from bitextkit.scoring import BleuConfig, _brevity_penalty, ngram_counts, sentence_bleu, tokenize
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,48 @@ class ScoreMatrix:
 def score_matrix(
     src_translation: SentenceList, tgt: SentenceList, cfg: BleuConfig = BleuConfig()
 ) -> ScoreMatrix:
-    hyps = [
-        ngram_profile(tokenize(s, src_translation.language), cfg.n_max)
-        for s in src_translation.sentences
-    ]
-    refs = [ngram_profile(tokenize(s, tgt.language), cfg.n_max) for s in tgt.sentences]
-    return ScoreMatrix(tuple(tuple(profile_bleu(h, r, cfg) for r in refs) for h in hyps))
+    """:func:`sentence_bleu` of every (translated source sentence, target
+    sentence) pair, equal to it bit for bit.
+
+    The targets' n-grams are indexed per order as gram -> [(j, count)], and
+    each hypothesis walks its own n-grams once, adding the clipped counts
+    into one integer match row per order. So the n-gram work is one step per
+    matching (gram, target) pair, and each cell costs a few memo lookups and
+    one ``exp``. The per-order logs are summed in the order ``_bleu`` sums
+    them, so the result is the same also where ``sum`` is compensated.
+    """
+    refs = [tokenize(s, tgt.language) for s in tgt.sentences]
+    index: list[dict] = [{} for _ in range(cfg.n_max)]
+    for j, tokens in enumerate(refs):
+        for n, grams in enumerate(index, 1):
+            for g, count in ngram_counts(tokens, n).items():
+                grams.setdefault(g, []).append((j, count))
+    log_precision = cache(lambda m, t: math.log((m if m > 0 else cfg.epsilon) / t))
+    penalty = cache(lambda hyp_len, ref_len: _brevity_penalty(hyp_len, ref_len, cfg))
+    rows = []
+    for s in src_translation.sentences:
+        tokens = tokenize(s, src_translation.language)
+        hyp_len = len(tokens)
+        logs = []
+        # the n-gram totals of the orders the hypothesis is long enough to populate
+        totals = range(hyp_len, max(hyp_len - cfg.n_max, 0), -1)
+        for n, (t, grams) in enumerate(zip(totals, index), 1):
+            matches = [0] * len(refs)
+            for g, h in ngram_counts(tokens, n).items():
+                for j, r in grams.get(g, ()):
+                    matches[j] += h if h < r else r
+            logs.append([log_precision(m, t) for m in matches])
+        rows.append(tuple(
+            penalty(hyp_len, len(ref)) * math.exp(sum(cell) / len(logs))
+            for ref, cell in zip(refs, zip(*logs))
+        ) if logs else (0.0,) * len(refs))
+    return ScoreMatrix(tuple(rows))
+
+
+def check_min_score(min_score: float) -> None:
+    """Raise ValueError unless 0 <= min_score < 1 (NaN fails too)."""
+    if not 0 <= min_score < 1:
+        raise ValueError(f"min_score must be in [0, 1), got {min_score}")
 
 
 def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]]:
@@ -61,8 +99,7 @@ def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]
     chains whose exact totals tie, the one whose float suffix sum is an ulp
     higher wins.
     """
-    if not 0 <= min_score < 1:
-        raise ValueError(f"min_score must be in [0, 1), got {min_score}")
+    check_min_score(min_score)
     rows, cols = m.rows, m.cols
     empty = (0.0, 0)
     best = [[empty] * (cols + 1) for _ in range(rows + 1)]

@@ -101,17 +101,6 @@ def _log_match(src_chars: int, tgt_chars: int, c: float, s2: float) -> float:
     return _LOG_2 - 0.5 * ax * ax - _LOG_SQRT_2PI + math.log(_tail_poly(ax))
 
 
-def gc_cost(
-    bead_type: tuple[int, int], src_chars: int, tgt_chars: int, params: LengthParams
-) -> float:
-    """Negative log probability of one bead given block character lengths."""
-    if bead_type not in params.priors:
-        raise ValueError(f"unknown bead type {bead_type!r}")
-    return -math.log(params.priors[bead_type]) - _log_match(
-        src_chars, tgt_chars, params.c, params.s2
-    )
-
-
 def estimate_length_params(paragraph_pairs: list[tuple[str, str]]) -> LengthParams:
     """Fit c and s2 from parallel text blocks.
 

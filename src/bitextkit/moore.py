@@ -118,6 +118,18 @@ def _length_model(slen: list[int], tlen: list[int]):
     return log_bead
 
 
+def check_theta1(theta1: float) -> None:
+    """Raise ValueError unless 0.5 < theta1 < 1 (NaN fails too)."""
+    if not 0.5 < theta1 < 1:
+        raise ValueError(f"theta1 must be in (0.5, 1), got {theta1}")
+
+
+def check_theta2(theta2: float) -> None:
+    """Raise ValueError unless 0 < theta2 < 1 (NaN fails too)."""
+    if not 0 < theta2 < 1:
+        raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
+
+
 def length_pass(
     src: SentenceList, tgt: SentenceList, theta1: float = THETA1
 ) -> tuple[list[list[float]], list[tuple[int, int]]]:
@@ -128,8 +140,7 @@ def length_pass(
     when either side is empty) and, in row-major order, the (i, j) index
     pairs whose posterior is >= theta1, which must lie in (0.5, 1).
     """
-    if not 0.5 < theta1 < 1:
-        raise ValueError(f"theta1 must be in (0.5, 1), got {theta1}")
+    check_theta1(theta1)
     if len(src) == 0 or len(tgt) == 0:
         return [[0.0] * len(tgt) for _ in range(len(src))], []
     post = _forward_backward(len(src), len(tgt), _length_model(_token_lengths(src), _token_lengths(tgt)))
@@ -312,8 +323,7 @@ def moore_align(
     Pass two looks up one translation mass per (source sentence, target
     type) pair for each of the two context widths (see ``_bead_scorer``).
     """
-    if not 0 < theta2 < 1:
-        raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
+    check_theta2(theta2)
     S, T = len(src), len(tgt)
     if S == 0 or T == 0:
         beads = [Bead((i,), (), None, "moore") for i in range(S)]

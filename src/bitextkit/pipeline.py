@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
 
-from bitextkit.bleualign import bleualign
+from bitextkit.bleualign import bleualign, check_min_score
 from bitextkit.core import (
     META_FILENAME,
     SRC_LANG,
@@ -45,6 +45,8 @@ from bitextkit.moore import (
     EM_ITERATIONS,
     THETA1,
     THETA2,
+    check_theta1,
+    check_theta2,
     length_pass,
     moore_align,
     save_table,
@@ -238,6 +240,9 @@ class PipelineConfig:
             raise ValueError(f"unknown en segmenter {self.en_sbd!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        check_min_score(self.min_score)
+        check_theta1(self.theta1)
+        check_theta2(self.theta2)
 
 
 _PATH_KEYS = ("input", "output", "patterns", "abbreviations", "params_file", "mt_src", "mt_tgt")
@@ -263,7 +268,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             else:
                 kwargs[key] = value
         return PipelineConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

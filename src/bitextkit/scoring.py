@@ -46,16 +46,6 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-#: A sentence's token count and its n-gram counts of orders 1..n_max.
-NgramProfile = tuple[int, tuple[Counter, ...]]
-
-
-def ngram_profile(tokens: Sequence[str], n_max: int) -> NgramProfile:
-    """What :func:`profile_bleu` needs of one sentence, so a sentence scored
-    against many others is counted once."""
-    return len(tokens), tuple(ngram_counts(tokens, n) for n in range(1, n_max + 1))
-
-
 def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
     return sum(min(hyp_counts[g], ref_counts[g]) for g in hyp_counts.keys() & ref_counts.keys())
 
@@ -63,7 +53,8 @@ def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
 def _bleu(
     matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int, cfg: BleuConfig
 ) -> float:
-    """Smoothed precisions of the orders with n-grams, times the brevity penalty."""
+    """Smoothed precisions of the orders with n-grams, times the brevity
+    penalty. ``bleualign.score_matrix`` repeats this arithmetic in this order."""
     precisions = [
         (m if m > 0 else cfg.epsilon) / t for m, t in zip(matches, totals) if t > 0
     ]
@@ -79,16 +70,6 @@ def _brevity_penalty(hyp_len: int, ref_len: int, cfg: BleuConfig) -> float:
     return min(1.0, math.exp(1.0 - ref_len / hyp_len))
 
 
-def profile_bleu(hyp: NgramProfile, ref: NgramProfile, cfg: BleuConfig) -> float:
-    """:func:`sentence_bleu` of two :func:`ngram_profile` results built with
-    ``cfg.n_max``."""
-    hyp_len, hyp_counts = hyp
-    ref_len, ref_counts = ref
-    matches = [_clipped_matches(h, r) for h, r in zip(hyp_counts, ref_counts)]
-    totals = [hyp_len - n for n in range(len(hyp_counts))]
-    return _bleu(matches, totals, hyp_len, ref_len, cfg)
-
-
 def sentence_bleu(
     hyp_tokens: Sequence[str], ref_tokens: Sequence[str], cfg: BleuConfig = BleuConfig()
 ) -> float:
@@ -99,9 +80,12 @@ def sentence_bleu(
     zero matches contributes epsilon instead; multiplied by the brevity
     penalty min(1, e^(1 - |ref|/|hyp|)). Empty hypotheses score 0.
     """
-    return profile_bleu(
-        ngram_profile(hyp_tokens, cfg.n_max), ngram_profile(ref_tokens, cfg.n_max), cfg
-    )
+    matches = [
+        _clipped_matches(ngram_counts(hyp_tokens, n), ngram_counts(ref_tokens, n))
+        for n in range(1, cfg.n_max + 1)
+    ]
+    totals = [len(hyp_tokens) - n for n in range(cfg.n_max)]
+    return _bleu(matches, totals, len(hyp_tokens), len(ref_tokens), cfg)
 
 
 def corpus_bleu(

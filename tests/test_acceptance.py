@@ -30,7 +30,6 @@ from bitextkit.gale_church import (
     LengthParams,
     estimate_length_params,
     gc_align,
-    gc_cost,
     norm_cdf,
 )
 from bitextkit.moore import length_pass, moore_align, train_ibm1, train_lexicon
@@ -49,6 +48,7 @@ from bitextkit.sbd import (
     train_punkt,
 )
 from bitextkit.scoring import sentence_bleu
+from test_gale_church import gc_cost
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"

@@ -2,6 +2,7 @@
 filling, and the bidirectional intersection."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from bitextkit.bleualign import ScoreMatrix, bleualign, find_anchors, score_matrix
 from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.gale_church import LengthParams
-from bitextkit.scoring import BleuConfig, sentence_bleu, tokenize
+from bitextkit.scoring import BleuConfig, _bleu, ngram_counts, sentence_bleu, tokenize
 
 
 def brute_force_chain(m: ScoreMatrix, min_score: float) -> list[tuple[int, int]]:
@@ -107,6 +108,51 @@ def sentence_lists(draw, lang, max_sentences=4):
     return draw(st.lists(sentence, min_size=1, max_size=max_sentences))
 
 
+def dense_score_matrix(src_translation, tgt, cfg: BleuConfig) -> ScoreMatrix:
+    """The score matrix that the sparse one replaced: every (hypothesis,
+    reference) cell intersects the two sentences' n-gram counts of each order
+    and scores the clipped matches with ``scoring._bleu``."""
+
+    def profile(sentence, lang):
+        tokens = tokenize(sentence, lang)
+        return len(tokens), [ngram_counts(tokens, n) for n in range(1, cfg.n_max + 1)]
+
+    def cell(hyp, ref):
+        (hyp_len, hyp_counts), (ref_len, ref_counts) = hyp, ref
+        matches = [
+            sum(min(h[g], r[g]) for g in h.keys() & r.keys())
+            for h, r in zip(hyp_counts, ref_counts)
+        ]
+        totals = [hyp_len - n for n in range(cfg.n_max)]
+        return _bleu(matches, totals, hyp_len, ref_len, cfg)
+
+    hyps = [profile(s, src_translation.language) for s in src_translation.sentences]
+    refs = [profile(s, tgt.language) for s in tgt.sentences]
+    return ScoreMatrix(tuple(tuple(cell(h, r) for r in refs) for h in hyps))
+
+
+SHARED_BIGRAM = {"en": "of the", "zh": "研究"}
+
+
+@st.composite
+def documents(draw, lang, shared):
+    """0-30 sentences of 0-10 tokens from a small vocabulary, so n-grams
+    repeat within and across sentences; with ``shared`` every sentence
+    starts with the same bigram, so nearly every cell has matches. A
+    SentenceList rejects blank sentences, so a stand-in with the two fields
+    score_matrix reads carries them."""
+    words = EN_WORDS if lang == "en" else ZH_TOKENS
+    sep = " " if lang == "en" else ""
+    size = draw(st.integers(0, 30))
+    sentences = draw(
+        st.lists(st.lists(st.sampled_from(words), max_size=10), min_size=size, max_size=size)
+    )
+    prefix = [SHARED_BIGRAM[lang]] if shared else []
+    return SimpleNamespace(
+        language=lang, sentences=tuple(sep.join(prefix + s) for s in sentences)
+    )
+
+
 def sl(doc_id, lang, sentences):
     return SentenceList(doc_id, lang, tuple(sentences), (0,) * len(sentences))
 
@@ -145,6 +191,21 @@ class TestScoreMatrix:
             for h in mt.sentences
         )
         assert m.entries == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        lang=st.sampled_from(("en", "zh")),
+        shared=st.booleans(),
+        n_max=st.integers(1, 4),
+        brevity=st.booleans(),
+        epsilon=st.sampled_from((0.01, 0.5)),
+    )
+    def test_equals_the_dense_matrix(self, data, lang, shared, n_max, brevity, epsilon):
+        mt = data.draw(documents(lang, shared))
+        tgt = data.draw(documents(lang, shared))
+        cfg = BleuConfig(n_max=n_max, epsilon=epsilon, use_brevity_penalty=brevity)
+        assert score_matrix(mt, tgt, cfg).entries == dense_score_matrix(mt, tgt, cfg).entries
 
 
 class TestFindAnchors:

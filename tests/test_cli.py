@@ -1,6 +1,7 @@
 """Each subcommand exercised through ``main()`` the way the console script calls it."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,27 @@ class TestRun:
         assert main(["--config", str(config), "--jobs", jobs, "run"]) == 1
         assert main(["--jobs", jobs, "align", str(stages / "s" / "02_sbd"), str(tmp_path / "a")]) == 1
         assert capsys.readouterr().err.count("jobs must be >= 1") == 2
+        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, method",
+        [("min_score", 1.0, "bleualign"), ("theta1", 0.5, "moore"), ("theta2", math.nan, "moore")],
+    )
+    def test_bad_aligner_threshold_fails_before_any_stage(
+        self, tmp_path, capsys, stages, key, value, method
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"input": str(RAW), "output": "out", "method": method, key: value}),
+            encoding="utf-8",
+        )
+        assert main(["--config", str(config), "run"]) == 1
+        flag = "--" + key.replace("_", "-")
+        sbd = str(stages / "s" / "02_sbd")
+        assert main(["align", sbd, str(tmp_path / "a"), "--method", method, flag, str(value)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: {key} must be in" in err
+        assert err.count(f"{key} must be in") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
 

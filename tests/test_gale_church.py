@@ -18,11 +18,22 @@ from bitextkit.gale_church import (
     _log_match,
     estimate_length_params,
     gc_align,
-    gc_cost,
     load_length_params,
     norm_cdf,
     save_length_params,
 )
+
+
+def gc_cost(
+    bead_type: tuple[int, int], src_chars: int, tgt_chars: int, params: LengthParams
+) -> float:
+    """Negative log probability of one bead given block character lengths:
+    the step cost the lattice search must add up."""
+    if bead_type not in params.priors:
+        raise ValueError(f"unknown bead type {bead_type!r}")
+    return -math.log(params.priors[bead_type]) - _log_match(
+        src_chars, tgt_chars, params.c, params.s2
+    )
 
 
 def phi(x: float) -> float:

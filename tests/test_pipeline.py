@@ -4,6 +4,7 @@ import dataclasses
 import datetime
 import json
 import logging
+import math
 import shutil
 import string
 import unicodedata
@@ -230,6 +231,20 @@ class TestCorpusStats:
         self.assert_stats_rows(tmp_path / "stats.tsv", bitext, split_of)
 
 
+# out-of-range values of each aligner threshold, NaN among them
+BAD_THRESHOLDS = [
+    ("min_score", 1.0),
+    ("min_score", -0.01),
+    ("min_score", math.nan),
+    ("theta1", 0.5),
+    ("theta1", 1.0),
+    ("theta1", math.nan),
+    ("theta2", 0.0),
+    ("theta2", 1.0),
+    ("theta2", math.nan),
+]
+
+
 class TestLoadConfig:
     def write(self, tmp_path, payload):
         path = tmp_path / "config.json"
@@ -297,6 +312,12 @@ class TestLoadConfig:
     def test_bad_jobs_rejected(self, tmp_path):
         path = self.write(tmp_path, {"input": "raw", "output": "out", "jobs": 0})
         with pytest.raises(ValueError, match="jobs"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", BAD_THRESHOLDS)
+    def test_bad_aligner_threshold_rejected(self, tmp_path, key, value):
+        path = self.write(tmp_path, {"input": "raw", "output": "out", key: value})
+        with pytest.raises(ValueError, match=rf"config\.json: {key} must be in"):
             load_config(path)
 
 
