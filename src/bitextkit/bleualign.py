@@ -16,7 +16,7 @@ from functools import cache
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
-from bitextkit.scoring import BleuConfig, _brevity_penalty, ngram_counts, sentence_bleu, tokenize
+from bitextkit.scoring import BleuConfig, _brevity_penalty, ngram_counts, sentence_bleu
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def score_matrix(
     one ``exp``. The per-order logs are summed in the order ``_bleu`` sums
     them, so the result is the same also where ``sum`` is compensated.
     """
-    refs = [tokenize(s, tgt.language) for s in tgt.sentences]
+    refs = tgt.tokens
     index: list[dict] = [{} for _ in range(cfg.n_max)]
     for j, tokens in enumerate(refs):
         for n, grams in enumerate(index, 1):
@@ -59,8 +59,7 @@ def score_matrix(
     log_precision = cache(lambda m, t: math.log((m if m > 0 else cfg.epsilon) / t))
     penalty = cache(lambda hyp_len, ref_len: _brevity_penalty(hyp_len, ref_len, cfg))
     rows = []
-    for s in src_translation.sentences:
-        tokens = tokenize(s, src_translation.language)
+    for tokens in src_translation.tokens:
         hyp_len = len(tokens)
         logs = []
         # the n-gram totals of the orders the hypothesis is long enough to populate
@@ -198,9 +197,7 @@ def _one_direction(
 ) -> list[Bead]:
     m = score_matrix(src_translation, tgt, cfg)
     anchors = find_anchors(m, min_score)
-    mt_tokens = [tokenize(s, src_translation.language) for s in src_translation.sentences]
-    tgt_tokens = [tokenize(s, tgt.language) for s in tgt.sentences]
-    anchor_beads = _grow_anchors(anchors, m, mt_tokens, tgt_tokens, cfg)
+    anchor_beads = _grow_anchors(anchors, m, src_translation.tokens, tgt.tokens, cfg)
     return _fill_gaps(anchor_beads, src, tgt, params)
 
 

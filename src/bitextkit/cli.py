@@ -62,6 +62,7 @@ def _configure_logging(fmt: str) -> None:
 
 
 def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]:
+    """Rows of a TSV with min_cols to max_cols fields, the same number on every line."""
     rows = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line:
@@ -72,6 +73,9 @@ def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]
                 f"{path} line {lineno}: expected {min_cols}-{max_cols} tab-separated fields"
             )
         rows.append(fields)
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise FormatError(f"{path}: mixed column counts {sorted(widths)}")
     return rows
 
 
@@ -146,9 +150,6 @@ def _cmd_align(args) -> int:
 
 def _cmd_dedup(args) -> int:
     rows = _read_tsv(Path(args.input), 2, 3)
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise FormatError(f"{args.input}: mixed column counts {sorted(widths)}")
     kept, removed = dedup_pairs(rows)
     write_text(args.output, "".join("\t".join(r) + "\n" for r in kept))
     print(f"kept {len(kept)} pairs, removed {removed} duplicates -> {args.output}")

@@ -20,7 +20,10 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+from bitextkit.scoring import tokenize
 
 #: Bead shapes that may appear in alignments (the types observed in the
 #: hand-aligned reference data).
@@ -107,6 +110,11 @@ class SentenceList:
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each sentence's scoring tokens (:func:`scoring.tokenize`), worked out on first use."""
+        return tuple(tuple(tokenize(s, self.language)) for s in self.sentences)
 
     def paragraph_spans(self) -> list[tuple[int, int]]:
         """(start, end) sentence ranges of each paragraph, in order."""

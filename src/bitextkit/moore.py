@@ -12,17 +12,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
-from bitextkit.scoring import tokenize
+from bitextkit.gale_church import _RAW_PRIORS as _GC_RAW_PRIORS
 
 log = logging.getLogger(__name__)
 
 #: Lattice moves; no 2-2 merging in this model.
 MOORE_MOVES = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2))
 
-_RAW_PRIORS = {(1, 1): 0.89, (1, 0): 0.0099, (0, 1): 0.0099, (2, 1): 0.0445, (1, 2): 0.0445}
+_RAW_PRIORS = {k: _GC_RAW_PRIORS[k] for k in MOORE_MOVES}
 _RAW_SUM = sum(_RAW_PRIORS.values())
 PRIORS = {k: v / _RAW_SUM for k, v in _RAW_PRIORS.items()}
 _LOG_PRIORS = {k: math.log(v) for k, v in PRIORS.items()}
@@ -101,10 +102,6 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
     return post
 
 
-def _token_lengths(sl: SentenceList) -> list[int]:
-    return [len(tokenize(s, sl.language)) for s in sl.sentences]
-
-
 def _length_model(slen: list[int], tlen: list[int]):
     """log P(bead) = log prior + log Poisson(target tokens; source tokens * r)."""
     r = sum(tlen) / sum(slen) if sum(slen) else 1.0
@@ -130,6 +127,12 @@ def check_theta2(theta2: float) -> None:
         raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
 
 
+def check_em_iterations(iterations: int) -> None:
+    """Raise ValueError unless iterations is an integer >= 1 (not a bool)."""
+    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
+        raise ValueError(f"em_iterations must be an integer >= 1, got {iterations!r}")
+
+
 def length_pass(
     src: SentenceList, tgt: SentenceList, theta1: float = THETA1
 ) -> tuple[list[list[float]], list[tuple[int, int]]]:
@@ -143,7 +146,8 @@ def length_pass(
     check_theta1(theta1)
     if len(src) == 0 or len(tgt) == 0:
         return [[0.0] * len(tgt) for _ in range(len(src))], []
-    post = _forward_backward(len(src), len(tgt), _length_model(_token_lengths(src), _token_lengths(tgt)))
+    length_model = _length_model([len(ts) for ts in src.tokens], [len(ts) for ts in tgt.tokens])
+    post = _forward_backward(len(src), len(tgt), length_model)
     confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta1]
     return post, confident
 
@@ -157,18 +161,21 @@ class TranslationTable:
     tgt_counts: dict = field(default_factory=dict)
     ll_history: tuple = ()
 
-    @property
-    def src_vocab(self) -> set:
-        return set(self.t) - {NULL_TOKEN}
+    @cached_property
+    def src_vocab(self) -> frozenset:
+        return frozenset(self.t) - {NULL_TOKEN}
 
-    @property
-    def tgt_vocab(self) -> set:
-        return {w for dist in self.t.values() for w in dist}
+    @cached_property
+    def tgt_vocab(self) -> frozenset:
+        return frozenset(w for dist in self.t.values() for w in dist)
+
+    @cached_property
+    def _unigram_denominator(self) -> int:
+        """Counted tokens plus one per counted type plus one for unseen words."""
+        return sum(self.tgt_counts.values()) + len(self.tgt_counts) + 1
 
     def unigram(self, word: str) -> float:
-        total = sum(self.tgt_counts.values())
-        vocab = len(self.tgt_counts) + 1
-        return (self.tgt_counts.get(word, 0) + 1) / (total + vocab)
+        return (self.tgt_counts.get(word, 0) + 1) / self._unigram_denominator
 
 
 def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable:
@@ -179,8 +186,7 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
     expected counts and renormalizes. The per-iteration corpus
     log-likelihood is recorded on the result.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_em_iterations(iterations)
     pairs = [(list(s), list(t)) for s, t in pairs]
     if not pairs:
         raise ValueError("empty training pair list")
@@ -284,11 +290,7 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
     if lexical:
         src_tokens = [_map_oov(ts, src_vocab) for ts in src_tokens]
         tgt_tokens = [_map_oov(ts, tgt_vocab) for ts in tgt_tokens]
-        counts = table.tgt_counts
-        denom = sum(counts.values()) + len(counts) + 1  # TranslationTable.unigram's, summed once
-        log_unigram = {
-            w: math.log((counts.get(w, 0) + 1) / denom) for w in {w for ts in tgt_tokens for w in ts}
-        }
+        log_unigram = {w: math.log(table.unigram(w)) for w in {w for ts in tgt_tokens for w in ts}}
         for i, toks in enumerate(src_tokens):
             k = len(toks) + 1
             context = [NULL_TOKEN] + [s for ts in src_tokens[i : i + 2] for s in ts]
@@ -329,9 +331,7 @@ def moore_align(
         beads = [Bead((i,), (), None, "moore") for i in range(S)]
         beads += [Bead((), (j,), None, "moore") for j in range(T)]
         return AlignmentSet(tuple(beads), S, T)
-    src_tokens = [tokenize(s, src.language) for s in src.sentences]
-    tgt_tokens = [tokenize(t, tgt.language) for t in tgt.sentences]
-    log_bead, lexical = _bead_scorer(src_tokens, tgt_tokens, table)
+    log_bead, lexical = _bead_scorer(src.tokens, tgt.tokens, table)
     if not lexical:
         log.warning(
             "%s: translation table shares no vocabulary with the document; using length model only",
@@ -364,12 +364,9 @@ def train_lexicon(
 ) -> TranslationTable:
     """Pool confident pairs from (src, tgt, pairs) triples, map rare words
     to OTHER, and train one translation table for the corpus."""
-    token_pairs = []
-    for src, tgt, confident in docs_with_pairs:
-        for i, j in confident:
-            token_pairs.append(
-                (tokenize(src.sentences[i], src.language), tokenize(tgt.sentences[j], tgt.language))
-            )
+    token_pairs = [
+        (src.tokens[i], tgt.tokens[j]) for src, tgt, confident in docs_with_pairs for i, j in confident
+    ]
     if not token_pairs:
         raise ValueError("no confident sentence pairs to train on")
     return train_ibm1(map_rare_tokens(token_pairs), iterations)

@@ -45,6 +45,7 @@ from bitextkit.moore import (
     EM_ITERATIONS,
     THETA1,
     THETA2,
+    check_em_iterations,
     check_theta1,
     check_theta2,
     length_pass,
@@ -243,6 +244,7 @@ class PipelineConfig:
         check_min_score(self.min_score)
         check_theta1(self.theta1)
         check_theta2(self.theta2)
+        check_em_iterations(self.em_iterations)
 
 
 _PATH_KEYS = ("input", "output", "patterns", "abbreviations", "params_file", "mt_src", "mt_tgt")
@@ -538,10 +540,14 @@ def _stage_dedup(
 
 
 def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
-    """Assign articles to splits; returns the split of each pair_id."""
+    """Assign articles to splits; returns the split of each pair_id. Rows of
+    an article not in ``pairs`` fail before anything is written."""
     per_article: dict[str, int] = {}
     for pair_id, _, _ in bitext:
         per_article[pair_id] = per_article.get(pair_id, 0) + 1
+    unknown = sorted(set(per_article) - {src_meta.pair_id for src_meta, _ in pairs})
+    if unknown:
+        raise ValueError(f"bitext rows of articles not in the metadata: {', '.join(unknown)}")
     articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
     stage_dir = Path(config.output) / "05_split"

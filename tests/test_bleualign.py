@@ -139,8 +139,8 @@ def documents(draw, lang, shared):
     """0-30 sentences of 0-10 tokens from a small vocabulary, so n-grams
     repeat within and across sentences; with ``shared`` every sentence
     starts with the same bigram, so nearly every cell has matches. A
-    SentenceList rejects blank sentences, so a stand-in with the two fields
-    score_matrix reads carries them."""
+    SentenceList rejects blank sentences, so a stand-in with the fields
+    score_matrix and the dense reference read carries them."""
     words = EN_WORDS if lang == "en" else ZH_TOKENS
     sep = " " if lang == "en" else ""
     size = draw(st.integers(0, 30))
@@ -148,8 +148,9 @@ def documents(draw, lang, shared):
         st.lists(st.lists(st.sampled_from(words), max_size=10), min_size=size, max_size=size)
     )
     prefix = [SHARED_BIGRAM[lang]] if shared else []
+    sentences = tuple(sep.join(prefix + s) for s in sentences)
     return SimpleNamespace(
-        language=lang, sentences=tuple(sep.join(prefix + s) for s in sentences)
+        language=lang, sentences=sentences, tokens=tuple(tuple(tokenize(t, lang)) for t in sentences)
     )
 
 

@@ -117,6 +117,21 @@ class TestRun:
         assert err.count(f"{key} must be in") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("method, value", [("moore", 0), ("gc", -3)])
+    def test_bad_em_iterations_fails_before_any_stage(self, tmp_path, capsys, stages, method, value):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"input": str(RAW), "output": "out", "method": method, "em_iterations": value}),
+            encoding="utf-8",
+        )
+        assert main(["--config", str(config), "run"]) == 1
+        sbd = str(stages / "s" / "02_sbd")
+        assert main(["align", sbd, str(tmp_path / "a"), "--method", method, "--iterations", str(value)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: em_iterations must be an integer >= 1" in err
+        assert err.count("em_iterations must be") == 2
+        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
+
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
@@ -210,6 +225,14 @@ class TestPairCommands:
         assert main(["dedup", str(src), str(tmp_path / "kept.tsv")]) == 1
         assert "mixed column counts" in capsys.readouterr().err
 
+    def test_stats_mixed_columns_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "pairs.tsv"
+        src.write_text("A01\t患者。\tThe patient.\n随访\tFollow up\n", encoding="utf-8")
+        assert main(["stats", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert "mixed column counts [2, 3]" in captured.err
+        assert "articles=" not in captured.out
+
     def test_stats(self, tmp_path, capsys):
         src = tmp_path / "pairs.tsv"
         src.write_text("A01\t患者。\tThe patient.\nA02\t随访\tFollow up\n", encoding="utf-8")
@@ -242,6 +265,13 @@ class TestPairCommands:
         assert len(manifest) == 12
         splits = [line.split("\t")[1] for line in manifest]
         assert splits.count("test") == 2 and splits.count("dev") == 2
+
+    def test_split_unknown_article_fails_before_writing(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("A01\t甲。\tAlpha.\nZ99\t乙。\tBeta.\nX42\t丙。\tGamma.\n", encoding="utf-8")
+        assert main(["split", str(pairs), str(RAW), str(tmp_path / "out")]) == 1
+        assert "not in the metadata: X42, Z99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBleuCommand:

@@ -61,6 +61,16 @@ class TestModelValidation:
             # paragraph indices must be non-decreasing
             SentenceList("d", "en", ("a.", "b."), (1, 0))
 
+    def test_sentence_list_tokens_are_derived_not_a_field(self):
+        sl = SentenceList("d", "en", ("The patient's fever.", "It fell."), (0, 0))
+        zh = SentenceList("z", "zh", ("患者CT正常。",), (0,))
+        before = (repr(sl), hash(sl))
+        assert sl.tokens == (("The", "patient's", "fever", "."), ("It", "fell", "."))
+        assert zh.tokens == (("患", "者", "CT", "正", "常", "。"),)
+        assert sl.tokens is sl.tokens
+        assert (repr(sl), hash(sl)) == before
+        assert sl == SentenceList("d", "en", sl.sentences, sl.paragraph_index)
+
     def test_validate_reports_gaps_in_index_blocks(self):
         aset = AlignmentSet((Bead((0, 2), (0,), None, "gc"),), 3, 1)
         assert any("contiguous" in p for p in validate_alignment(aset))

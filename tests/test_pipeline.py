@@ -314,6 +314,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="jobs"):
             load_config(path)
 
+    @pytest.mark.parametrize("method", ["moore", "gc"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "4", True])
+    def test_bad_em_iterations_rejected(self, tmp_path, method, value):
+        path = self.write(
+            tmp_path, {"input": "raw", "output": "out", "method": method, "em_iterations": value}
+        )
+        with pytest.raises(ValueError, match=r"config\.json: em_iterations must be an integer >= 1"):
+            load_config(path)
+
     @pytest.mark.parametrize("key, value", BAD_THRESHOLDS)
     def test_bad_aligner_threshold_rejected(self, tmp_path, key, value):
         path = self.write(tmp_path, {"input": "raw", "output": "out", key: value})
