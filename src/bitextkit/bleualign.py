@@ -145,14 +145,16 @@ def _grow_anchors(
     for i, j in anchors:
         base = m[i, j]
         options = []
-        if j + 1 < T and j + 1 not in used_tgt:
-            options.append(((i,), (j, j + 1), sentence_bleu(mt_tokens[i], tgt_tokens[j] + tgt_tokens[j + 1], cfg)))
-        if j - 1 >= 0 and j - 1 not in used_tgt:
-            options.append(((i,), (j - 1, j), sentence_bleu(mt_tokens[i], tgt_tokens[j - 1] + tgt_tokens[j], cfg)))
-        if i + 1 < S and i + 1 not in used_src:
-            options.append(((i, i + 1), (j,), sentence_bleu(mt_tokens[i] + mt_tokens[i + 1], tgt_tokens[j], cfg)))
-        if i - 1 >= 0 and i - 1 not in used_src:
-            options.append(((i - 1, i), (j,), sentence_bleu(mt_tokens[i - 1] + mt_tokens[i], tgt_tokens[j], cfg)))
+        for src_ix, tgt_ix, added, used, size in (
+            ((i,), (j, j + 1), j + 1, used_tgt, T),
+            ((i,), (j - 1, j), j - 1, used_tgt, T),
+            ((i, i + 1), (j,), i + 1, used_src, S),
+            ((i - 1, i), (j,), i - 1, used_src, S),
+        ):
+            if 0 <= added < size and added not in used:
+                hyp = [w for k in src_ix for w in mt_tokens[k]]
+                ref = [w for k in tgt_ix for w in tgt_tokens[k]]
+                options.append((src_ix, tgt_ix, sentence_bleu(hyp, ref, cfg)))
         grown = max(options, key=lambda o: o[2], default=None)
         if grown is not None and grown[2] > base:
             src_ix, tgt_ix, score = grown

@@ -15,10 +15,13 @@ from pathlib import Path
 
 from bitextkit import __version__
 from bitextkit.core import (
+    SRC_LANG,
+    TGT_LANG,
     FormatError,
     read_alignments,
     read_documents,
     read_metadata,
+    read_records,
     read_sentences,
     write_documents,
     write_text,
@@ -63,16 +66,13 @@ def _configure_logging(fmt: str) -> None:
 
 def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]:
     """Rows of a TSV with min_cols to max_cols fields, the same number on every line."""
-    rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = tuple(line.split("\t"))
+
+    def parse(fields, lineno):
         if not min_cols <= len(fields) <= max_cols:
-            raise FormatError(
-                f"{path} line {lineno}: expected {min_cols}-{max_cols} tab-separated fields"
-            )
-        rows.append(fields)
+            raise ValueError(f"expected {min_cols}-{max_cols} tab-separated fields")
+        return tuple(fields)
+
+    rows = read_records(path, parse)
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise FormatError(f"{path}: mixed column counts {sorted(widths)}")
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bleu", help="BLEU of line-parallel files")
     s.add_argument("hyp", type=Path)
     s.add_argument("ref", type=Path)
-    s.add_argument("--lang", default="en", help="tokenizer language")
+    s.add_argument("--lang", choices=(SRC_LANG, TGT_LANG), default=TGT_LANG, help="tokenizer language")
     s.add_argument("--n-max", type=int, default=BleuConfig.n_max)
     s.add_argument("--sentence", action="store_true", help="print one score per line")
     s.set_defaults(func=_cmd_bleu)

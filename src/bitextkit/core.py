@@ -251,60 +251,66 @@ _META_FIELDS = "id, pair_id, language, date, article_type"
 META_FILENAME = "metadata.tsv"
 
 
-def _iter_metadata(meta_path: Path):
+def read_records(path: str | Path, parse, comments: bool = False) -> list:
+    """Call ``parse(fields, lineno)`` on each line of a record file, split
+    on tabs, and return the results in order.
+
+    Empty lines are skipped; with ``comments`` so are whitespace-only lines
+    and lines whose first non-blank character is ``#``. A ``ValueError``
+    from ``parse`` becomes a :class:`FormatError` naming the file and line.
+    """
+    path = Path(path)
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line or (comments and line.lstrip()[:1] in ("", "#")):
+            continue
+        try:
+            records.append(parse(line.split("\t"), lineno))
+        except ValueError as exc:
+            raise FormatError(f"{path} line {lineno}: {exc}") from exc
+    return records
+
+
+def _read_metadata(meta_path: Path, load=lambda meta: meta) -> list:
     if not meta_path.is_file():
         raise FormatError(f"{meta_path}: metadata file not found")
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(
-        meta_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+
+    def parse(fields, lineno):
         if len(fields) != 5:
-            raise FormatError(
-                f"{meta_path} line {lineno}: expected 5 tab-separated fields "
-                f"({_META_FIELDS})"
-            )
-        doc_id, pair_id, language, date_s, article_type = fields
-        try:
-            date = datetime.date.fromisoformat(date_s)
-        except ValueError as exc:
-            raise FormatError(
-                f"{meta_path} line {lineno}: bad date {date_s!r} (expected ISO-8601)"
-            ) from exc
-        try:
-            meta = ArticleMeta(doc_id, pair_id, language, date, article_type)
-        except ValueError as exc:
-            raise FormatError(f"{meta_path} line {lineno}: {exc}") from exc
+            raise ValueError(f"expected 5 tab-separated fields ({_META_FIELDS})")
+        doc_id, pair_id, language, date, article_type = fields
+        meta = ArticleMeta(
+            doc_id, pair_id, language, datetime.date.fromisoformat(date), article_type
+        )
         first = first_line.setdefault(doc_id, lineno)
         if first != lineno:
-            raise FormatError(
-                f"{meta_path} line {lineno}: doc_id {doc_id!r} already on line {first}"
-            )
-        yield lineno, meta
+            raise ValueError(f"doc_id {doc_id!r} already on line {first}")
+        return load(meta)
+
+    return read_records(meta_path, parse, comments=True)
 
 
 def read_metadata(directory: str | Path) -> list[ArticleMeta]:
     """Read just the ``metadata.tsv`` of a document or sentence directory."""
-    return [m for _, m in _iter_metadata(Path(directory) / META_FILENAME)]
+    return _read_metadata(Path(directory) / META_FILENAME)
 
 
 def read_documents(directory: str | Path) -> list[Document]:
     """Read a document directory: ``metadata.tsv`` plus one ``<id>.txt`` per
     record (one paragraph per line, blank lines skipped)."""
     directory = Path(directory)
-    meta_path = directory / META_FILENAME
-    docs = []
-    for lineno, meta in _iter_metadata(meta_path):
+
+    def load(meta):
         text_path = directory / f"{meta.doc_id}.txt"
         if not text_path.is_file():
-            raise FormatError(f"{meta_path} line {lineno}: missing text file {text_path}")
+            raise ValueError(f"missing text file {text_path}")
         paragraphs = tuple(
             p for p in text_path.read_text(encoding="utf-8").splitlines() if p.strip()
         )
-        docs.append(Document(meta, paragraphs))
-    return docs
+        return Document(meta, paragraphs)
+
+    return _read_metadata(directory / META_FILENAME, load)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -342,62 +348,33 @@ def _format_score(score: float | None) -> str:
     return "NA" if score is None else repr(float(score))
 
 
-def _parse_bead_line(path, lineno: int, line: str, n_min: int, n_max: int) -> list[str]:
-    fields = line.split("\t")
-    if not n_min <= len(fields) <= n_max:
-        raise FormatError(
-            f"{path} line {lineno}: expected {n_min}-{n_max} tab-separated fields "
-            "(src_indices, tgt_indices, score, method[, note])"
-        )
-    return fields
-
-
-def _parse_indices(path, lineno: int, text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise FormatError(
-            f"{path} line {lineno}: bad index list {text!r} "
-            "(expected comma-joined integers)"
-        ) from exc
-
-
-def _parse_score(path, lineno: int, text: str) -> float | None:
-    if text == "NA":
-        return None
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise FormatError(
-            f"{path} line {lineno}: bad score {text!r} (expected decimal or NA)"
-        ) from exc
+def _parse_indices(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",")) if text else ()
 
 
 def read_alignments(path: str | Path) -> AlignmentSet:
     """Read an alignment TSV (see module docstring for the format), keeping
     the optional note column."""
-    path = Path(path)
     src_len = tgt_len = None
     beads, notes = [], []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            m = re.search(r"src_len=(\d+)\s+tgt_len=(\d+)", line)
+
+    def parse(fields, lineno):
+        nonlocal src_len, tgt_len
+        if fields[0].startswith("#") or not "".join(fields).strip():
+            m = re.search(r"src_len=(\d+)\s+tgt_len=(\d+)", "\t".join(fields))
             if m:
                 src_len, tgt_len = int(m.group(1)), int(m.group(2))
-            continue
-        fields = _parse_bead_line(path, lineno, line, 4, 5)
-        src = _parse_indices(path, lineno, fields[0])
-        tgt = _parse_indices(path, lineno, fields[1])
-        score = _parse_score(path, lineno, fields[2])
-        try:
-            beads.append(Bead(src, tgt, score, fields[3]))
-        except ValueError as exc:
-            raise FormatError(f"{path} line {lineno}: {exc}") from exc
+            return
+        if not 4 <= len(fields) <= 5:
+            raise ValueError(
+                "expected 4-5 tab-separated fields "
+                "(src_indices, tgt_indices, score, method[, note])"
+            )
+        score = None if fields[2] == "NA" else float(fields[2])
+        beads.append(Bead(_parse_indices(fields[0]), _parse_indices(fields[1]), score, fields[3]))
         notes.append(fields[4] if len(fields) > 4 and fields[4] else None)
+
+    read_records(path, parse)
     if src_len is None:
         src_len = max((i for b in beads for i in b.src), default=-1) + 1
         tgt_len = max((i for b in beads for i in b.tgt), default=-1) + 1
@@ -421,20 +398,17 @@ def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
 
 def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList:
     """Read a ``paragraph_index<TAB>sentence`` file."""
-    path = Path(path)
-    sentences, para_idx = [], []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
+
+    def parse(fields, lineno):
         if len(fields) != 2 or not fields[0].isdigit():
-            raise FormatError(
-                f"{path} line {lineno}: expected 'paragraph_index<TAB>sentence'"
-            )
-        para_idx.append(int(fields[0]))
-        sentences.append(fields[1])
+            raise ValueError("expected 'paragraph_index<TAB>sentence'")
+        return int(fields[0]), fields[1]
+
+    rows = read_records(path, parse)
     try:
-        return SentenceList(doc_id, language, tuple(sentences), tuple(para_idx))
+        return SentenceList(
+            doc_id, language, tuple(s for _, s in rows), tuple(p for p, _ in rows)
+        )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

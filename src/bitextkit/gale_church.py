@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
+from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_text
 
 #: Lattice moves as (source sentences consumed, target sentences consumed).
 GC_MOVES = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
@@ -219,30 +219,25 @@ def gc_align(
 
 def load_length_params(path: str | Path) -> LengthParams:
     """Read a key-value parameter file: ``c=``, ``s2=``, ``priors.M-N=``."""
-    c, s2 = DEFAULT_C, DEFAULT_S2
+    values = {"c": DEFAULT_C, "s2": DEFAULT_S2}
     priors = dict(DEFAULT_PRIORS)
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
+
+    def parse(fields, lineno):
+        key, sep, value = "\t".join(fields).partition("=")
         key = key.strip()
         if not sep:
-            raise ValueError(f"{path} line {lineno}: expected key=value")
-        try:
-            if key == "c":
-                c = float(value)
-            elif key == "s2":
-                s2 = float(value)
-            elif re.fullmatch(r"priors\.\d-\d", key):
-                m, n = key.split(".")[1].split("-")
-                priors[(int(m), int(n))] = float(value)
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            raise ValueError("expected key=value")
+        if key in values:
+            values[key] = float(value)
+        elif re.fullmatch(r"priors\.\d-\d", key):
+            m, n = key.split(".")[1].split("-")
+            priors[(int(m), int(n))] = float(value)
+        else:
+            raise ValueError(f"unknown key {key!r}")
+
+    read_records(path, parse, comments=True)
     try:
-        return LengthParams(c, s2, priors)
+        return LengthParams(values["c"], values["s2"], priors)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

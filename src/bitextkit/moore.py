@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList, write_text
+from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_text
 from bitextkit.gale_church import _RAW_PRIORS as _GC_RAW_PRIORS
 
 log = logging.getLogger(__name__)
@@ -388,19 +388,16 @@ def save_table(table: TranslationTable, path: str | Path) -> None:
 def load_table(path: str | Path) -> TranslationTable:
     t: dict[str, dict[str, float]] = {}
     tgt_counts: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if fields[0].startswith("#") and fields[0] != "#count":
-            continue
+
+    def parse(fields, lineno):
+        if not "".join(fields).strip() or (fields[0].startswith("#") and fields[0] != "#count"):
+            return
         if len(fields) != 3:
-            raise ValueError(f"{path} line {lineno}: expected 3 tab-separated fields")
-        try:
-            if fields[0] == "#count":
-                tgt_counts[fields[1]] = int(fields[2])
-            else:
-                t.setdefault(fields[0], {})[fields[1]] = float(fields[2])
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            raise ValueError("expected 3 tab-separated fields")
+        if fields[0] == "#count":
+            tgt_counts[fields[1]] = int(fields[2])
+        else:
+            t.setdefault(fields[0], {})[fields[1]] = float(fields[2])
+
+    read_records(path, parse)
     return TranslationTable(t, tgt_counts=tgt_counts)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from bitextkit.core import Document
+from bitextkit.core import Document, read_records
 
 logger = logging.getLogger(__name__)
 
@@ -130,19 +130,21 @@ def load_filter_rules(path: str | Path) -> FilterRules:
     ``lang:=text`` for exact paragraph matches, ``#`` comments."""
     patterns: dict[str, list] = {}
     exact: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def parse(fields, lineno):
+        line = "\t".join(fields).strip()
         lang, sep, body = line.partition(":")
         if not sep or lang not in ("zh", "en", "*") or not body:
-            raise ValueError(
-                f"{path} line {lineno}: expected 'zh:'/'en:'/'*:' prefix and a pattern"
-            )
+            raise ValueError("expected 'zh:'/'en:'/'*:' prefix and a pattern")
         if body.startswith("="):
             exact.append(body[1:])
         else:
-            patterns.setdefault(lang, []).append((line, re.compile(body)))
+            try:
+                patterns.setdefault(lang, []).append((line, re.compile(body)))
+            except re.error as exc:
+                raise ValueError(f"bad regex {body!r}: {exc}") from exc
+
+    read_records(path, parse, comments=True)
     return FilterRules(patterns, tuple(exact))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from bitextkit.core import Document, write_text
+from bitextkit.core import Document, read_records, write_text
 
 ZH_TERMINATORS = "。！？"  # 。！？
 # closing punctuation, and any further terminators, attach to the left
@@ -96,19 +96,20 @@ class AbbrevList:
     def __post_init__(self):
         object.__setattr__(self, "entries", frozenset(self.entries))
         for e in self.entries:
-            if e != e.lower() or e.endswith("."):
-                raise ValueError(
-                    f"entries: {e!r} must be lowercase without trailing period"
-                )
+            _check_abbrev(e)
+
+
+def _check_abbrev(entry: str) -> str:
+    if entry != entry.lower() or entry.endswith("."):
+        raise ValueError(f"entries: {entry!r} must be lowercase without trailing period")
+    return entry
 
 
 def load_abbrevs(path: str | Path) -> AbbrevList:
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return AbbrevList(frozenset(entries))
+    def parse(fields, lineno):
+        return _check_abbrev("\t".join(fields).strip())
+
+    return AbbrevList(frozenset(read_records(path, parse, comments=True)))
 
 
 def default_abbrevs() -> AbbrevList:
@@ -425,16 +426,15 @@ def load_punkt(path: str | Path) -> PunktModel:
     """Read a model written by :func:`save_punkt`; records of any other
     kind (the ``param`` and ``colloc`` lines of older files) are skipped."""
     scores: dict[str, dict] = {"abbrev": {}, "starter": {}}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        fields = line.split("\t")
+
+    def parse(fields, lineno):
         if fields[0] not in scores:
-            continue
+            return
         if len(fields) != 3:
-            raise ValueError(f"{path} line {lineno}: expected 3 tab-separated fields")
-        try:
-            scores[fields[0]][fields[1]] = float(fields[2])
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            raise ValueError("expected 3 tab-separated fields")
+        scores[fields[0]][fields[1]] = float(fields[2])
+
+    read_records(path, parse)
     return PunktModel(scores["abbrev"], scores["starter"])
 
 

@@ -149,6 +149,13 @@ class TestStageCommands:
         assert "ingested 24 documents" in capsys.readouterr().out
         assert (tmp_path / "docs" / "metadata.tsv").is_file()
 
+    def test_bad_regex_in_pattern_file_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("en:(unclosed\n", encoding="utf-8")
+        rc = main(["preprocess", str(RAW), str(tmp_path / "out"), "--patterns", str(bad)])
+        assert rc == 1
+        assert f"{bad} line 1: bad regex '(unclosed'" in capsys.readouterr().err
+
     def test_preprocess_artifacts(self, stages):
         pre = stages / "p" / "01_preprocess"
         assert (pre / "metadata.tsv").is_file()
@@ -298,3 +305,16 @@ class TestBleuCommand:
         )
         assert rc == 1
         assert "length mismatch" in capsys.readouterr().err
+
+    def test_lang_outside_the_pair_is_a_usage_error(self, tmp_path):
+        (tmp_path / "hyp.txt").write_text("a\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "hyp.txt"), "--lang", "fr"])
+        assert excinfo.value.code == 2
+
+    def test_zh_scores_per_character(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("甲乙丙丁\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("甲乙丙戊\n", encoding="utf-8")
+        rc = main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt"), "--lang", "zh"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "0.707107"

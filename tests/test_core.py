@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from bitextkit.cli import _read_tsv
 from bitextkit.core import (
     AlignmentSet,
     ArticleMeta,
@@ -15,6 +16,7 @@ from bitextkit.core import (
     read_alignments,
     read_documents,
     read_metadata,
+    read_records,
     read_sentences,
     validate_alignment,
     validate_gold,
@@ -23,6 +25,10 @@ from bitextkit.core import (
     write_sentences,
     write_text,
 )
+from bitextkit.gale_church import load_length_params
+from bitextkit.moore import load_table
+from bitextkit.preprocess import load_filter_rules
+from bitextkit.sbd import load_abbrevs, load_punkt
 
 
 def meta(pair_id="A01", language="zh", date="2021-03-04"):
@@ -250,3 +256,48 @@ class TestAlignmentFiles:
         path.write_text("# src_len=1\ttgt_len=1\n0;1\t0\tNA\tgc\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_alignments(path)
+
+
+class TestRecordFiles:
+    def test_skip_rules(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("a\tb\n\n   \n# note\n  # indented\nc\n", encoding="utf-8")
+        rows = read_records(path, lambda fields, lineno: (lineno, fields))
+        assert rows == [(1, ["a", "b"]), (3, ["   "]), (4, ["# note"]), (5, ["  # indented"]), (6, ["c"])]
+        assert read_records(path, lambda fields, lineno: lineno, comments=True) == [1, 6]
+
+    def test_value_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("ok\nbad\n", encoding="utf-8")
+
+        def parse(fields, lineno):
+            if fields == ["bad"]:
+                raise ValueError("not ok")
+            return fields
+
+        with pytest.raises(FormatError) as excinfo:
+            read_records(path, parse)
+        assert str(excinfo.value) == f"{path} line 2: not ok"
+
+    @pytest.mark.parametrize(
+        "name, text, read",
+        [
+            ("metadata.tsv", "A01-zh\tA01\tzh\t2021-03-04\toriginal\nshort\tline\n",
+             lambda p: read_metadata(p.parent)),
+            ("pair.tsv", "0\t0\tNA\tgc\n0\t1\tNA\n", read_alignments),
+            ("A01-en.tsv", "0\tFirst.\nx\tSecond.\n", lambda p: read_sentences(p, "A01-en", "en")),
+            ("params.txt", "c=1.0\ns2\n", load_length_params),
+            ("table.tsv", "#count\tthe\t3\n甲\tthe\n", load_table),
+            ("abbrevs.txt", "fig\nFig\n", load_abbrevs),
+            ("model.tsv", "abbrev\tdr\t1.5\nstarter\tthe\n", load_punkt),
+            ("patterns.txt", "en:^Copyright\nen:(unclosed\n", load_filter_rules),
+            ("pairs.tsv", "甲。\tAlpha.\nonly-one-field\n", lambda p: _read_tsv(p, 2, 3)),
+        ],
+        ids=["metadata", "alignments", "sentences", "length-params", "translation-table",
+             "abbreviations", "punkt", "filter-patterns", "pair-tsv"],
+    )
+    def test_every_reader_names_file_and_line(self, tmp_path, name, text, read):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{name} line 2: "):
+            read(path)
