@@ -24,7 +24,7 @@ from bitextkit.core import (
     read_records,
     read_sentences,
     write_documents,
-    write_text,
+    write_records,
 )
 from bitextkit.evaluation import alignment_type_distribution, prf1
 from bitextkit.moore import EM_ITERATIONS, THETA1, THETA2
@@ -151,7 +151,7 @@ def _cmd_align(args) -> int:
 def _cmd_dedup(args) -> int:
     rows = _read_tsv(Path(args.input), 2, 3)
     kept, removed = dedup_pairs(rows)
-    write_text(args.output, "".join("\t".join(r) + "\n" for r in kept))
+    write_records(args.output, kept)
     print(f"kept {len(kept)} pairs, removed {removed} duplicates -> {args.output}")
     return 0
 

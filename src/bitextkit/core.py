@@ -47,6 +47,20 @@ def check_language(code: str) -> str:
     return code
 
 
+_UNSAFE_ID_CHARS = re.compile(r"[/\\\t,]")
+
+
+def _check_id(name: str, value: str) -> None:
+    """An id names a file and fills TSV and CSV fields, and a metadata line
+    whose first non-blank character is ``#`` is a comment."""
+    if not value.strip():
+        raise ValueError(f"{name}: must be non-empty and not blank")
+    if value in (".", "..") or value.lstrip().startswith("#"):
+        raise ValueError(f"{name}: {value!r} may not be '.' or '..' or start with '#'")
+    if _UNSAFE_ID_CHARS.search(value) or value.splitlines() != [value]:
+        raise ValueError(f"{name}: {value!r} holds '/', '\\', a tab, a comma or a line break")
+
+
 @dataclass(frozen=True)
 class ArticleMeta:
     """Identity and provenance of one crawled article document."""
@@ -58,10 +72,8 @@ class ArticleMeta:
     article_type: str = ""
 
     def __post_init__(self):
-        if not self.doc_id:
-            raise ValueError("doc_id: must be non-empty")
-        if not self.pair_id:
-            raise ValueError("pair_id: must be non-empty")
+        for name in ("doc_id", "pair_id"):
+            _check_id(name, getattr(self, name))
         check_language(self.language)
         if not isinstance(self.date, datetime.date):
             raise ValueError("date: must be a datetime.date")
@@ -115,6 +127,11 @@ class SentenceList:
     def tokens(self) -> tuple[tuple[str, ...], ...]:
         """Each sentence's scoring tokens (:func:`scoring.tokenize`), worked out on first use."""
         return tuple(tuple(tokenize(s, self.language)) for s in self.sentences)
+
+    def join(self, indices) -> str:
+        """The sentences at ``indices`` as one text: zh sentences run on,
+        en sentences are separated by a space."""
+        return ("" if self.language == SRC_LANG else " ").join(self.sentences[i] for i in indices)
 
     def paragraph_spans(self) -> list[tuple[int, int]]:
         """(start, end) sentence ranges of each paragraph, in order."""
@@ -251,17 +268,25 @@ _META_FIELDS = "id, pair_id, language, date, article_type"
 META_FILENAME = "metadata.tsv"
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def read_records(path: str | Path, parse, comments: bool = False) -> list:
     """Call ``parse(fields, lineno)`` on each line of a record file, split
     on tabs, and return the results in order.
 
+    Only ``\\n`` ends a line, where ``\\r\\n`` and ``\\r`` read as ``\\n``.
     Empty lines are skipped; with ``comments`` so are whitespace-only lines
     and lines whose first non-blank character is ``#``. A ``ValueError``
     from ``parse`` becomes a :class:`FormatError` naming the file and line.
     """
     path = Path(path)
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), 1):
         if not line or (comments and line.lstrip()[:1] in ("", "#")):
             continue
         try:
@@ -305,9 +330,7 @@ def read_documents(directory: str | Path) -> list[Document]:
         text_path = directory / f"{meta.doc_id}.txt"
         if not text_path.is_file():
             raise ValueError(f"missing text file {text_path}")
-        paragraphs = tuple(
-            p for p in text_path.read_text(encoding="utf-8").splitlines() if p.strip()
-        )
+        paragraphs = tuple(p for p in _read_utf8(text_path).splitlines() if p.strip())
         return Document(meta, paragraphs)
 
     return _read_metadata(directory / META_FILENAME, load)
@@ -327,12 +350,26 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def write_records(path: str | Path, rows, sep: str = "\t") -> None:
+    """Write rows as ``\\n``-ended lines of their fields' ``str()`` joined by ``sep``,
+    the exact inverse of :func:`read_records`. A field holding ``sep``, ``\\n`` or ``\\r`` fails."""
+
+    def lines():
+        for lineno, row in enumerate(rows, 1):
+            try:
+                line = sep.join(row)
+            except TypeError:  # not every field is a str
+                line = sep.join(map(str, row))
+            if line.count(sep) != len(row) - 1 or "\n" in line or "\r" in line:
+                raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
+            yield line + "\n"
+
+    write_text(path, "".join(lines()))
+
+
 def write_metadata(docs: list[Document], path: str | Path) -> None:
-    lines = [
-        "\t".join([m.doc_id, m.pair_id, m.language, m.date.isoformat(), m.article_type])
-        for m in (doc.meta for doc in docs)
-    ]
-    write_text(path, "\n".join(lines) + "\n")
+    metas = (d.meta for d in docs)
+    write_records(path, ((m.doc_id, m.pair_id, m.language, m.date, m.article_type) for m in metas))
 
 
 def write_documents(docs: list[Document], directory: str | Path) -> None:
@@ -342,10 +379,6 @@ def write_documents(docs: list[Document], directory: str | Path) -> None:
     for doc in docs:
         write_text(directory / f"{doc.meta.doc_id}.txt", "\n".join(doc.paragraphs) + "\n")
     write_metadata(docs, directory / META_FILENAME)
-
-
-def _format_score(score: float | None) -> str:
-    return "NA" if score is None else repr(float(score))
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -382,18 +415,12 @@ def read_alignments(path: str | Path) -> AlignmentSet:
 
 
 def write_alignments(aset: AlignmentSet, path: str | Path) -> None:
-    lines = [f"# src_len={aset.src_len}\ttgt_len={aset.tgt_len}"]
+    rows = [(f"# src_len={aset.src_len}", f"tgt_len={aset.tgt_len}")]
     for bead, note in zip(aset.beads, aset.notes):
-        fields = [
-            ",".join(str(i) for i in bead.src),
-            ",".join(str(i) for i in bead.tgt),
-            _format_score(bead.score),
-            bead.method,
-        ]
-        if note:
-            fields.append(note)
-        lines.append("\t".join(fields))
-    write_text(path, "\n".join(lines) + "\n")
+        score = "NA" if bead.score is None else repr(float(bead.score))
+        fields = (",".join(map(str, bead.src)), ",".join(map(str, bead.tgt)), score, bead.method)
+        rows.append(fields + (note,) if note else fields)
+    write_records(path, rows)
 
 
 def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList:
@@ -414,5 +441,4 @@ def read_sentences(path: str | Path, doc_id: str, language: str) -> SentenceList
 
 
 def write_sentences(sl: SentenceList, path: str | Path) -> None:
-    lines = [f"{p}\t{s}" for p, s in zip(sl.paragraph_index, sl.sentences)]
-    write_text(path, "\n".join(lines) + "\n")
+    write_records(path, zip(map(str, sl.paragraph_index), sl.sentences))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_text
+from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
 
 #: Lattice moves as (source sentences consumed, target sentences consumed).
 GC_MOVES = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
@@ -243,7 +243,6 @@ def load_length_params(path: str | Path) -> LengthParams:
 
 
 def save_length_params(params: LengthParams, path: str | Path) -> None:
-    lines = [f"c={params.c!r}", f"s2={params.s2!r}"]
-    for (m, n), p in sorted(params.priors.items()):
-        lines.append(f"priors.{m}-{n}={p!r}")
-    write_text(path, "\n".join(lines) + "\n")
+    rows = [(f"c={params.c!r}",), (f"s2={params.s2!r}",)]
+    rows += [(f"priors.{m}-{n}={p!r}",) for (m, n), p in sorted(params.priors.items())]
+    write_records(path, rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_text
+from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
 from bitextkit.gale_church import _RAW_PRIORS as _GC_RAW_PRIORS
 
 log = logging.getLogger(__name__)
@@ -378,20 +378,19 @@ def save_table(table: TranslationTable, path: str | Path) -> None:
     Target unigram counts ride along as ``#count`` records so the lexical
     score of a reloaded table matches the in-memory one.
     """
-    lines = [f"#count\t{w}\t{table.tgt_counts[w]}" for w in sorted(table.tgt_counts)]
+    rows = [("#count", w, str(table.tgt_counts[w])) for w in sorted(table.tgt_counts)]
     for s in sorted(table.t):
-        for w, p in sorted(table.t[s].items(), key=lambda kv: (-kv[1], kv[0])):
-            lines.append(f"{s}\t{w}\t{p!r}")
-    write_text(path, "\n".join(lines) + "\n")
+        ranked = sorted(table.t[s].items(), key=lambda kv: (-kv[1], kv[0]))
+        rows += [(s, w, repr(p)) for w, p in ranked]
+    write_records(path, rows)
 
 
 def load_table(path: str | Path) -> TranslationTable:
+    """Read a :func:`save_table` file. It has no comment lines: ``#`` is a token."""
     t: dict[str, dict[str, float]] = {}
     tgt_counts: dict[str, int] = {}
 
     def parse(fields, lineno):
-        if not "".join(fields).strip() or (fields[0].startswith("#") and fields[0] != "#count"):
-            return
         if len(fields) != 3:
             raise ValueError("expected 3 tab-separated fields")
         if fields[0] == "#count":

@@ -31,8 +31,8 @@ from bitextkit.core import (
     write_alignments,
     write_documents,
     write_metadata,
+    write_records,
     write_sentences,
-    write_text,
 )
 from bitextkit.gale_church import (
     LengthParams,
@@ -245,6 +245,8 @@ class PipelineConfig:
         check_theta1(self.theta1)
         check_theta2(self.theta2)
         check_em_iterations(self.em_iterations)
+        if self.method == "bleualign" and self.mt_src is None:
+            raise ValueError("bleualign requires mt_src (directory of translation files)")
 
 
 _PATH_KEYS = ("input", "output", "patterns", "abbreviations", "params_file", "mt_src", "mt_tgt")
@@ -276,10 +278,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 # ---------------------------------------------------------------------------
 # stage helpers
-
-def _write_rows(path: Path, rows, sep: str = "\t") -> None:
-    write_text(path, "".join(sep.join(str(f) for f in row) + "\n" for row in rows))
-
 
 def pair_articles(metas: list[ArticleMeta]) -> Pairs:
     """(source, target) metadata of each article, in order of first
@@ -378,9 +376,8 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         entries.append(
             {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
         )
-    write_text(
-        Path(config.output) / "run_log.jsonl",
-        "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
+    write_records(
+        Path(config.output) / "run_log.jsonl", [(json.dumps(e, sort_keys=True),) for e in entries]
     )
     return 0
 
@@ -402,14 +399,14 @@ def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
         model = train_truecaser(post)
         post = [apply_truecaser(d, model) for d in post]
     write_documents(post, out / "01_preprocess")
-    _write_rows(out / "removal_log.tsv", removal_rows)
+    write_records(out / "removal_log.tsv", removal_rows)
     n_pre = {d.meta.doc_id: len(d.paragraphs) for d in pre}
     n_post = {d.meta.doc_id: len(d.paragraphs) for d in post}
     report = [["pair_id", "zh_pre", "en_pre", "zh_post", "en_post"]] + [
         [s.pair_id, n_pre[s.doc_id], n_pre[t.doc_id], n_post[s.doc_id], n_post[t.doc_id]]
         for s, t in pairs
     ]
-    _write_rows(out / "paragraph_report.csv", report, ",")
+    write_records(out / "paragraph_report.csv", report, ",")
     return post, pairs
 
 
@@ -435,7 +432,7 @@ def stage_sbd(
         (s.pair_id, len(sentence_lists[s.doc_id]), len(sentence_lists[t.doc_id]))
         for s, t in pairs
     ]
-    _write_rows(out / "sbd_report.csv", sbd_diff_report(counts), ",")
+    write_records(out / "sbd_report.csv", sbd_diff_report(counts), ",")
     return sentence_lists
 
 
@@ -450,8 +447,8 @@ def _corpus_length_params(
         return load_length_params(config.params_file)
     paragraph_pairs: list[tuple[str, str]] = []
     for src, tgt in doc_pairs:
-        src_paras = ["".join(src.sentences[a:b]) for a, b in src.paragraph_spans()]
-        tgt_paras = [" ".join(tgt.sentences[a:b]) for a, b in tgt.paragraph_spans()]
+        src_paras = [src.join(range(a, b)) for a, b in src.paragraph_spans()]
+        tgt_paras = [tgt.join(range(a, b)) for a, b in tgt.paragraph_spans()]
         if len(src_paras) == len(tgt_paras):
             paragraph_pairs.extend(zip(src_paras, tgt_paras))
         else:
@@ -485,8 +482,6 @@ def stage_align(
         if config.method == "gc":
             results = _pmap(gc_align, config.jobs, srcs, tgts, [params] * n)
         else:
-            if config.mt_src is None:
-                raise ValueError("bleualign requires mt_src (directory of translation files)")
             mt_srcs, mt_tgts = [], []
             for (meta, _), src, tgt in zip(pairs, srcs, tgts):
                 pair_id = meta.pair_id
@@ -524,18 +519,12 @@ def _stage_dedup(
         src, tgt = sentences[src_meta.doc_id], sentences[tgt_meta.doc_id]
         for bead in alignments[src_meta.pair_id].beads:
             if bead.src and bead.tgt:
-                rows.append(
-                    (
-                        src_meta.pair_id,
-                        "".join(src.sentences[i] for i in bead.src),
-                        " ".join(tgt.sentences[j] for j in bead.tgt),
-                    )
-                )
+                rows.append((src_meta.pair_id, src.join(bead.src), tgt.join(bead.tgt)))
     kept, removed = dedup_pairs(rows)
     stage_dir = Path(config.output) / "04_dedup"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    _write_rows(stage_dir / "pairs.tsv", kept)
-    _write_rows(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
+    write_records(stage_dir / "pairs.tsv", kept)
+    write_records(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
     return kept, removed
 
 
@@ -552,13 +541,13 @@ def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[st
     assignment = split_corpus(articles, config.split)
     stage_dir = Path(config.output) / "05_split"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    _write_rows(
+    write_records(
         stage_dir / "manifest.tsv",
         [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],
     )
     for split_name in _SPLITS:
         rows = [(s, t) for a, s, t in bitext if assignment[a] == split_name]
-        _write_rows(stage_dir / f"{split_name}.tsv", rows)
+        write_records(stage_dir / f"{split_name}.tsv", rows)
     return assignment
 
 
@@ -572,4 +561,4 @@ def _stage_stats(config: PipelineConfig, bitext: Bitext, assignment: dict[str, s
     rows = [("scope", "sentence_pairs", "src_tokens", "tgt_tokens", "articles")]
     for name, counts_in_scope in scopes:
         rows.append((name, *_sum_counts(counts_in_scope)))
-    _write_rows(Path(config.output) / "stats.tsv", rows)
+    write_records(Path(config.output) / "stats.tsv", rows)

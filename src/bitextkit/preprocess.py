@@ -127,12 +127,15 @@ class FilterRules:
 
 def load_filter_rules(path: str | Path) -> FilterRules:
     """Parse a pattern file: ``lang:regex`` per line (``lang`` is zh/en/*),
-    ``lang:=text`` for exact paragraph matches, ``#`` comments."""
+    ``lang:=text`` for exact paragraph matches, ``#`` comments. A line may
+    not hold a tab: it becomes the rule's label in the removal log."""
     patterns: dict[str, list] = {}
     exact: list[str] = []
 
     def parse(fields, lineno):
-        line = "\t".join(fields).strip()
+        if len(fields) > 1:
+            raise ValueError("a pattern line may not hold a tab")
+        line = fields[0].strip()
         lang, sep, body = line.partition(":")
         if not sep or lang not in ("zh", "en", "*") or not body:
             raise ValueError("expected 'zh:'/'en:'/'*:' prefix and a pattern")

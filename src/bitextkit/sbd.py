@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from bitextkit.core import Document, read_records, write_text
+from bitextkit.core import Document, read_records, write_records
 
 ZH_TERMINATORS = "。！？"  # 。！？
 # closing punctuation, and any further terminators, attach to the left
@@ -417,9 +417,9 @@ def segment_punkt(paragraph: str, model: PunktModel) -> list[str]:
 
 
 def save_punkt(model: PunktModel, path: str | Path) -> None:
-    lines = [f"abbrev\t{t}\t{s!r}" for t, s in sorted(model.abbreviations.items())]
-    lines += [f"starter\t{t}\t{s!r}" for t, s in sorted(model.sentence_starters.items())]
-    write_text(path, "".join(line + "\n" for line in lines))
+    rows = [("abbrev", t, repr(s)) for t, s in sorted(model.abbreviations.items())]
+    rows += [("starter", t, repr(s)) for t, s in sorted(model.sentence_starters.items())]
+    write_records(path, rows)
 
 
 def load_punkt(path: str | Path) -> PunktModel:

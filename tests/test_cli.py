@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,19 @@ class TestRun:
         assert err.count("em_iterations must be") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
+    def test_bleualign_without_mt_src_fails_before_any_stage(self, tmp_path, capsys, stages):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"input": str(RAW), "output": "out", "method": "bleualign"}), encoding="utf-8"
+        )
+        assert main(["--config", str(config), "run"]) == 1
+        sbd = str(stages / "s" / "02_sbd")
+        assert main(["align", sbd, str(tmp_path / "a"), "--method", "bleualign"]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: bleualign requires mt_src" in err
+        assert err.count("bleualign requires mt_src") == 2
+        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
+
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
@@ -155,6 +169,34 @@ class TestStageCommands:
         rc = main(["preprocess", str(RAW), str(tmp_path / "out"), "--patterns", str(bad)])
         assert rc == 1
         assert f"{bad} line 1: bad regex '(unclosed'" in capsys.readouterr().err
+
+    def test_pattern_line_with_a_tab_fails_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("en:^See\tAlso\n", encoding="utf-8")
+        rc = main(["preprocess", str(RAW), str(tmp_path / "out"), "--patterns", str(bad)])
+        assert rc == 1
+        assert f"{bad} line 1: a pattern line may not hold a tab" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_doc_id_outside_the_directory_fails_before_writing(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(RAW, raw)
+        meta = raw / "metadata.tsv"
+        text = meta.read_text(encoding="utf-8")
+        meta.write_text(text.replace("A01-zh\t", "../evil-zh\t"), encoding="utf-8")
+        shutil.copy(raw / "A01-zh.txt", tmp_path / "evil-zh.txt")
+        assert main(["preprocess", str(raw), str(tmp_path / "out")]) == 1
+        assert f"{meta} line 1: doc_id: '../evil-zh'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["evil-zh.txt", "raw"]
+
+    def test_text_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(RAW, raw)
+        (raw / "A03-en.txt").write_bytes(b"Text \xff\n")
+        assert main(["ingest", str(raw), str(tmp_path / "docs")]) == 1
+        assert f"{raw / 'A03-en.txt'}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "docs").exists()
 
     def test_preprocess_artifacts(self, stages):
         pre = stages / "p" / "01_preprocess"
@@ -279,6 +321,13 @@ class TestPairCommands:
         assert main(["split", str(pairs), str(RAW), str(tmp_path / "out")]) == 1
         assert "not in the metadata: X42, Z99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["pairs.tsv", "bitext.tsv"])
+    def test_dedup_of_deduplicated_rows_is_the_same_file(self, tmp_path, capsys, name):
+        src = CORPUS / "out" / "04_dedup" / name
+        assert main(["dedup", str(src), str(tmp_path / name)]) == 0
+        assert "removed 0 duplicates" in capsys.readouterr().out
+        assert (tmp_path / name).read_bytes() == src.read_bytes()
 
 
 class TestBleuCommand:

@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.cli import _read_tsv
 from bitextkit.core import (
@@ -22,13 +24,15 @@ from bitextkit.core import (
     validate_gold,
     write_alignments,
     write_documents,
+    write_metadata,
+    write_records,
     write_sentences,
     write_text,
 )
-from bitextkit.gale_church import load_length_params
-from bitextkit.moore import load_table
+from bitextkit.gale_church import GC_MOVES, LengthParams, load_length_params, save_length_params
+from bitextkit.moore import TranslationTable, load_table, save_table
 from bitextkit.preprocess import load_filter_rules
-from bitextkit.sbd import load_abbrevs, load_punkt
+from bitextkit.sbd import PunktModel, load_abbrevs, load_punkt, save_punkt
 
 
 def meta(pair_id="A01", language="zh", date="2021-03-04"):
@@ -76,6 +80,22 @@ class TestModelValidation:
         assert sl.tokens is sl.tokens
         assert (repr(sl), hash(sl)) == before
         assert sl == SentenceList("d", "en", sl.sentences, sl.paragraph_index)
+
+    def test_sentence_list_joins_by_its_language(self):
+        zh = SentenceList("z", "zh", ("甲。", "乙。", "丙。"), (0, 0, 1))
+        en = SentenceList("e", "en", ("One.", "Two.", "Three."), (0, 0, 1))
+        assert zh.join(range(0, 2)) == "甲。乙。"
+        assert en.join(range(0, 2)) == "One. Two."
+        assert en.join((2,)) == "Three." and en.join(()) == ""
+
+    @pytest.mark.parametrize(
+        "bad", ["../evil", "a/b", "a\\b", "a,b", "a\tb", "a\nb", "a\u2028b", ".", "..", "#x", " ", ""]
+    )
+    def test_ids_that_cannot_name_a_file_or_fill_a_field(self, bad):
+        with pytest.raises(ValueError, match="doc_id: "):
+            ArticleMeta(bad, "A01", "zh", datetime.date(2021, 3, 4))
+        with pytest.raises(ValueError, match="pair_id: "):
+            ArticleMeta("A01-zh", bad, "zh", datetime.date(2021, 3, 4))
 
     def test_validate_reports_gaps_in_index_blocks(self):
         aset = AlignmentSet((Bead((0, 2), (0,), None, "gc"),), 3, 1)
@@ -170,6 +190,23 @@ class TestDocumentFiles:
         meta_file.write_text(meta_file.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"metadata.tsv line 2: {message}"):
             read_metadata(tmp_path)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_unsafe_id_names_file_and_line(self, tmp_path, column):
+        write_documents([Document(meta(), ("段落。",))], tmp_path)
+        row = ["A02-en", "A02", "en", "2021-03-04", "original"]
+        row[column] = "../evil-en"
+        meta_file = tmp_path / "metadata.tsv"
+        with meta_file.open("a", encoding="utf-8") as f:
+            f.write("\t".join(row) + "\n")
+        with pytest.raises(FormatError, match=r"metadata.tsv line 2: (doc|pair)_id: '\.\./evil-en'"):
+            read_metadata(tmp_path)
+
+    def test_text_file_that_is_not_utf8_names_itself(self, tmp_path):
+        write_documents([Document(meta("A01", "en"), ("Fine.",))], tmp_path)
+        (tmp_path / "A01-en.txt").write_bytes(b"ok \xff\n")
+        with pytest.raises(FormatError, match=r"A01-en\.txt: 'utf-8' codec can't decode byte 0xff"):
+            read_documents(tmp_path)
 
 
 class TestAtomicWrite:
@@ -301,3 +338,142 @@ class TestRecordFiles:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=f"{name} line 2: "):
             read(path)
+
+    def test_only_a_newline_ends_a_record(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes("a\u2028b\tc\x0c\r\n\x85d\x1c\n".encode("utf-8"))
+        assert read_records(path, lambda fields, lineno: fields) == [["a\u2028b", "c\x0c"], ["\x85d\x1c"]]
+
+    def test_pattern_line_with_a_tab_names_file_and_line(self, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_text("en:^Copyright\nen:^See\tAlso\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"patterns\.txt line 2: a pattern line may not hold a tab"):
+            load_filter_rules(path)
+
+
+# Characters that str.splitlines() breaks at but a record line may hold.
+LINE_BREAKS_INSIDE_A_FIELD = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+fields = st.text(alphabet="aZ9 .#中" + LINE_BREAKS_INSIDE_A_FIELD, max_size=8)
+texts = fields.filter(str.strip)
+ids = st.text(alphabet="aZ9-", min_size=1, max_size=6)
+scores = st.floats(allow_nan=False)
+
+
+@st.composite
+def sentence_lists(draw):
+    sentences = draw(st.lists(texts, max_size=5))
+    n = len(sentences)
+    paras = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return SentenceList("d", "en", tuple(sentences), tuple(paras))
+
+
+@st.composite
+def beads(draw):
+    src = tuple(draw(st.lists(st.integers(0, 50), max_size=3)))
+    tgt = tuple(draw(st.lists(st.integers(0, 50), min_size=0 if src else 1, max_size=3)))
+    return Bead(src, tgt, draw(st.none() | scores), draw(fields))
+
+
+@st.composite
+def alignment_sets(draw):
+    bead_list = draw(st.lists(beads(), max_size=5))
+    n = len(bead_list)
+    notes = draw(st.lists(st.none() | fields.filter(bool), min_size=n, max_size=n))
+    src_len, tgt_len = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    return AlignmentSet(tuple(bead_list), src_len, tgt_len, tuple(notes))
+
+
+@st.composite
+def metadata(draw):
+    docs = []
+    for doc_id in draw(st.lists(ids, unique=True, max_size=4)):
+        language = draw(st.sampled_from(["zh", "en"]))
+        meta = ArticleMeta(doc_id, draw(ids), language, draw(st.dates()), draw(fields))
+        docs.append(Document(meta, ("p",)))
+    return docs
+
+
+@st.composite
+def length_params(draw):
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(GC_MOVES), max_size=len(GC_MOVES)))
+    priors = {m: w / sum(weights) for m, w in zip(GC_MOVES, weights)}
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    return LengthParams(draw(positive), draw(positive), priors)
+
+
+tokens = fields.filter(lambda t: t != "#count")
+translation_tables = st.builds(
+    TranslationTable,
+    st.dictionaries(tokens, st.dictionaries(tokens, scores, min_size=1, max_size=3), max_size=4),
+    tgt_counts=st.dictionaries(tokens, st.integers(0, 10**6), max_size=4),
+)
+score_maps = st.dictionaries(fields, scores, max_size=4)
+punkt_models = st.builds(PunktModel, score_maps, score_maps)
+
+
+class TestWriteRecords:
+    """Every writer's file reads back equal through its reader, whatever a
+    field holds besides a tab, ``\\n`` or ``\\r``."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("records")
+
+    @settings(max_examples=60, deadline=None)
+    @given(sl=sentence_lists())
+    def test_sentences_round_trip(self, workdir, sl):
+        write_sentences(sl, workdir / "d.tsv")
+        assert read_sentences(workdir / "d.tsv", "d", "en") == sl
+
+    @settings(max_examples=60, deadline=None)
+    @given(aset=alignment_sets())
+    def test_alignments_with_notes_round_trip(self, workdir, aset):
+        write_alignments(aset, workdir / "a.tsv")
+        assert read_alignments(workdir / "a.tsv") == aset
+
+    @settings(max_examples=60, deadline=None)
+    @given(docs=metadata())
+    def test_metadata_round_trip(self, workdir, docs):
+        write_metadata(docs, workdir / "metadata.tsv")
+        assert read_metadata(workdir) == [d.meta for d in docs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=length_params())
+    def test_length_params_round_trip(self, workdir, params):
+        save_length_params(params, workdir / "params.txt")
+        assert load_length_params(workdir / "params.txt") == params
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=translation_tables)
+    def test_translation_table_round_trip(self, workdir, table):
+        save_table(table, workdir / "table.tsv")
+        assert load_table(workdir / "table.tsv") == table
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=punkt_models)
+    def test_punkt_model_round_trip(self, workdir, model):
+        save_punkt(model, workdir / "punkt.tsv")
+        assert load_punkt(workdir / "punkt.tsv") == model
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_field_with_a_line_or_field_break_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "d.tsv"
+        write_sentences(SentenceList("d", "en", ("Old.",), (0,)), path)
+        with pytest.raises(ValueError, match=r"d\.tsv line 2: a field holds"):
+            write_sentences(SentenceList("d", "en", ("Fine.", bad), (0, 0)), path)
+        gold = AlignmentSet((Bead((0,), (0,), None, "gold"),), 1, 1, (bad,))
+        with pytest.raises(ValueError, match=r"g\.tsv line 2: "):
+            write_alignments(gold, tmp_path / "g.tsv")
+        with pytest.raises(ValueError, match=r"r\.csv line 1: "):
+            write_records(tmp_path / "r.csv", [(bad.replace("\t", ","), 1)], ",")
+        assert path.read_bytes() == b"0\tOld.\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+
+    def test_no_rows_make_an_empty_file(self, tmp_path):
+        write_sentences(SentenceList("x", "en", (), ()), tmp_path / "x.tsv")
+        write_metadata([], tmp_path / "metadata.tsv")
+        assert (tmp_path / "x.tsv").read_bytes() == (tmp_path / "metadata.tsv").read_bytes() == b""
+
+    def test_fields_are_str_of_each_value(self, tmp_path):
+        write_records(tmp_path / "r.csv", [("A01", 3, 0.5), ("x",)], ",")
+        assert (tmp_path / "r.csv").read_bytes() == b"A01,3,0.5\nx\n"
