@@ -23,6 +23,7 @@ from bitextkit.core import (
     read_metadata,
     read_records,
     read_sentences,
+    read_text,
     write_documents,
     write_records,
 )
@@ -193,8 +194,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    hyp_lines = read_text(args.hyp).splitlines()
+    ref_lines = read_text(args.ref).splitlines()
     cfg = BleuConfig(n_max=args.n_max)
     hyps = [tokenize(h, args.lang) for h in hyp_lines]
     refs = [tokenize(r, args.lang) for r in ref_lines]

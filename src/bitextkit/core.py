@@ -268,7 +268,8 @@ _META_FIELDS = "id, pair_id, language, date, article_type"
 META_FILENAME = "metadata.tsv"
 
 
-def _read_utf8(path: Path) -> str:
+def read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; a decoding error names the file."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -286,7 +287,7 @@ def read_records(path: str | Path, parse, comments: bool = False) -> list:
     """
     path = Path(path)
     records = []
-    for lineno, line in enumerate(_read_utf8(path).split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line or (comments and line.lstrip()[:1] in ("", "#")):
             continue
         try:
@@ -330,7 +331,7 @@ def read_documents(directory: str | Path) -> list[Document]:
         text_path = directory / f"{meta.doc_id}.txt"
         if not text_path.is_file():
             raise ValueError(f"missing text file {text_path}")
-        paragraphs = tuple(p for p in _read_utf8(text_path).splitlines() if p.strip())
+        paragraphs = tuple(p for p in read_text(text_path).splitlines() if p.strip())
         return Document(meta, paragraphs)
 
     return _read_metadata(directory / META_FILENAME, load)

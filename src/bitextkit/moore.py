@@ -139,13 +139,11 @@ def length_pass(
     """First pass: Poisson length lattice over the token counts of both
     sides; it needs no trained parameters.
 
-    Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors (all 0.0
-    when either side is empty) and, in row-major order, the (i, j) index
-    pairs whose posterior is >= theta1, which must lie in (0.5, 1).
+    Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors and, in
+    row-major order, the (i, j) index pairs whose posterior is >= theta1,
+    which must lie in (0.5, 1).
     """
     check_theta1(theta1)
-    if len(src) == 0 or len(tgt) == 0:
-        return [[0.0] * len(tgt) for _ in range(len(src))], []
     length_model = _length_model([len(ts) for ts in src.tokens], [len(ts) for ts in tgt.tokens])
     post = _forward_backward(len(src), len(tgt), length_model)
     confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta1]

@@ -14,7 +14,9 @@ import logging
 import time
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from hashlib import blake2b
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from bitextkit.core import (
     Document,
     SentenceList,
     read_documents,
+    read_text,
     write_alignments,
     write_documents,
     write_metadata,
@@ -45,6 +48,7 @@ from bitextkit.moore import (
     EM_ITERATIONS,
     THETA1,
     THETA2,
+    TranslationTable,
     check_em_iterations,
     check_theta1,
     check_theta2,
@@ -239,8 +243,10 @@ class PipelineConfig:
             raise ValueError(f"unknown aligner method {self.method!r}")
         if self.en_sbd not in ("rules", "punkt"):
             raise ValueError(f"unknown en segmenter {self.en_sbd!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1 and an integer, got {self.jobs!r}")
+        if not isinstance(self.truecase, bool):
+            raise ValueError(f"truecase must be true or false, got {self.truecase!r}")
         check_min_score(self.min_score)
         check_theta1(self.theta1)
         check_theta2(self.theta2)
@@ -253,15 +259,16 @@ _PATH_KEYS = ("input", "output", "patterns", "abbreviations", "params_file", "mt
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON config; relative paths resolve against the file's directory."""
+    """Read a JSON config; relative paths resolve against the file's
+    directory, and every error names the file."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    if raw.pop("hash", HASH_NAME) != HASH_NAME:
-        raise ValueError(f"{path}: unsupported hash (only {HASH_NAME})")
     kwargs: dict = {}
     try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object")
+        if raw.pop("hash", HASH_NAME) != HASH_NAME:
+            raise ValueError(f"unsupported hash (only {HASH_NAME})")
         for key, value in raw.items():
             if key in _PATH_KEYS:
                 kwargs[key] = (path.parent / value).resolve() if value is not None else None
@@ -299,15 +306,6 @@ def pair_articles(metas: list[ArticleMeta]) -> Pairs:
     return pairs
 
 
-def _pmap(fn, jobs: int, *columns: list) -> list:
-    """``fn`` over the rows of equal-length argument columns, in order; in a
-    process pool when ``jobs > 1`` and there is more than one row."""
-    if jobs <= 1 or len(columns[0]) <= 1:
-        return list(map(fn, *columns))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *columns))
-
-
 def _segment(doc: Document, abbrevs, punkt_model) -> SentenceList:
     sentences: list[str] = []
     para_idx: list[int] = []
@@ -326,7 +324,7 @@ def _segment(doc: Document, abbrevs, punkt_model) -> SentenceList:
 def _read_mt(path: Path, doc_id: str, language: str, template: SentenceList) -> SentenceList:
     if not path.is_file():
         raise FileNotFoundError(f"translation file not found: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_text(path).splitlines()]
     while lines and not lines[-1]:
         lines.pop()
     if "" in lines:
@@ -461,44 +459,45 @@ def stage_align(
     pairs: Pairs,
     sentences: dict[str, SentenceList],
 ) -> dict[str, AlignmentSet]:
-    """Align every article pair, in ``config.jobs`` processes; returns the
-    alignments keyed by pair_id."""
-    srcs = [sentences[s.doc_id] for s, _ in pairs]
-    tgts = [sentences[t.doc_id] for _, t in pairs]
-    n = len(pairs)
+    """Align every article pair, over one pool of ``config.jobs`` processes
+    when there is more than one; returns the alignments keyed by pair_id.
+    Nothing is written under ``03_align`` but the corpus model until every
+    article is aligned."""
+    columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    if config.method == "moore":
-        passes = _pmap(length_pass, config.jobs, srcs, tgts, [config.theta1] * n)
-        table = train_lexicon(
-            [(src, tgt, confident) for src, tgt, (_, confident) in zip(srcs, tgts, passes)],
-            config.em_iterations,
-        )
-        save_table(table, stage_dir / "translation_table.tsv")
-        results = _pmap(moore_align, config.jobs, srcs, tgts, [table] * n, [config.theta2] * n)
-    else:
-        params = _corpus_length_params(config, list(zip(srcs, tgts)))
-        save_length_params(params, stage_dir / "length_params.txt")
-        if config.method == "gc":
-            results = _pmap(gc_align, config.jobs, srcs, tgts, [params] * n)
+    parallel = config.jobs > 1 and len(pairs) > 1
+    with ProcessPoolExecutor(config.jobs) if parallel else nullcontext() as pool:
+        pmap = pool.map if parallel else map
+        if config.method == "moore":
+            passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
+            confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
+            if any(found for _, _, found in confident):
+                table = train_lexicon(confident, config.em_iterations)
+            else:
+                log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
+                table = TranslationTable({})
+            save_table(table, stage_dir / "translation_table.tsv")
+            align = partial(moore_align, table=table, theta2=config.theta2)
         else:
+            params = _corpus_length_params(config, list(zip(*columns)))
+            save_length_params(params, stage_dir / "length_params.txt")
+            align = partial(gc_align, params=params)
+        if config.method == "bleualign":
             mt_srcs, mt_tgts = [], []
-            for (meta, _), src, tgt in zip(pairs, srcs, tgts):
+            for (meta, _), src, tgt in zip(pairs, *columns):
                 pair_id = meta.pair_id
-                mt_src = _read_mt(
-                    Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src
+                mt_srcs.append(
+                    _read_mt(Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src)
                 )
-                mt_tgt = None
-                if config.mt_tgt is not None:
-                    mt_tgt = _read_mt(
+                mt_tgts.append(
+                    None if config.mt_tgt is None else _read_mt(
                         Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
                     )
-                mt_srcs.append(mt_src)
-                mt_tgts.append(mt_tgt)
-            results = _pmap(
-                bleualign, config.jobs, srcs, tgts, mt_srcs, mt_tgts,
-                [config.bleu] * n, [config.min_score] * n, [params] * n,
-            )
+                )
+            columns += [mt_srcs, mt_tgts]
+            align = partial(bleualign, cfg=config.bleu, min_score=config.min_score, params=params)
+        results = list(pmap(align, *columns))
     alignments: dict[str, AlignmentSet] = {}
     for (meta, _), aset in zip(pairs, results):
         alignments[meta.pair_id] = aset

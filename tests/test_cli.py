@@ -146,6 +146,37 @@ class TestRun:
         assert err.count("bleualign requires mt_src") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("truecase", "false", "truecase must be true or false, got 'false'"),
+            ("jobs", 1.5, "jobs must be >= 1 and an integer, got 1.5"),
+            ("jobs", True, "jobs must be >= 1 and an integer, got True"),
+            ("jobs", "2", "jobs must be >= 1 and an integer, got '2'"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_fails_before_any_stage(
+        self, tmp_path, capsys, key, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(RAW), "output": "out", key: value}), encoding="utf-8")
+        assert main(["--config", str(config), "run"]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"input": "raw\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b'{"input": "raw", }', "Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_config_that_does_not_parse_is_named(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        assert main(["--config", str(config), "run"]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
@@ -197,6 +228,17 @@ class TestStageCommands:
         assert main(["ingest", str(raw), str(tmp_path / "docs")]) == 1
         assert f"{raw / 'A03-en.txt'}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not (tmp_path / "docs").exists()
+
+    def test_translation_file_that_is_not_utf8_is_named(self, tmp_path, capsys, stages):
+        mt = tmp_path / "mt"
+        shutil.copytree(CORPUS / "mt_zh2en", mt)
+        with open(mt / "A01.txt", "ab") as f:
+            f.write(b"\xff")
+        sbd = str(stages / "s" / "02_sbd")
+        rc = main(["align", sbd, str(tmp_path / "a"), "--method", "bleualign", "--src-mt", str(mt)])
+        assert rc == 1
+        assert f"{mt / 'A01.txt'}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "03_align" / "A01.tsv").exists()
 
     def test_preprocess_artifacts(self, stages):
         pre = stages / "p" / "01_preprocess"
@@ -354,6 +396,14 @@ class TestBleuCommand:
         )
         assert rc == 1
         assert "length mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["hyp.txt", "ref.txt"])
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys, bad):
+        (tmp_path / "hyp.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / bad).write_bytes(b"a \xff\n")
+        assert main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt")]) == 1
+        assert f"{tmp_path / bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_lang_outside_the_pair_is_a_usage_error(self, tmp_path):
         (tmp_path / "hyp.txt").write_text("a\n", encoding="utf-8")

@@ -8,13 +8,22 @@ import math
 import shutil
 import string
 import unicodedata
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitextkit.core import ArticleMeta, SentenceList, read_alignments, validate_alignment
+from bitextkit import pipeline
+from bitextkit.core import (
+    ArticleMeta,
+    SentenceList,
+    read_alignments,
+    read_metadata,
+    read_sentences,
+    validate_alignment,
+)
 from bitextkit.gale_church import estimate_length_params
 from bitextkit.pipeline import (
     HASH_NAME,
@@ -32,6 +41,7 @@ from bitextkit.pipeline import (
     pair_hash,
     run_pipeline,
     split_corpus,
+    stage_align,
     stage_preprocess,
     stage_sbd,
 )
@@ -398,6 +408,88 @@ class TestCorpusLengthParams:
         ]
         got = _corpus_length_params(config, [mismatched, matched])
         assert got == estimate_length_params(want)
+
+
+def fixture_sentences():
+    """The article pairs and segmented sentences of the golden run."""
+    sbd = CORPUS / "out" / "02_sbd"
+    metas = read_metadata(sbd)
+    sentences = {
+        m.doc_id: read_sentences(sbd / f"{m.doc_id}.tsv", m.doc_id, m.language) for m in metas
+    }
+    return pair_articles(metas), sentences
+
+
+ALIGN_METHODS = {
+    "gc": {"method": "gc"},
+    "moore": {"method": "moore"},
+    "bleualign": {"method": "bleualign", "mt_tgt": None},
+    "bleualign-bidirectional": {"method": "bleualign"},
+}
+
+
+class TestStageAlign:
+    @pytest.mark.parametrize("changes", ALIGN_METHODS.values(), ids=list(ALIGN_METHODS))
+    def test_one_and_two_jobs_align_the_same(self, tmp_path, changes):
+        pairs, sentences = fixture_sentences()
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), **changes)
+        results = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            alignments = stage_align(dataclasses.replace(config, output=out, jobs=jobs), pairs, sentences)
+            files = {name: path.read_bytes() for name, path in tree(out).items()}
+            results.append((alignments, files))
+        assert results[0] == results[1]
+        alignments, files = results[0]
+        assert list(alignments) == [s.pair_id for s, _ in pairs]
+        assert {f"03_align/{s.pair_id}.tsv" for s, _ in pairs} < set(files)
+
+    @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+    def test_moore_runs_both_passes_in_one_pool(self, tmp_path, monkeypatch, jobs, pools):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        pairs, sentences = fixture_sentences()
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, jobs=jobs)
+        stage_align(config, pairs, sentences)
+        assert len(started) == pools
+
+    def test_no_confident_pairs_falls_back_to_the_length_model(self, tmp_path, caplog):
+        # every pass-1 posterior of these two articles is below 0.99
+        articles = {
+            "A": (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
+            "B": (("一二三。",), ("One two.", "Four five.")),
+        }
+        pairs, sentences = [], {}
+        for pair_id, sides in articles.items():
+            metas = tuple(
+                ArticleMeta(f"{pair_id}-{lang}", pair_id, lang, datetime.date(2021, 1, 1))
+                for lang in ("zh", "en")
+            )
+            for meta, text in zip(metas, sides):
+                sentences[meta.doc_id] = SentenceList(meta.doc_id, meta.language, text, (0,) * len(text))
+            pairs.append(metas)
+        config = PipelineConfig(input=tmp_path, output=tmp_path / "out", method="moore")
+        with caplog.at_level(logging.WARNING):
+            alignments = stage_align(config, pairs, sentences)
+        assert [r.getMessage() for r in caplog.records] == [
+            "no confident sentence pairs to train on; pass 2 uses the length model",
+            *(
+                f"{pair_id}-zh: translation table shares no vocabulary with the document; "
+                "using length model only"
+                for pair_id in articles
+            ),
+        ]
+        stage_dir = tmp_path / "out" / "03_align"
+        assert (stage_dir / "translation_table.tsv").read_bytes() == b""
+        for pair_id, aset in alignments.items():
+            assert validate_alignment(aset) == []
+            assert read_alignments(stage_dir / f"{pair_id}.tsv") == aset
 
 
 @pytest.fixture(scope="module")
