@@ -353,19 +353,22 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_records(path: str | Path, rows, sep: str = "\t") -> None:
     """Write rows as ``\\n``-ended lines of their fields' ``str()`` joined by ``sep``,
-    the exact inverse of :func:`read_records`. A field holding ``sep``, ``\\n`` or ``\\r`` fails."""
-
-    def lines():
-        for lineno, row in enumerate(rows, 1):
-            try:
-                line = sep.join(row)
-            except TypeError:  # not every field is a str
-                line = sep.join(map(str, row))
-            if line.count(sep) != len(row) - 1 or "\n" in line or "\r" in line:
+    the exact inverse of :func:`read_records`. A field holding ``sep``, ``\\n`` or ``\\r`` fails.
+    The check counts them once per file (a line holds at least ``len(row) - 1``
+    separators); only a file that fails is rescanned to name its first bad line."""
+    lines, widths = [], []
+    for row in rows:
+        try:
+            lines.append(sep.join(row))
+        except TypeError:  # not every field is a str
+            lines.append(sep.join(map(str, row)))
+        widths.append(len(row))
+    text = "\n".join([*lines, ""])  # joined once; a trailing `+ "\n"` would copy the whole text
+    if text.count(sep) != sum(widths) - len(lines) or text.count("\n") != len(lines) or "\r" in text:
+        for lineno, (line, width) in enumerate(zip(lines, widths), 1):
+            if line.count(sep) != width - 1 or "\n" in line or "\r" in line:
                 raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
-            yield line + "\n"
-
-    write_text(path, "".join(lines()))
+    write_text(path, text)
 
 
 def write_metadata(docs: list[Document], path: str | Path) -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, repeat
 from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
@@ -40,13 +42,6 @@ THETA2 = 0.5
 EM_ITERATIONS = 4
 
 
-def _logsumexp(values: list[float]) -> float:
-    top = max(values)
-    if top == -math.inf:
-        return top
-    return top + math.log(sum(math.exp(v - top) for v in values))
-
-
 def _log_poisson(k: int, lam: float) -> float:
     return k * math.log(lam) - lam - math.lgamma(k + 1)
 
@@ -56,61 +51,97 @@ def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
     MOORE_MOVES, clamped to [0, 1]; 0.0 where no path can take that bead.
 
     ``log_bead(i, j, m, n)`` is the log-probability of a bead consuming
-    src[i:i+m] and tgt[j:j+n]. Every bead is scored once, up front, and the
-    forward, backward and posterior passes share the scores.
+    src[i:i+m] and tgt[j:j+n]. Every bead is scored once, up front, into one
+    grid per move: 5·(S+1)·(T+1) calls at most. The forward, backward and
+    posterior passes share the scores. Each cell reads its moves' neighbours
+    from row references and takes one ``max``, one ``exp`` per move and one
+    ``log``. Its log-sum-exp adds the ``exp`` terms with one ``sum()`` in
+    MOORE_MOVES order: ``sum`` is compensated from Python 3.12 on, so another
+    order, or a ``+=`` loop, could change the last bit.
     """
-    # per move, the score of the bead at each start cell (i, j) it fits from
-    grids = {
-        (m, n): [[log_bead(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)]
-        for m, n in MOORE_MOVES
-    }
-    NEG = -math.inf
+    grids = [
+        [[log_bead(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)] for m, n in MOORE_MOVES
+    ]
+    g11, g10, g01, g21, g12 = grids  # in MOORE_MOVES order
+    moves = list(zip(MOORE_MOVES, grids))
+    NEG, exp, log = -math.inf, math.exp, math.log
     alpha = [[NEG] * (T + 1) for _ in range(S + 1)]
     beta = [[NEG] * (T + 1) for _ in range(S + 1)]
     alpha[0][0] = 0.0
     for i in range(S + 1):
+        a0 = alpha[i]
+        if i >= 2:
+            a1, a2 = alpha[i - 1], alpha[i - 2]
+            r11, r10, r01, r21, r12 = g11[i - 1], g10[i - 1], g01[i], g21[i - 2], g12[i - 1]
         for j in range(T + 1):
-            if i == 0 and j == 0:
+            if i >= 2 and j >= 2:
+                terms = [
+                    a1[j - 1] + r11[j - 1],
+                    a1[j] + r10[j],
+                    a0[j - 1] + r01[j - 1],
+                    a2[j - 1] + r21[j - 1],
+                    a1[j - 2] + r12[j - 2],
+                ]
+            elif i or j:
+                terms = [alpha[i - m][j - n] + g[i - m][j - n] for (m, n), g in moves if i >= m and j >= n]
+            else:
                 continue
-            terms = [
-                alpha[i - m][j - n] + grid[i - m][j - n]
-                for (m, n), grid in grids.items()
-                if i - m >= 0 and j - n >= 0
-            ]
-            alpha[i][j] = _logsumexp(terms)
+            top = max(terms)
+            a0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
     beta[S][T] = 0.0
     for i in range(S, -1, -1):
+        b0 = beta[i]
+        if i <= S - 2:
+            b1, b2 = beta[i + 1], beta[i + 2]
+            r11, r10, r01, r21, r12 = g11[i], g10[i], g01[i], g21[i], g12[i]
         for j in range(T, -1, -1):
-            if i == S and j == T:
+            if i <= S - 2 and j <= T - 2:
+                terms = [
+                    r11[j] + b1[j + 1],
+                    r10[j] + b1[j],
+                    r01[j] + b0[j + 1],
+                    r21[j] + b2[j + 1],
+                    r12[j] + b1[j + 2],
+                ]
+            elif i < S or j < T:
+                terms = [g[i][j] + beta[i + m][j + n] for (m, n), g in moves if i + m <= S and j + n <= T]
+            else:
                 continue
-            terms = [
-                grid[i][j] + beta[i + m][j + n]
-                for (m, n), grid in grids.items()
-                if i + m <= S and j + n <= T
-            ]
-            beta[i][j] = _logsumexp(terms)
+            top = max(terms)
+            b0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
     z = alpha[S][T]
     post = [[0.0] * T for _ in range(S)]
     if z == NEG:
         return post
     for i in range(S):
+        a, g, b, p = alpha[i], g11[i], beta[i + 1], post[i]
         for j in range(T):
-            if alpha[i][j] == NEG:
-                continue
-            lp = alpha[i][j] + grids[1, 1][i][j] + beta[i + 1][j + 1] - z
-            post[i][j] = min(max(math.exp(lp), 0.0), 1.0)
+            if a[j] != NEG:
+                p[j] = min(max(exp(a[j] + g[j] + b[j + 1] - z), 0.0), 1.0)
     return post
 
 
 def _length_model(slen: list[int], tlen: list[int]):
-    """log P(bead) = log prior + log Poisson(target tokens; source tokens * r)."""
+    """log P(bead) = log prior + log Poisson(target tokens; source tokens * r).
+
+    A bead's token counts are differences of prefix sums (a 0-n bead takes
+    the mean source length), and each distinct (m, n, source tokens, target
+    tokens) is scored once per document: ``log`` and ``lgamma`` run once per
+    key, and every other bead costs a dict lookup.
+    """
     r = sum(tlen) / sum(slen) if sum(slen) else 1.0
     mean_src = sum(slen) / len(slen) if slen else 1.0
+    src_at, tgt_at = list(accumulate(slen, initial=0)), list(accumulate(tlen, initial=0))
+    memo: dict[tuple, float] = {}
 
     def log_bead(i: int, j: int, m: int, n: int) -> float:
-        ls = sum(slen[i : i + m]) if m else mean_src
-        lt = sum(tlen[j : j + n])
-        return _LOG_PRIORS[(m, n)] + _log_poisson(lt, max(ls * r, 1e-6))
+        ls = src_at[i + m] - src_at[i] if m else mean_src
+        lt = tgt_at[j + n] - tgt_at[j]
+        key = (m, n, ls, lt)
+        lp = memo.get(key)
+        if lp is None:
+            lp = memo[key] = _LOG_PRIORS[(m, n)] + _log_poisson(lt, max(ls * r, 1e-6))
+        return lp
 
     return log_bead
 
@@ -182,7 +213,9 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
     Translation probabilities start uniform over co-occurring words (the
     null source token co-occurs with everything); each iteration collects
     expected counts and renormalizes. The per-iteration corpus
-    log-likelihood is recorded on the result.
+    log-likelihood is recorded on the result. Each pair resolves its
+    context's rows once, and each target token's lookups feed both its
+    denominator and its count updates, in context order.
     """
     check_em_iterations(iterations)
     pairs = [(list(s), list(t)) for s, t in pairs]
@@ -202,16 +235,20 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
         counts: dict[str, dict[str, float]] = {s: {} for s in t}
         ll = 0.0
         for src_toks, tgt_toks in pairs:
+            if not tgt_toks:  # reads no row; its source words may have none
+                continue
             context = [NULL_TOKEN] + src_toks
+            rows = [t[s] for s in context]
+            count_rows = [counts[s] for s in context]
             for w in tgt_toks:
-                denom = sum(t[s].get(w, 0.0) for s in context)
+                ps = [row.get(w, 0.0) for row in rows]
+                denom = sum(ps)
                 ll += math.log(denom / len(context)) if denom > 0 else -math.inf
                 if denom <= 0:
                     continue
-                for s in context:
-                    p = t[s].get(w, 0.0)
+                for p, count_row in zip(ps, count_rows):
                     if p > 0:
-                        counts[s][w] = counts[s].get(w, 0.0) + p / denom
+                        count_row[w] = count_row.get(w, 0.0) + p / denom
         history.append(ll)
         t = {
             s: {w: c / total for w, c in ws.items()}
@@ -250,33 +287,28 @@ def _map_oov(tokens: list, vocab: frozenset) -> list:
     return [w if w in vocab else OTHER_TOKEN for w in tokens]
 
 
-def _lexical_log_ratio(table: TranslationTable, src_toks: list, tgt_toks: list) -> float:
-    """log of Model-1 probability over the target unigram product.
-
-    (1/(l_s+1)^{l_t}) prod_j sum_i t(t_j|s_i)  /  prod_j u(t_j)
-    """
-    context = [NULL_TOKEN] + src_toks
-    total = -len(tgt_toks) * math.log(len(context))
-    for w in tgt_toks:
-        mass = sum(table.t.get(s, {}).get(w, 0.0) for s in context)
-        total += math.log(max(mass, _LEX_FLOOR)) - math.log(table.unigram(w))
-    return total
-
-
 def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
     """Pass two's ``log_bead(i, j, m, n)`` for one document, and whether it
     has a lexical term.
 
-    Each bead's score equals, bit for bit, the length model plus
-    ``_lexical_log_ratio`` over the merged sentences. The per-token term of
-    each target type is worked out once per source sentence ``i``: the
-    Model-1 mass under ``[NULL] + src_tokens[i]`` sums a prefix of the
-    lookups under the 2-1 context ``[NULL] + src_tokens[i] +
-    src_tokens[i + 1]``, so both sums add the reference's floats in its
-    order. A table that shares no vocabulary with the document leaves the
-    length model alone.
+    Each bead's score equals, bit for bit, the length model plus the Model-1
+    log ratio over the merged sentences, ``-l_t log(l_s + 1)`` plus
+    ``log max(Σ_s t(w|s), floor) - log u(w)`` added per target token w in
+    order, s running over ``[NULL]`` and the source tokens. Each document
+    source word's table row is read once per document target type into a
+    dense row. The masses of sentence i under the 1-x context
+    ``[NULL] + src[i]`` and the 2-1 context ``[NULL] + src[i] + src[i + 1]``
+    are one ``sum()`` per type down the context's rows: the same lookups,
+    zeros included, in the same order, so even a compensated ``sum`` (Python
+    3.12+) gives the same bits. Setup costs (context tokens × document types)
+    additions in C and two ``log`` calls per (sentence, type); a bead then
+    costs one memoized length term and one addition per target token. A
+    table that shares no vocabulary with the document leaves the length
+    model alone.
     """
-    length_term = _length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
+    S, T = len(src_tokens), len(tgt_tokens)
+    slen = [len(ts) for ts in src_tokens]
+    length_term = _length_model(slen, [len(ts) for ts in tgt_tokens])
     src_vocab, tgt_vocab = table.src_vocab, table.tgt_vocab
     doc_src = {w for ts in src_tokens for w in ts}
     doc_tgt = {w for ts in tgt_tokens for w in ts}
@@ -289,26 +321,58 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
         src_tokens = [_map_oov(ts, src_vocab) for ts in src_tokens]
         tgt_tokens = [_map_oov(ts, tgt_vocab) for ts in tgt_tokens]
         log_unigram = {w: math.log(table.unigram(w)) for w in {w for ts in tgt_tokens for w in ts}}
+        # rows[s]: t(w | s) for every target type w, in log_unigram's order
+        doc_words = {NULL_TOKEN}.union(*src_tokens)
+        rows = {s: list(map(table.t.get(s, {}).get, log_unigram, repeat(0.0))) for s in doc_words}
+
+        def lexical_terms(context: list) -> dict:
+            masses = map(sum, zip(*(rows[s] for s in context)))
+            return {
+                w: math.log(max(mass, _LEX_FLOOR)) - lu for (w, lu), mass in zip(log_unigram.items(), masses)
+            }
+
         for i, toks in enumerate(src_tokens):
-            k = len(toks) + 1
             context = [NULL_TOKEN] + [s for ts in src_tokens[i : i + 2] for s in ts]
-            rows = [table.t.get(s, {}) for s in context]
-            masses = {w: [row.get(w, 0.0) for row in rows] for w in log_unigram}
-            one.append({w: math.log(max(sum(ms[:k]), _LEX_FLOOR)) - log_unigram[w] for w, ms in masses.items()})
-            two.append({w: math.log(max(sum(ms), _LEX_FLOOR)) - log_unigram[w] for w, ms in masses.items()})
+            one.append(lexical_terms(context[: len(toks) + 1]))
+            two.append(lexical_terms(context))
+        # merged[n][j]: the tokens of tgt[j:j+n]; log_src[m][i]: log(1 + the tokens of src[i:i+m])
+        merged = [[], *([[w for ts in tgt_tokens[j : j + n] for w in ts] for j in range(T)] for n in (1, 2))]
+        log_src = [[], *([math.log(1 + sum(slen[i : i + m])) for i in range(S)] for m in (1, 2))]
 
     def score(i: int, j: int, m: int, n: int) -> float:
         lp = length_term(i, j, m, n)
         if not lexical or m == 0 or n == 0:
             return lp
         terms = one[i] if m == 1 else two[i]
-        merged_tgt = [w for ts in tgt_tokens[j : j + n] for w in ts]
-        total = -len(merged_tgt) * math.log(1 + sum(len(ts) for ts in src_tokens[i : i + m]))
-        for w in merged_tgt:
+        tokens = merged[n][j]
+        total = -len(tokens) * log_src[m][i]
+        for w in tokens:
             total += terms[w]
         return lp + total
 
     return score, lexical
+
+
+def _accept_one_one(post: list[list[float]], theta2: float) -> list[tuple[int, int, float]]:
+    """The (i, j, posterior) cells that pass two emits as 1-1 beads, by i.
+
+    Cells with posterior >= theta2 are taken greedily, highest posterior
+    first (ties by i, then j), unless they share a row or column with, or
+    cross, a cell already taken. The taken cells are strictly monotone, so a
+    cell fits exactly when no taken cell has its i and its ``bisect``
+    neighbours by i have a smaller and a larger j: O(log A) per candidate.
+    """
+    candidates = [(i, j, p) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta2]
+    taken_i: list[int] = []  # the i of each accepted cell, in order
+    accepted: list[tuple[int, int, float]] = []
+    for cell in sorted(candidates, key=lambda c: (-c[2], c[0], c[1])):
+        i, j, _ = cell
+        k = bisect_left(taken_i, i)
+        fits_right = k == len(taken_i) or (taken_i[k] != i and accepted[k][1] > j)
+        if fits_right and (k == 0 or accepted[k - 1][1] < j):
+            taken_i.insert(k, i)
+            accepted.insert(k, cell)
+    return accepted
 
 
 def moore_align(
@@ -316,12 +380,14 @@ def moore_align(
 ) -> AlignmentSet:
     """Second pass: lattice with prior x Poisson x lexical-ratio bead scores.
 
-    Emits 1-1 beads whose posterior reaches theta2; all other sentences come
-    out as 1-0/0-1 beads. A table that shares no vocabulary with the
-    document degenerates to the length-only model (warned once per call).
+    Emits 1-1 beads whose posterior reaches theta2 (see ``_accept_one_one``);
+    all other sentences come out as 1-0/0-1 beads. A table that shares no
+    vocabulary with the document degenerates to the length-only model
+    (warned once per call).
 
-    Pass two looks up one translation mass per (source sentence, target
-    type) pair for each of the two context widths (see ``_bead_scorer``).
+    Per document, pass two's setup reads each source word's table row once
+    per document target type; each bead then costs one memoized length term
+    plus one addition per merged target token (see ``_bead_scorer``).
     """
     check_theta2(theta2)
     S, T = len(src), len(tgt)
@@ -336,15 +402,9 @@ def moore_align(
             src.doc_id,
         )
     post = _forward_backward(S, T, log_bead)
-    accepted: list[tuple[int, int, float]] = []
-    candidates = [(i, j, p) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta2]
-    for i, j, p in sorted(candidates, key=lambda c: (-c[2], c[0], c[1])):
-        if all(i != i2 and j != j2 and (i < i2) == (j < j2) for i2, j2, _ in accepted):
-            accepted.append((i, j, p))
-    accepted.sort()
     beads: list[Bead] = []
     si = ti = 0
-    for i, j, p in accepted + [(S, T, 0.0)]:
+    for i, j, p in _accept_one_one(post, theta2) + [(S, T, 0.0)]:
         while si < i:
             beads.append(Bead((si,), (), None, "moore"))
             si += 1

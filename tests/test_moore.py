@@ -17,9 +17,11 @@ from bitextkit.moore import (
     PRIORS,
     TranslationTable,
     _bead_scorer,
+    _LEX_FLOOR,
+    _LOG_PRIORS,
+    _accept_one_one,
     _forward_backward,
     _length_model,
-    _lexical_log_ratio,
     _map_oov,
     length_pass,
     load_table,
@@ -29,6 +31,122 @@ from bitextkit.moore import (
     train_ibm1,
     train_lexicon,
 )
+
+
+# The four functions below are the package's earlier, unoptimized code, kept
+# as references: the optimized lattice, length term and EM must equal them
+# bit for bit (``==``, not approx).
+
+
+def reference_logsumexp(values):
+    top = max(values)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def reference_forward_backward(S, T, log_bead):
+    grids = {
+        (m, n): [[log_bead(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)]
+        for m, n in MOORE_MOVES
+    }
+    NEG = -math.inf
+    alpha = [[NEG] * (T + 1) for _ in range(S + 1)]
+    beta = [[NEG] * (T + 1) for _ in range(S + 1)]
+    alpha[0][0] = 0.0
+    for i in range(S + 1):
+        for j in range(T + 1):
+            if i == 0 and j == 0:
+                continue
+            terms = [
+                alpha[i - m][j - n] + grid[i - m][j - n]
+                for (m, n), grid in grids.items()
+                if i - m >= 0 and j - n >= 0
+            ]
+            alpha[i][j] = reference_logsumexp(terms)
+    beta[S][T] = 0.0
+    for i in range(S, -1, -1):
+        for j in range(T, -1, -1):
+            if i == S and j == T:
+                continue
+            terms = [
+                grid[i][j] + beta[i + m][j + n]
+                for (m, n), grid in grids.items()
+                if i + m <= S and j + n <= T
+            ]
+            beta[i][j] = reference_logsumexp(terms)
+    z = alpha[S][T]
+    post = [[0.0] * T for _ in range(S)]
+    if z == NEG:
+        return post
+    for i in range(S):
+        for j in range(T):
+            if alpha[i][j] == NEG:
+                continue
+            lp = alpha[i][j] + grids[1, 1][i][j] + beta[i + 1][j + 1] - z
+            post[i][j] = min(max(math.exp(lp), 0.0), 1.0)
+    return post
+
+
+def reference_length_model(slen, tlen):
+    r = sum(tlen) / sum(slen) if sum(slen) else 1.0
+    mean_src = sum(slen) / len(slen) if slen else 1.0
+
+    def log_bead(i, j, m, n):
+        ls = sum(slen[i : i + m]) if m else mean_src
+        lt = sum(tlen[j : j + n])
+        lam = max(ls * r, 1e-6)
+        return _LOG_PRIORS[(m, n)] + (lt * math.log(lam) - lam - math.lgamma(lt + 1))
+
+    return log_bead
+
+
+def reference_train_ibm1(pairs, iterations):
+    pairs = [(list(s), list(t)) for s, t in pairs]
+    cooc = {NULL_TOKEN: set()}
+    tgt_counts = {}
+    for src_toks, tgt_toks in pairs:
+        for w in tgt_toks:
+            tgt_counts[w] = tgt_counts.get(w, 0) + 1
+        cooc[NULL_TOKEN].update(tgt_toks)
+        for s in src_toks:
+            cooc.setdefault(s, set()).update(tgt_toks)
+    t = {s: {w: 1.0 / len(ws) for w in ws} for s, ws in cooc.items() if ws}
+    history = []
+    for _ in range(iterations):
+        counts = {s: {} for s in t}
+        ll = 0.0
+        for src_toks, tgt_toks in pairs:
+            context = [NULL_TOKEN] + src_toks
+            for w in tgt_toks:
+                denom = sum(t[s].get(w, 0.0) for s in context)
+                ll += math.log(denom / len(context)) if denom > 0 else -math.inf
+                if denom <= 0:
+                    continue
+                for s in context:
+                    p = t[s].get(w, 0.0)
+                    if p > 0:
+                        counts[s][w] = counts[s].get(w, 0.0) + p / denom
+        history.append(ll)
+        t = {
+            s: {w: c / total for w, c in ws.items()}
+            for s, ws in counts.items()
+            if (total := sum(ws.values())) > 0
+        }
+    return TranslationTable(t, tgt_counts, tuple(history))
+
+
+def reference_lexical_log_ratio(table, src_toks, tgt_toks):
+    """log of Model-1 probability over the target unigram product.
+
+    (1/(l_s+1)^{l_t}) prod_j sum_i t(t_j|s_i)  /  prod_j u(t_j)
+    """
+    context = [NULL_TOKEN] + src_toks
+    total = -len(tgt_toks) * math.log(len(context))
+    for w in tgt_toks:
+        mass = sum(table.t.get(s, {}).get(w, 0.0) for s in context)
+        total += math.log(max(mass, _LEX_FLOOR)) - math.log(table.unigram(w))
+    return total
 
 
 def reference_em(pairs, iterations):
@@ -100,6 +218,27 @@ class TestEmTraining:
             for s in ref_t:
                 for w, p in ref_t[s].items():
                     assert table.t[s].get(w, 0.0) == pytest.approx(p, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.lists(st.sampled_from("abc"), max_size=6), st.lists(st.sampled_from("xyz"), max_size=6)),
+            min_size=1,
+            max_size=8,
+        ),
+        iterations=st.integers(1, 4),
+    )
+    # no target token anywhere: the table is empty
+    @example(pairs=[(["a"], []), ([], [])], iterations=2)
+    # "c" is seen only beside an empty target side, so it has no row
+    @example(pairs=[(["c"], []), (["a", "b"], ["x"]), (["a"], ["x", "x"])], iterations=3)
+    def test_equals_the_reference_bit_for_bit(self, pairs, iterations):
+        got = train_ibm1(pairs, iterations)
+        want = reference_train_ibm1(pairs, iterations)
+        # insertion order too: it is the order later sums add in
+        assert [(s, list(d.items())) for s, d in got.t.items()] == [(s, list(d.items())) for s, d in want.t.items()]
+        assert got.ll_history == want.ll_history
+        assert got.tgt_counts == want.tgt_counts
 
     def test_disambiguation_after_four_iterations(self):
         table = train_ibm1(TWO_PAIR_CORPUS, 4)
@@ -198,8 +337,8 @@ def only_one_one(m, n):
 
 
 @st.composite
-def lattices(draw):
-    S, T = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def lattices(draw, min_side=1, max_side=4):
+    S, T = draw(st.integers(min_side, max_side)), draw(st.integers(min_side, max_side))
     # a draw below -7 blocks the bead, so some cells and lattices are unreachable
     weight = st.floats(-8.0, 0.0).map(lambda v: -math.inf if v < -7.0 else v)
     return S, T, bead_table(S, T, lambda m, n: draw(weight))
@@ -224,6 +363,32 @@ class TestForwardBackward:
                     assert got[i][j] == 0.0, (i, j)
                 else:
                     assert got[i][j] == pytest.approx(want[i][j], rel=1e-9, abs=1e-12), (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice=lattices(min_side=0, max_side=7))
+    @example(lattice=(2, 2, bead_table(2, 2, only_one_one)))
+    @example(lattice=(2, 3, bead_table(2, 3, only_one_one)))
+    @example(lattice=(0, 3, bead_table(0, 3, only_one_one)))
+    def test_posteriors_equal_the_reference_bit_for_bit(self, lattice):
+        S, T, table = lattice
+        assert _forward_backward(S, T, scorer(table)) == reference_forward_backward(S, T, scorer(table))
+
+
+class TestLengthModel:
+    @settings(max_examples=300, deadline=None)
+    # few distinct counts, so the memo is hit
+    @given(slen=st.lists(st.integers(0, 6), max_size=7), tlen=st.lists(st.integers(0, 6), max_size=7))
+    # an all-zero source side: r falls back to 1.0
+    @example(slen=[0, 0, 0], tlen=[3, 0, 5])
+    # no source sentence: the 0-1 bead's mean source length falls back to 1.0
+    @example(slen=[], tlen=[2, 4])
+    def test_every_value_equals_the_reference_bit_for_bit(self, slen, tlen):
+        got, want = _length_model(slen, tlen), reference_length_model(slen, tlen)
+        for i in range(len(slen) + 1):
+            for j in range(len(tlen) + 1):
+                for m, n in MOORE_MOVES:
+                    if i + m <= len(slen) and j + n <= len(tlen):
+                        assert got(i, j, m, n) == want(i, j, m, n), (i, j, m, n)
 
 
 class TestLengthPass:
@@ -345,10 +510,10 @@ class TestSecondPass:
 
 
 def reference_scorer(src_tokens, tgt_tokens, table):
-    """Pass two's bead score recomputed for every bead: the length model plus
-    _lexical_log_ratio over the merged sentences. Returns it and whether the
-    table shares vocabulary with both sides."""
-    length_term = _length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
+    """Pass two's bead score recomputed for every bead: the reference length
+    model plus reference_lexical_log_ratio over the merged sentences. Returns
+    it and whether the table shares vocabulary with both sides."""
+    length_term = reference_length_model([len(ts) for ts in src_tokens], [len(ts) for ts in tgt_tokens])
     lexical = bool({w for ts in src_tokens for w in ts} & table.src_vocab) and bool(
         {w for ts in tgt_tokens for w in ts} & table.tgt_vocab
     )
@@ -362,7 +527,7 @@ def reference_scorer(src_tokens, tgt_tokens, table):
             return lp
         merged_src = [w for ts in src_tokens[i : i + m] for w in ts]
         merged_tgt = [w for ts in tgt_tokens[j : j + n] for w in ts]
-        return lp + _lexical_log_ratio(table, merged_src, merged_tgt)
+        return lp + reference_lexical_log_ratio(table, merged_src, merged_tgt)
 
     return log_bead, lexical
 
@@ -426,6 +591,33 @@ class TestBeadScorer:
                 for m, n in MOORE_MOVES:
                     if i + m <= S and j + n <= T:
                         assert got(i, j, m, n) == want(i, j, m, n), (i, j, m, n)
+
+
+def reference_accept(post, theta2):
+    """The earlier greedy acceptance: each candidate checked against every
+    accepted cell."""
+    accepted = []
+    candidates = [(i, j, p) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta2]
+    for i, j, p in sorted(candidates, key=lambda c: (-c[2], c[0], c[1])):
+        if all(i != i2 and j != j2 and (i < i2) == (j < j2) for i2, j2, _ in accepted):
+            accepted.append((i, j, p))
+    return sorted(accepted)
+
+
+# mostly a few distinct values, so ties are common
+posterior = st.one_of(st.sampled_from((0.0, 0.01, 0.2, 0.5, 0.7, 1.0)), st.floats(0.0, 1.0))
+
+
+class TestAcceptOneOne:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        post=st.integers(1, 9).flatmap(
+            lambda T: st.lists(st.lists(posterior, min_size=T, max_size=T), min_size=1, max_size=9)
+        ),
+        theta2=st.floats(0.01, 0.99),
+    )
+    def test_equals_the_all_pairs_scan(self, post, theta2):
+        assert _accept_one_one(post, theta2) == reference_accept(post, theta2)
 
 
 class TestTableSerialization:
