@@ -20,10 +20,10 @@ from bitextkit.core import (
     FormatError,
     read_alignments,
     read_documents,
+    read_lines,
     read_metadata,
     read_records,
     read_sentences,
-    read_text,
     write_documents,
     write_records,
 )
@@ -194,8 +194,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyp_lines = read_text(args.hyp).splitlines()
-    ref_lines = read_text(args.ref).splitlines()
+    hyp_lines = read_lines(args.hyp)
+    ref_lines = read_lines(args.ref)
     cfg = BleuConfig(n_max=args.n_max)
     hyps = [tokenize(h, args.lang) for h in hyp_lines]
     refs = [tokenize(r, args.lang) for r in ref_lines]

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import datetime
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 from bitextkit.scoring import tokenize
@@ -268,26 +270,31 @@ _META_FIELDS = "id, pair_id, language, date, article_type"
 META_FILENAME = "metadata.tsv"
 
 
-def read_text(path: Path) -> str:
-    """The UTF-8 text of ``path``; a decoding error names the file."""
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a decoding error names the file.
+    Only ``\\n`` ends a line, where ``\\r\\n`` and ``\\r`` read as ``\\n``, and a
+    final ``\\n`` ends the last line rather than starting an empty one."""
     try:
-        return path.read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def read_records(path: str | Path, parse, comments: bool = False) -> list:
     """Call ``parse(fields, lineno)`` on each line of a record file, split
     on tabs, and return the results in order.
 
-    Only ``\\n`` ends a line, where ``\\r\\n`` and ``\\r`` read as ``\\n``.
-    Empty lines are skipped; with ``comments`` so are whitespace-only lines
-    and lines whose first non-blank character is ``#``. A ``ValueError``
-    from ``parse`` becomes a :class:`FormatError` naming the file and line.
+    Lines end as in :func:`read_lines`. Empty lines are skipped; with
+    ``comments`` so are whitespace-only lines and lines whose first
+    non-blank character is ``#``. A ``ValueError`` from ``parse`` becomes a
+    :class:`FormatError` naming the file and line.
     """
     path = Path(path)
     records = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line or (comments and line.lstrip()[:1] in ("", "#")):
             continue
         try:
@@ -331,44 +338,64 @@ def read_documents(directory: str | Path) -> list[Document]:
         text_path = directory / f"{meta.doc_id}.txt"
         if not text_path.is_file():
             raise ValueError(f"missing text file {text_path}")
-        paragraphs = tuple(p for p in read_text(text_path).splitlines() if p.strip())
+        paragraphs = tuple(p for p in read_lines(text_path) if p.strip())
         return Document(meta, paragraphs)
 
     return _read_metadata(directory / META_FILENAME, load)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with LF line endings to a ``.partial`` name, then
-    rename it over ``path``; a failed write leaves ``path`` untouched and
-    removes the ``.partial`` file."""
-    path = Path(path)
+#: Rows that :func:`write_records` joins, checks and writes at a time.
+_CHUNK_ROWS = 256
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A UTF-8 text file with LF line endings open under a ``.partial`` name,
+    renamed over ``path`` once the block succeeds; if it fails, ``path`` is
+    untouched and the ``.partial`` file removed."""
     partial = path.with_name(path.name + ".partial")
     try:
-        partial.write_text(text, encoding="utf-8", newline="\n")
+        with open(partial, "w", encoding="utf-8", newline="\n") as f:
+            yield f
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with LF line endings to a ``.partial`` name, then
+    rename it over ``path``; a failed write leaves ``path`` untouched and
+    removes the ``.partial`` file."""
+    with _replacing(Path(path)) as f:
+        f.write(text)
+
+
 def write_records(path: str | Path, rows, sep: str = "\t") -> None:
     """Write rows as ``\\n``-ended lines of their fields' ``str()`` joined by ``sep``,
     the exact inverse of :func:`read_records`. A field holding ``sep``, ``\\n`` or ``\\r`` fails.
-    The check counts them once per file (a line holds at least ``len(row) - 1``
-    separators); only a file that fails is rescanned to name its first bad line."""
-    lines, widths = [], []
-    for row in rows:
-        try:
-            lines.append(sep.join(row))
-        except TypeError:  # not every field is a str
-            lines.append(sep.join(map(str, row)))
-        widths.append(len(row))
-    text = "\n".join([*lines, ""])  # joined once; a trailing `+ "\n"` would copy the whole text
-    if text.count(sep) != sum(widths) - len(lines) or text.count("\n") != len(lines) or "\r" in text:
-        for lineno, (line, width) in enumerate(zip(lines, widths), 1):
-            if line.count(sep) != width - 1 or "\n" in line or "\r" in line:
-                raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
-    write_text(path, text)
+
+    ``rows`` may be any iterable and is read once. It streams to the
+    ``.partial`` file of :func:`write_text` in chunks of ``_CHUNK_ROWS``
+    lines, so no more than one chunk is held as text. Each chunk's check
+    counts separators once (a line holds at least ``len(row) - 1``); only a
+    chunk that fails is rescanned to name its first bad line."""
+    rows = iter(rows)
+    with _replacing(Path(path)) as f:
+        for k, chunk in enumerate(iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])):
+            lines = []
+            for row in chunk:
+                try:
+                    lines.append(sep.join(row))
+                except TypeError:  # not every field is a str
+                    lines.append(sep.join(map(str, row)))
+            text = "\n".join([*lines, ""])  # joined once; a trailing `+ "\n"` would copy the text
+            width = sum(map(len, chunk))
+            if text.count(sep) != width - len(lines) or text.count("\n") != len(lines) or "\r" in text:
+                for lineno, (line, row) in enumerate(zip(lines, chunk), k * _CHUNK_ROWS + 1):
+                    if line.count(sep) != len(row) - 1 or "\n" in line or "\r" in line:
+                        raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
+            f.write(text)
 
 
 def write_metadata(docs: list[Document], path: str | Path) -> None:

@@ -13,12 +13,17 @@ import json
 import logging
 import time
 import unicodedata
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from hashlib import blake2b
 from pathlib import Path
+
+try:  # the class hashlib.blake2b re-exports, without loading OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from bitextkit.bleualign import bleualign, check_min_score
 from bitextkit.core import (
@@ -30,7 +35,7 @@ from bitextkit.core import (
     Document,
     SentenceList,
     read_documents,
-    read_text,
+    read_lines,
     write_alignments,
     write_documents,
     write_metadata,
@@ -123,18 +128,19 @@ def pair_hash(src: str, tgt: str) -> str:
     return blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def dedup_pairs(rows: list[tuple[str, ...]]) -> tuple[list[tuple[str, ...]], int]:
+def dedup_pairs(rows: Iterable[tuple[str, ...]]) -> tuple[list[tuple[str, ...]], int]:
     """Keep the first occurrence of each row whose last two fields, the
     (src, tgt) pair, are equal after normalization; serves both (src, tgt)
-    and (article, src, tgt) rows."""
+    and (article, src, tgt) rows, from any iterable read once."""
     seen: set[str] = set()
     kept = []
-    for row in rows:
+    n_rows = 0
+    for n_rows, row in enumerate(rows, 1):
         h = pair_hash(*row[-2:])
         if h not in seen:
             seen.add(h)
             kept.append(row)
-    return kept, len(rows) - len(kept)
+    return kept, n_rows - len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +330,7 @@ def _segment(doc: Document, abbrevs, punkt_model) -> SentenceList:
 def _read_mt(path: Path, doc_id: str, language: str, template: SentenceList) -> SentenceList:
     if not path.is_file():
         raise FileNotFoundError(f"translation file not found: {path}")
-    lines = [ln.strip() for ln in read_text(path).splitlines()]
+    lines = [ln.strip() for ln in read_lines(path)]
     while lines and not lines[-1]:
         lines.pop()
     if "" in lines:
@@ -341,7 +347,13 @@ def _read_mt(path: Path, doc_id: str, language: str, template: SentenceList) -> 
 
 def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     """Execute all stages, with ``jobs`` in place of ``config.jobs`` when it
-    is given; returns 0 on success, raises PipelineError otherwise."""
+    is given; returns 0 on success, raises PipelineError otherwise.
+
+    Each stage's data is dropped once no later stage reads it: the documents
+    after sbd, and each article's sentence lists (with their cached tokens)
+    and alignment as dedup makes its rows. Only the counts the run log
+    reports are kept, so peak memory follows one stage's data, not the
+    whole run's."""
     if jobs is not None:
         config = replace(config, jobs=jobs)
     durations: dict[str, float] = {}
@@ -356,19 +368,18 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         return result
 
     docs, pairs = stage("preprocess", stage_preprocess, config)
+    counts = {"preprocess": (len(docs), len(docs))}
     sentences = stage("sbd", stage_sbd, config, pairs, docs)
+    counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
+    del docs
     alignments = stage("align", stage_align, config, pairs, sentences)
+    counts["align"] = (len(pairs), sum(map(len, alignments.values())))
     bitext, removed = stage("dedup", _stage_dedup, config, pairs, sentences, alignments)
+    counts["dedup"] = (len(bitext) + removed, len(bitext))
     assignment = stage("split", stage_split, config, pairs, bitext)
+    counts["split"] = (len(pairs), len(set(assignment.values())))
     stage("stats", _stage_stats, config, bitext, assignment)
-    counts = {
-        "preprocess": (len(docs), len(docs)),
-        "sbd": (len(docs), sum(len(sl) for sl in sentences.values())),
-        "align": (len(pairs), sum(len(a) for a in alignments.values())),
-        "dedup": (len(bitext) + removed, len(bitext)),
-        "split": (len(pairs), len(set(assignment.values()))),
-        "stats": (len(bitext), 1 + len(_SPLITS)),
-    }
+    counts["stats"] = (len(bitext), 1 + len(_SPLITS))
     entries = [{"stage": "start", "method": config.method, "hash": HASH_NAME, "jobs": config.jobs}]
     for name, (n_in, n_out) in counts.items():
         entries.append(
@@ -454,6 +465,41 @@ def _corpus_length_params(
     return estimate_length_params(paragraph_pairs)
 
 
+class _Collect(logging.Handler):
+    """Keeps every record it handles, with its message (and any traceback)
+    flattened to text so the record pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _logging_call(fn, *args):
+    """``fn(*args)`` in a pool worker, with the root handlers swapped for a
+    :class:`_Collect`; returns the result and the records it logged."""
+    root = logging.getLogger()
+    collect, saved = _Collect(), root.handlers
+    root.handlers = [collect]
+    try:
+        return fn(*args), collect.records
+    finally:
+        root.handlers = saved
+
+
+def _pool_map(pool: ProcessPoolExecutor, fn, *columns):
+    """``pool.map(fn, *columns)``, with each worker's log records handled by
+    the parent's loggers in article order, as a serial run logs them."""
+    for result, records in pool.map(partial(_logging_call, fn), *columns):
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        yield result
+
+
 def stage_align(
     config: PipelineConfig,
     pairs: Pairs,
@@ -468,7 +514,7 @@ def stage_align(
     stage_dir.mkdir(parents=True, exist_ok=True)
     parallel = config.jobs > 1 and len(pairs) > 1
     with ProcessPoolExecutor(config.jobs) if parallel else nullcontext() as pool:
-        pmap = pool.map if parallel else map
+        pmap = partial(_pool_map, pool) if parallel else map
         if config.method == "moore":
             passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
             confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
@@ -512,18 +558,22 @@ def _stage_dedup(
     alignments: dict[str, AlignmentSet],
 ) -> tuple[Bitext, int]:
     """Join the sentences of every two-sided bead and drop duplicates;
-    returns the kept rows and the number removed."""
-    rows: Bitext = []
-    for src_meta, tgt_meta in pairs:
-        src, tgt = sentences[src_meta.doc_id], sentences[tgt_meta.doc_id]
-        for bead in alignments[src_meta.pair_id].beads:
-            if bead.src and bead.tgt:
-                rows.append((src_meta.pair_id, src.join(bead.src), tgt.join(bead.tgt)))
-    kept, removed = dedup_pairs(rows)
+    returns the kept rows and the number removed. Each article's entries
+    leave ``sentences`` and ``alignments`` once its rows are made, so the
+    memory they hold is freed as the stage goes."""
+
+    def rows():
+        for src_meta, tgt_meta in pairs:
+            src, tgt = sentences.pop(src_meta.doc_id), sentences.pop(tgt_meta.doc_id)
+            for bead in alignments.pop(src_meta.pair_id).beads:
+                if bead.src and bead.tgt:
+                    yield src_meta.pair_id, src.join(bead.src), tgt.join(bead.tgt)
+
+    kept, removed = dedup_pairs(rows())
     stage_dir = Path(config.output) / "04_dedup"
     stage_dir.mkdir(parents=True, exist_ok=True)
     write_records(stage_dir / "pairs.tsv", kept)
-    write_records(stage_dir / "bitext.tsv", [(s, t) for _, s, t in kept])
+    write_records(stage_dir / "bitext.tsv", ((s, t) for _, s, t in kept))
     return kept, removed
 
 
@@ -545,7 +595,7 @@ def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[st
         [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],
     )
     for split_name in _SPLITS:
-        rows = [(s, t) for a, s, t in bitext if assignment[a] == split_name]
+        rows = ((s, t) for a, s, t in bitext if assignment[a] == split_name)
         write_records(stage_dir / f"{split_name}.tsv", rows)
     return assignment
 

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bitextkit
 from bitextkit import __version__
 from bitextkit.cli import build_parser, main
+from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
 from bitextkit.pipeline import PipelineConfig
 from bitextkit.scoring import BleuConfig
 
@@ -189,6 +194,38 @@ def stages(tmp_path_factory):
 
 
 class TestStageCommands:
+    def test_two_jobs_print_each_worker_warning_once(self, tmp_path):
+        # every pass-1 posterior is below 0.99, so pass 2 of each article warns in a worker
+        articles = {
+            "A": (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
+            "B": (("一二三。",), ("One two.", "Four five.")),
+        }
+        sbd = tmp_path / "02_sbd"
+        sbd.mkdir()
+        rows = []
+        for pair_id, sides in articles.items():
+            for lang, text in zip(("zh", "en"), sides):
+                doc_id = f"{pair_id}-{lang}"
+                rows.append((doc_id, pair_id, lang, "2021-01-01", ""))
+                write_sentences(SentenceList(doc_id, lang, text, (0,) * len(text)), sbd / f"{doc_id}.tsv")
+        write_records(sbd / META_FILENAME, rows)
+        src = Path(bitextkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bitextkit.cli", "--jobs", "2", "--log-format", "json",
+             "align", str(sbd), str(tmp_path / "a"), "--method", "moore"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        records = [json.loads(line) for line in proc.stderr.splitlines() if line.startswith("{")]
+        assert [(r["level"], r["message"]) for r in records] == [
+            ("WARNING", "no confident sentence pairs to train on; pass 2 uses the length model"),
+            *(
+                ("WARNING", f"{pair_id}-zh: translation table shares no vocabulary with the "
+                 "document; using length model only")
+                for pair_id in articles
+            ),
+        ]
+
     def test_ingest(self, tmp_path, capsys):
         assert main(["ingest", str(RAW), str(tmp_path / "docs")]) == 0
         assert "ingested 24 documents" in capsys.readouterr().out
@@ -382,6 +419,15 @@ class TestBleuCommand:
     def test_sentence_scores(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b\nc d\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("a b\nc d\n", encoding="utf-8")
+        rc = main(
+            ["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt"), "--sentence"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["1.000000", "1.000000"]
+
+    def test_only_a_newline_ends_a_line(self, tmp_path, capsys):
+        for name in ("hyp.txt", "ref.txt"):
+            (tmp_path / name).write_text("a\u2028b c\x85d\ne f\n", encoding="utf-8")
         rc = main(
             ["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt"), "--sentence"]
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bitextkit.cli import _read_tsv
 from bitextkit.core import (
+    _CHUNK_ROWS,
     AlignmentSet,
     ArticleMeta,
     Bead,
@@ -152,6 +153,11 @@ class TestDocumentFiles:
         write_documents(docs, tmp_path)
         back = read_documents(tmp_path)
         assert back == docs
+
+    def test_only_a_newline_ends_a_paragraph(self, tmp_path):
+        doc = Document(meta("A01", "en"), (f"One{LINE_BREAKS_INSIDE_A_FIELD}two.", "Three."))
+        write_documents([doc], tmp_path)
+        assert read_documents(tmp_path) == [doc]
 
     def test_read_metadata_only(self, tmp_path):
         docs = [Document(meta("A07", "en", "2019-12-31"), ("p.",))]
@@ -477,3 +483,36 @@ class TestWriteRecords:
     def test_fields_are_str_of_each_value(self, tmp_path):
         write_records(tmp_path / "r.csv", [("A01", 3, 0.5), ("x",)], ",")
         assert (tmp_path / "r.csv").read_bytes() == b"A01,3,0.5\nx\n"
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_bad_field_after_the_first_chunk_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "r.tsv"
+        write_records(path, [("old",)])
+        rows = [(str(i), "x") for i in range(1, 3 * _CHUNK_ROWS)]
+        lineno = _CHUNK_ROWS + 7
+        rows[lineno - 1] = (str(lineno), bad)
+        with pytest.raises(ValueError, match=rf"r\.tsv line {lineno}: a field holds"):
+            write_records(path, rows)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.tsv"]
+
+    def test_rows_are_read_once(self, tmp_path):
+        rows = [(str(i), "x") for i in range(2 * _CHUNK_ROWS + 1)]
+        passes = []
+
+        class Once:
+            def __iter__(self):
+                passes.append(1)
+                return (row for row in rows)
+
+        write_records(tmp_path / "r.tsv", Once())
+        write_records(tmp_path / "g.tsv", (row for row in rows))
+        assert passes == [1]
+        expected = "".join(f"{i}\tx\n" for i, _ in rows).encode()
+        assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "g.tsv").read_bytes() == expected
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5])
+    def test_file_longer_than_one_chunk_reads_back_equal(self, tmp_path, n):
+        rows = [[str(i), f"sentence {i}{LINE_BREAKS_INSIDE_A_FIELD}"] for i in range(n)]
+        write_records(tmp_path / "r.tsv", rows)
+        assert read_records(tmp_path / "r.tsv", lambda fields, lineno: fields) == rows

@@ -2,11 +2,15 @@
 
 import dataclasses
 import datetime
+import hashlib
 import json
 import logging
 import math
+import os
 import shutil
 import string
+import subprocess
+import sys
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -105,6 +109,13 @@ class TestDedupNormalization:
             "随访年",
             "FOLLOW-UP  lasted years",
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=20), st.text(max_size=20))
+    @example("患者受益。", "The patient improved.")
+    def test_hash_is_hashlibs_blake2b_of_the_normalized_pair(self, src, tgt):
+        payload = f"{normalize_for_dedup(src)}\t{normalize_for_dedup(tgt)}".encode("utf-8")
+        assert pair_hash(src, tgt) == hashlib.blake2b(payload, digest_size=8).hexdigest()
 
     def test_hash_sees_letters_and_sides(self):
         assert pair_hash("a", "b") != pair_hash("a", "c")
@@ -367,6 +378,12 @@ class TestReadMt:
         with pytest.raises(ValueError, match=f"A01.txt line {lineno}: blank translation line"):
             _read_mt(path, "A01-mt", "en", self.template())
 
+    def test_only_a_newline_ends_a_line(self, tmp_path):
+        path = tmp_path / "A01.txt"
+        path.write_text("One\u2028a.\nTwo\x85b.\r\nThree\x0cc.\n", encoding="utf-8")
+        sl = _read_mt(path, "A01-mt", "en", self.template())
+        assert sl.sentences == ("One\u2028a.", "Two\x85b.", "Three\x0cc.")
+
     def test_line_count_mismatch(self, tmp_path):
         path = tmp_path / "A01.txt"
         path.write_text("One.\nTwo.\n", encoding="utf-8")
@@ -460,6 +477,13 @@ class TestStageAlign:
         assert len(started) == pools
 
     def test_no_confident_pairs_falls_back_to_the_length_model(self, tmp_path, caplog):
+        self.check_length_model_fallback(tmp_path, caplog, jobs=1)
+
+    def test_no_confident_pairs_falls_back_to_the_length_model_across_workers(self, tmp_path, caplog):
+        self.check_length_model_fallback(tmp_path, caplog, jobs=2)
+
+    @staticmethod
+    def check_length_model_fallback(tmp_path, caplog, jobs):
         # every pass-1 posterior of these two articles is below 0.99
         articles = {
             "A": (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
@@ -474,7 +498,7 @@ class TestStageAlign:
             for meta, text in zip(metas, sides):
                 sentences[meta.doc_id] = SentenceList(meta.doc_id, meta.language, text, (0,) * len(text))
             pairs.append(metas)
-        config = PipelineConfig(input=tmp_path, output=tmp_path / "out", method="moore")
+        config = PipelineConfig(input=tmp_path, output=tmp_path / "out", method="moore", jobs=jobs)
         with caplog.at_level(logging.WARNING):
             alignments = stage_align(config, pairs, sentences)
         assert [r.getMessage() for r in caplog.records] == [
@@ -551,6 +575,26 @@ class TestPairArticles:
         ):
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "01_preprocess").exists()
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    """A whole run hashes its dedup keys without `_hashlib`, the module that
+    maps OpenSSL; `import hashlib` anywhere in the package would load it."""
+    code = (
+        "import dataclasses, sys\n"
+        "import bitextkit.cli\n"
+        "from bitextkit.pipeline import load_config, run_pipeline\n"
+        "config = dataclasses.replace(load_config(sys.argv[1]), output=sys.argv[2])\n"
+        "run_pipeline(config, jobs=1)\n"
+        "sys.exit('the run loaded _hashlib' if '_hashlib' in sys.modules else 0)\n"
+    )
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-c", code, str(CORPUS / "config.json"), str(out)], env=env, check=True
+    )
+    assert (out / "run_log.jsonl").is_file()
 
 
 class TestEndToEnd:
