@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from bitextkit import __version__
@@ -86,7 +87,10 @@ def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]
 def _cmd_run(args) -> int:
     if args.config is None:
         raise ValueError("run requires --config FILE")
-    return run_pipeline(load_config(args.config), args.jobs)
+    config = load_config(args.config)
+    if args.jobs is not None:
+        config = replace(config, jobs=args.jobs)
+    return run_pipeline(config)
 
 
 def _cmd_ingest(args) -> int:

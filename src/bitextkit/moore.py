@@ -46,78 +46,69 @@ def _log_poisson(k: int, lam: float) -> float:
     return k * math.log(lam) - lam - math.lgamma(k + 1)
 
 
+def _sweep(S: int, T: int, grids: list) -> list[list[float]]:
+    """Forward log-sums over ``grids``, one per move in MOORE_MOVES order,
+    each indexed by its beads' start cells.
+
+    ``alpha[i][j]`` sums the paths from (0, 0) to (i, j). Every row of
+    ``alpha`` and of each grid ends in two -inf cells, and each table in two
+    -inf rows, so index -1 or -2 reads -inf and every cell takes the same
+    update: a move from off the lattice adds ``exp(-inf) = 0.0``, which
+    changes no bit. The ``exp`` terms are added by one ``sum()`` in
+    MOORE_MOVES order: ``sum`` is compensated from Python 3.12 on, so another
+    order, or a ``+=`` loop, could change the last bit.
+    """
+    g11, g10, g01, g21, g12 = grids
+    NEG, exp, log = -math.inf, math.exp, math.log
+    alpha = [[NEG] * (T + 3) for _ in range(S + 3)]
+    alpha[0][0] = 0.0
+    for i in range(S + 1):
+        a0, a1, a2 = alpha[i], alpha[i - 1], alpha[i - 2]
+        r11, r10, r01, r21, r12 = g11[i - 1], g10[i - 1], g01[i], g21[i - 2], g12[i - 1]
+        for j in range(0 if i else 1, T + 1):
+            terms = [
+                a1[j - 1] + r11[j - 1],
+                a1[j] + r10[j],
+                a0[j - 1] + r01[j - 1],
+                a2[j - 1] + r21[j - 1],
+                a1[j - 2] + r12[j - 2],
+            ]
+            top = max(terms)
+            a0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
+    return alpha
+
+
 def _forward_backward(S: int, T: int, log_bead) -> list[list[float]]:
     """S×T posteriors of the 1-1 bead at each (src, tgt) cell under move set
     MOORE_MOVES, clamped to [0, 1]; 0.0 where no path can take that bead.
 
     ``log_bead(i, j, m, n)`` is the log-probability of a bead consuming
     src[i:i+m] and tgt[j:j+n]. Every bead is scored once, up front, into one
-    grid per move: 5·(S+1)·(T+1) calls at most. The forward, backward and
-    posterior passes share the scores. Each cell reads its moves' neighbours
-    from row references and takes one ``max``, one ``exp`` per move and one
-    ``log``. Its log-sum-exp adds the ``exp`` terms with one ``sum()`` in
-    MOORE_MOVES order: ``sum`` is compensated from Python 3.12 on, so another
-    order, or a ``+=`` loop, could change the last bit.
+    grid per move: 5·(S+1)·(T+1) calls at most. Both passes are one
+    ``_sweep``: the backward one runs over the grids turned end for end
+    (``flipped[a][b] = grid[S-m-a][T-n-b]``), so ``beta[i][j]`` is
+    ``back[S-i][T-j]``, and every sum adds the same terms in the same order
+    as a backward loop would (IEEE addition commutes).
     """
+    NEG = -math.inf
     grids = [
         [[log_bead(i, j, m, n) for j in range(T + 1 - n)] for i in range(S + 1 - m)] for m, n in MOORE_MOVES
     ]
-    g11, g10, g01, g21, g12 = grids  # in MOORE_MOVES order
-    moves = list(zip(MOORE_MOVES, grids))
-    NEG, exp, log = -math.inf, math.exp, math.log
-    alpha = [[NEG] * (T + 1) for _ in range(S + 1)]
-    beta = [[NEG] * (T + 1) for _ in range(S + 1)]
-    alpha[0][0] = 0.0
-    for i in range(S + 1):
-        a0 = alpha[i]
-        if i >= 2:
-            a1, a2 = alpha[i - 1], alpha[i - 2]
-            r11, r10, r01, r21, r12 = g11[i - 1], g10[i - 1], g01[i], g21[i - 2], g12[i - 1]
-        for j in range(T + 1):
-            if i >= 2 and j >= 2:
-                terms = [
-                    a1[j - 1] + r11[j - 1],
-                    a1[j] + r10[j],
-                    a0[j - 1] + r01[j - 1],
-                    a2[j - 1] + r21[j - 1],
-                    a1[j - 2] + r12[j - 2],
-                ]
-            elif i or j:
-                terms = [alpha[i - m][j - n] + g[i - m][j - n] for (m, n), g in moves if i >= m and j >= n]
-            else:
-                continue
-            top = max(terms)
-            a0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
-    beta[S][T] = 0.0
-    for i in range(S, -1, -1):
-        b0 = beta[i]
-        if i <= S - 2:
-            b1, b2 = beta[i + 1], beta[i + 2]
-            r11, r10, r01, r21, r12 = g11[i], g10[i], g01[i], g21[i], g12[i]
-        for j in range(T, -1, -1):
-            if i <= S - 2 and j <= T - 2:
-                terms = [
-                    r11[j] + b1[j + 1],
-                    r10[j] + b1[j],
-                    r01[j] + b0[j + 1],
-                    r21[j] + b2[j + 1],
-                    r12[j] + b1[j + 2],
-                ]
-            elif i < S or j < T:
-                terms = [g[i][j] + beta[i + m][j + n] for (m, n), g in moves if i + m <= S and j + n <= T]
-            else:
-                continue
-            top = max(terms)
-            b0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
+    flipped = [[row[::-1] for row in reversed(grid)] for grid in grids]
+    for grid in grids + flipped:
+        for row in grid:
+            row += (NEG, NEG)
+        grid += ([NEG] * (T + 3), [NEG] * (T + 3))
+    alpha, back = _sweep(S, T, grids), _sweep(S, T, flipped)
     z = alpha[S][T]
     post = [[0.0] * T for _ in range(S)]
     if z == NEG:
         return post
     for i in range(S):
-        a, g, b, p = alpha[i], g11[i], beta[i + 1], post[i]
+        a, g, b, p = alpha[i], grids[0][i], back[S - 1 - i], post[i]
         for j in range(T):
             if a[j] != NEG:
-                p[j] = min(max(exp(a[j] + g[j] + b[j + 1] - z), 0.0), 1.0)
+                p[j] = min(max(math.exp(a[j] + g[j] + b[T - 1 - j] - z), 0.0), 1.0)
     return post
 
 

@@ -155,8 +155,10 @@ class SplitSpec:
     dev_sentence_target: int = 2036
 
     def __post_init__(self):
-        if self.test_sentence_target < 0 or self.dev_sentence_target < 0:
-            raise ValueError("split targets must be >= 0")
+        for name in ("test_sentence_target", "dev_sentence_target"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def split_corpus(

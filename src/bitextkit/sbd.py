@@ -208,14 +208,15 @@ def segment_en_rules(paragraph: str, abbrevs: AbbrevList | None = None) -> list[
             i = s
         else:
             i = j
-    spans = []
-    start = 0
-    for end, nxt in cuts:
-        spans.append(text[start:end])
-        start = nxt
-    if start < n:
-        spans.append(text[start:])
-    return [s for s in (sp.strip() for sp in spans) if s]
+    return _split_at(text, cuts)
+
+
+def _split_at(text: str, cuts: list[tuple[int, int]]) -> list[str]:
+    """The stripped, non-empty pieces of ``text`` around ``cuts``, each an
+    (end of a sentence, start of the next) offset pair, in order."""
+    starts = [0] + [nxt for _, nxt in cuts]
+    ends = [end for end, _ in cuts] + [len(text)]
+    return [s for s in (text[a:b].strip() for a, b in zip(starts, ends)) if s]
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +386,12 @@ def segment_punkt(paragraph: str, model: PunktModel) -> list[str]:
     """
     text = paragraph.strip()
     spans = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-    cuts: list[int] = []
+    cuts: list[tuple[int, int]] = []
     for k in range(len(spans) - 1):
         tok = text[spans[k][0] : spans[k][1]]
         stripped = tok.rstrip(_EN_CLOSERS)
         if stripped.endswith(("?", "!")):
-            cuts.append(k)
+            cuts.append((spans[k][1], spans[k + 1][0]))
             continue
         if not stripped.endswith("."):
             continue
@@ -405,15 +406,8 @@ def segment_punkt(paragraph: str, model: PunktModel) -> list[str]:
             and nxt_typ not in model.sentence_starters
         ):
             continue
-        cuts.append(k)
-    sentences = []
-    start_tok = 0
-    for k in cuts:
-        sentences.append(text[spans[start_tok][0] : spans[k][1]])
-        start_tok = k + 1
-    if start_tok < len(spans):
-        sentences.append(text[spans[start_tok][0] : spans[-1][1]])
-    return sentences
+        cuts.append((spans[k][1], spans[k + 1][0]))
+    return _split_at(text, cuts)
 
 
 def save_punkt(model: PunktModel, path: str | Path) -> None:

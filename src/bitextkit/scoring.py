@@ -36,8 +36,10 @@ class BleuConfig:
     use_brevity_penalty: bool = True
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max: must be >= 1")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, int) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        if not isinstance(self.use_brevity_penalty, bool):
+            raise ValueError(f"use_brevity_penalty must be true or false, got {self.use_brevity_penalty!r}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon: must be in (0, 1)")
 

@@ -158,6 +158,8 @@ class TestRun:
             ("jobs", 1.5, "jobs must be >= 1 and an integer, got 1.5"),
             ("jobs", True, "jobs must be >= 1 and an integer, got True"),
             ("jobs", "2", "jobs must be >= 1 and an integer, got '2'"),
+            ("bleu", {"n_max": 2.5}, "n_max must be an integer >= 1, got 2.5"),
+            ("split", {"dev_sentence_target": 2.5}, "dev_sentence_target must be an integer >= 0, got 2.5"),
         ],
     )
     def test_config_value_of_the_wrong_type_fails_before_any_stage(

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import string
 import subprocess
@@ -348,6 +349,25 @@ class TestLoadConfig:
     def test_bad_aligner_threshold_rejected(self, tmp_path, key, value):
         path = self.write(tmp_path, {"input": "raw", "output": "out", key: value})
         with pytest.raises(ValueError, match=rf"config\.json: {key} must be in"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bleu", {"n_max": 2.5}, "n_max must be an integer >= 1, got 2.5"),
+            ("bleu", {"n_max": True}, "n_max must be an integer >= 1, got True"),
+            ("bleu", {"n_max": "2"}, "n_max must be an integer >= 1, got '2'"),
+            ("bleu", {"n_max": 0}, "n_max must be an integer >= 1, got 0"),
+            ("bleu", {"use_brevity_penalty": "no"}, "use_brevity_penalty must be true or false, got 'no'"),
+            ("bleu", {"use_brevity_penalty": 0}, "use_brevity_penalty must be true or false, got 0"),
+            ("split", {"test_sentence_target": 2.5}, "test_sentence_target must be an integer >= 0, got 2.5"),
+            ("split", {"dev_sentence_target": True}, "dev_sentence_target must be an integer >= 0, got True"),
+            ("split", {"dev_sentence_target": "5"}, "dev_sentence_target must be an integer >= 0, got '5'"),
+        ],
+    )
+    def test_nested_value_of_the_wrong_type_rejected(self, tmp_path, key, value, message):
+        path = self.write(tmp_path, {"input": "raw", "output": "out", key: value})
+        with pytest.raises(ValueError, match=rf"config\.json: {re.escape(message)}$"):
             load_config(path)
 
 

@@ -169,16 +169,20 @@ class TestAbbreviationWindow:
             assert got == segment_en_rules(text)
 
 
+def fig_corpus():
+    # "fig." always carries a period; ordinary words rarely do.
+    paras = []
+    for k in range(6):
+        paras.append(
+            f"See fig. {k} for counts. The trial ran for {k} weeks. "
+            "Results appear in fig. 9 below. Groups did not differ."
+        )
+    return [en_doc(*paras)]
+
+
 class TestUnsupervised:
     def corpus(self):
-        # "fig." always carries a period; ordinary words rarely do.
-        paras = []
-        for k in range(6):
-            paras.append(
-                f"See fig. {k} for counts. The trial ran for {k} weeks. "
-                "Results appear in fig. 9 below. Groups did not differ."
-            )
-        return [en_doc(*paras)]
+        return fig_corpus()
 
     def test_learns_always_dotted_word_as_abbreviation(self):
         model = train_punkt(self.corpus())
@@ -233,6 +237,50 @@ class TestUnsupervised:
         a = train_punkt(self.corpus())
         b = train_punkt(self.corpus())
         assert a == b
+
+
+# whitespace-joined words: dotted words, abbreviations, initials, decimals,
+# glued citations, ``?``/``!`` and parentheticals, with runs of spaces and tabs
+# between them and around the paragraph
+paragraph_text = st.tuples(
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["Trial", "groups", "the", "fell.", "Results.", "done.", "fig.", "Fig.", "Dr.", "et", "al.",
+                 "e.g.", "J.", "K.", "3.5", "10.12", "12", "groups.12-14", "shown.3,4", "Really?", "yes!",
+                 "Why?!", "(See", "Figure", "2).", "\"Quoted.\"", "Next"]
+            ),
+            st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"]),
+        ),
+        max_size=25,
+    ),
+).map(lambda parts: parts[0] + "".join(word + sep for word, sep in parts[1]))
+
+TRAINED_PUNKT = train_punkt(fig_corpus())
+
+
+class TestSegmentersKeepTokens:
+    """Every English segmenter returns stripped, non-empty sentences whose
+    whitespace tokens, in order, are the paragraph's."""
+
+    @staticmethod
+    def check(paragraph, sentences):
+        assert all(s and s == s.strip() for s in sentences), sentences
+        assert [t for s in sentences for t in s.split()] == paragraph.split()
+
+    @settings(max_examples=300, deadline=None)
+    @given(paragraph=paragraph_text)
+    @example(paragraph=" Dr. J. Smith saw 3.5 mg.\tThen it fell.12-14  Next? yes! (See Figure 2). Done. ")
+    def test_rules(self, paragraph):
+        self.check(paragraph, segment_en_rules(paragraph))
+
+    @settings(max_examples=300, deadline=None)
+    @given(paragraph=paragraph_text)
+    @example(paragraph="\tSee fig. 3 for Results.  Next?\tyes! done. ")
+    def test_punkt(self, paragraph):
+        self.check(paragraph, segment_punkt(paragraph, PunktModel()))
+        self.check(paragraph, segment_punkt(paragraph, TRAINED_PUNKT))
 
 
 class TestDiffReport:
