@@ -78,9 +78,14 @@ def score_matrix(
 
 
 def check_min_score(min_score: float) -> None:
-    """Raise ValueError unless 0 <= min_score < 1 (NaN fails too)."""
-    if not 0 <= min_score < 1:
-        raise ValueError(f"min_score must be in [0, 1), got {min_score}")
+    """Raise ValueError unless min_score is a number (not a bool) with
+    0 <= min_score < 1 (NaN fails too)."""
+    if (
+        isinstance(min_score, bool)
+        or not isinstance(min_score, (int, float))
+        or not 0 <= min_score < 1
+    ):
+        raise ValueError(f"min_score must be in [0, 1), got {min_score!r}")
 
 
 def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]]:

@@ -118,6 +118,7 @@ def _cmd_sbd(args) -> int:
         output=args.output,
         abbreviations=args.abbreviations,
         en_sbd=args.en_method,
+        jobs=PipelineConfig.jobs if args.jobs is None else args.jobs,
     )
     docs = read_documents(args.input)
     sentences = stage_sbd(config, pair_articles([d.meta for d in docs]), docs)

@@ -138,15 +138,17 @@ def _length_model(slen: list[int], tlen: list[int]):
 
 
 def check_theta1(theta1: float) -> None:
-    """Raise ValueError unless 0.5 < theta1 < 1 (NaN fails too)."""
-    if not 0.5 < theta1 < 1:
-        raise ValueError(f"theta1 must be in (0.5, 1), got {theta1}")
+    """Raise ValueError unless theta1 is a number (not a bool) with
+    0.5 < theta1 < 1 (NaN fails too)."""
+    if isinstance(theta1, bool) or not isinstance(theta1, (int, float)) or not 0.5 < theta1 < 1:
+        raise ValueError(f"theta1 must be in (0.5, 1), got {theta1!r}")
 
 
 def check_theta2(theta2: float) -> None:
-    """Raise ValueError unless 0 < theta2 < 1 (NaN fails too)."""
-    if not 0 < theta2 < 1:
-        raise ValueError(f"theta2 must be in (0, 1), got {theta2}")
+    """Raise ValueError unless theta2 is a number (not a bool) with
+    0 < theta2 < 1 (NaN fails too)."""
+    if isinstance(theta2, bool) or not isinstance(theta2, (int, float)) or not 0 < theta2 < 1:
+        raise ValueError(f"theta2 must be in (0, 1), got {theta2!r}")
 
 
 def check_em_iterations(iterations: int) -> None:

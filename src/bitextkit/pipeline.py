@@ -15,7 +15,7 @@ import time
 import unicodedata
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -94,6 +94,10 @@ Pairs = list[tuple[ArticleMeta, ArticleMeta]]
 Bitext = list[tuple[str, str, str]]
 
 _SPLITS = ("train", "dev", "test")
+
+#: Chunks per worker in one :func:`_pool_map`: enough to even out the
+#: workers' loads, few enough that each pickles its bound model rarely.
+_CHUNKS_PER_WORKER = 4
 
 
 class PipelineError(Exception):
@@ -351,6 +355,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     """Execute all stages, with ``jobs`` in place of ``config.jobs`` when it
     is given; returns 0 on success, raises PipelineError otherwise.
 
+    At more than one job and more than one article, one pool of
+    ``config.jobs`` processes serves the per-article work of sbd and align;
+    preprocess, the corpus models, dedup, split, stats and every file write
+    run in this process.
+
     Each stage's data is dropped once no later stage reads it: the documents
     after sbd, and each article's sentence lists (with their cached tokens)
     and alignment as dedup makes its rows. Only the counts the run log
@@ -371,10 +380,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     docs, pairs = stage("preprocess", stage_preprocess, config)
     counts = {"preprocess": (len(docs), len(docs))}
-    sentences = stage("sbd", stage_sbd, config, pairs, docs)
-    counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
-    del docs
-    alignments = stage("align", stage_align, config, pairs, sentences)
+    with _open_pool(config, pairs) as pool:
+        sentences = stage("sbd", stage_sbd, config, pairs, docs, pool)
+        counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
+        del docs
+        alignments = stage("align", stage_align, config, pairs, sentences, pool)
     counts["align"] = (len(pairs), sum(map(len, alignments.values())))
     bitext, removed = stage("dedup", _stage_dedup, config, pairs, sentences, alignments)
     counts["dedup"] = (len(bitext) + removed, len(bitext))
@@ -422,11 +432,17 @@ def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
 
 
 def stage_sbd(
-    config: PipelineConfig, pairs: Pairs, docs: list[Document]
+    config: PipelineConfig,
+    pairs: Pairs,
+    docs: list[Document],
+    pool: ProcessPoolExecutor | None = None,
 ) -> dict[str, SentenceList]:
     """Segment ``docs``, the documents of ``pairs``; returns the sentences
-    keyed by doc_id. ``sbd_report.csv`` compares each pair's zh and en
-    sentence counts."""
+    keyed by doc_id. The corpus models (the abbreviation list, and the Punkt
+    model trained here when ``en_sbd`` is punkt) are bound to one segmenter,
+    which runs through :func:`_article_map` (over ``pool`` when one is
+    given), and each document's file is written as its sentences arrive.
+    ``sbd_report.csv`` compares each pair's zh and en sentence counts."""
     out = Path(config.output)
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
@@ -435,9 +451,12 @@ def stage_sbd(
     if config.en_sbd == "punkt":
         punkt_model = train_punkt(docs)
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
-    sentence_lists = {d.meta.doc_id: _segment(d, abbrevs, punkt_model) for d in docs}
-    for doc_id, sl in sentence_lists.items():
-        write_sentences(sl, stage_dir / f"{doc_id}.tsv")
+    segment = partial(_segment, abbrevs=abbrevs, punkt_model=punkt_model)
+    sentence_lists: dict[str, SentenceList] = {}
+    with _article_map(config, pairs, pool) as pmap:
+        for doc, sl in zip(docs, pmap(segment, docs)):
+            sentence_lists[doc.meta.doc_id] = sl
+            write_sentences(sl, stage_dir / f"{doc.meta.doc_id}.tsv")
     write_metadata(docs, stage_dir / META_FILENAME)
     counts = [
         (s.pair_id, len(sentence_lists[s.doc_id]), len(sentence_lists[t.doc_id]))
@@ -493,30 +512,56 @@ def _logging_call(fn, *args):
         root.handlers = saved
 
 
-def _pool_map(pool: ProcessPoolExecutor, fn, *columns):
-    """``pool.map(fn, *columns)``, with each worker's log records handled by
-    the parent's loggers in article order, as a serial run logs them."""
-    for result, records in pool.map(partial(_logging_call, fn), *columns):
+def _pool_map(pool: ProcessPoolExecutor, jobs: int, fn, *columns):
+    """``map(fn, *columns)`` over ``pool``, a pool of ``jobs`` processes, in
+    chunks of about ``len / (_CHUNKS_PER_WORKER * jobs)`` articles: ``fn``,
+    with the corpus model it binds, is pickled once per chunk and serves the
+    whole chunk in one worker, so a memo it keeps stays warm across the
+    chunk. Results arrive in order, chunk by chunk, and each worker's log
+    records are handled by the parent's loggers in article order, as a
+    serial run logs them."""
+    chunksize = -(-len(columns[0]) // (_CHUNKS_PER_WORKER * jobs))
+    for result, records in pool.map(partial(_logging_call, fn), *columns, chunksize=chunksize):
         for record in records:
             logging.getLogger(record.name).handle(record)
         yield result
+
+
+def _open_pool(config: PipelineConfig, pairs: Pairs):
+    """A pool of ``config.jobs`` processes for the per-article work of
+    ``pairs``, or ``nullcontext()`` (None) at one job or one article."""
+    if config.jobs > 1 and len(pairs) > 1:
+        return ProcessPoolExecutor(config.jobs)
+    return nullcontext()
+
+
+@contextmanager
+def _article_map(config: PipelineConfig, pairs: Pairs, pool: ProcessPoolExecutor | None):
+    """The map a stage runs its per-article work through: :func:`_pool_map`
+    over ``pool`` when one is given, else over a pool the block opens with
+    :func:`_open_pool`, else the serial builtin ``map``."""
+    with nullcontext(pool) if pool is not None else _open_pool(config, pairs) as pool:
+        yield map if pool is None else partial(_pool_map, pool, config.jobs)
 
 
 def stage_align(
     config: PipelineConfig,
     pairs: Pairs,
     sentences: dict[str, SentenceList],
+    pool: ProcessPoolExecutor | None = None,
 ) -> dict[str, AlignmentSet]:
-    """Align every article pair, over one pool of ``config.jobs`` processes
-    when there is more than one; returns the alignments keyed by pair_id.
-    Nothing is written under ``03_align`` but the corpus model until every
-    article is aligned."""
+    """Align every article pair; returns the alignments keyed by pair_id.
+
+    The corpus model (moore's translation table, trained between its two
+    passes, or the length params) is fitted and saved under ``03_align`` in
+    this process, then bound to one per-article aligner. Both moore passes,
+    gc and bleualign run through :func:`_article_map` (over ``pool`` when
+    one is given), and each article's file is written as its alignment
+    arrives."""
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    parallel = config.jobs > 1 and len(pairs) > 1
-    with ProcessPoolExecutor(config.jobs) if parallel else nullcontext() as pool:
-        pmap = partial(_pool_map, pool) if parallel else map
+    with _article_map(config, pairs, pool) as pmap:
         if config.method == "moore":
             passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
             confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
@@ -545,11 +590,10 @@ def stage_align(
                 )
             columns += [mt_srcs, mt_tgts]
             align = partial(bleualign, cfg=config.bleu, min_score=config.min_score, params=params)
-        results = list(pmap(align, *columns))
-    alignments: dict[str, AlignmentSet] = {}
-    for (meta, _), aset in zip(pairs, results):
-        alignments[meta.pair_id] = aset
-        write_alignments(aset, stage_dir / f"{meta.pair_id}.tsv")
+        alignments: dict[str, AlignmentSet] = {}
+        for (meta, _), aset in zip(pairs, pmap(align, *columns)):
+            alignments[meta.pair_id] = aset
+            write_alignments(aset, stage_dir / f"{meta.pair_id}.tsv")
     return alignments
 
 

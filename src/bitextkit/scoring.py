@@ -40,8 +40,12 @@ class BleuConfig:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not isinstance(self.use_brevity_penalty, bool):
             raise ValueError(f"use_brevity_penalty must be true or false, got {self.use_brevity_penalty!r}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon: must be in (0, 1)")
+        if (
+            isinstance(self.epsilon, bool)
+            or not isinstance(self.epsilon, (int, float))
+            or not 0 < self.epsilon < 1
+        ):
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:

@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import bitextkit
-from bitextkit import __version__
+from bitextkit import __version__, pipeline
 from bitextkit.cli import build_parser, main
 from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
 from bitextkit.pipeline import PipelineConfig
@@ -227,6 +228,23 @@ class TestStageCommands:
                 for pair_id in articles
             ),
         ]
+
+    def test_sbd_segments_over_jobs_workers(self, tmp_path, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        out = tmp_path / "s"
+        assert main(["--jobs", "2", "sbd", str(CORPUS / "out" / "01_preprocess"), str(out)]) == 0
+        assert started == [2]
+        golden = CORPUS / "out" / "02_sbd"
+        assert sorted(p.name for p in (out / "02_sbd").iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / "02_sbd" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_ingest(self, tmp_path, capsys):
         assert main(["ingest", str(RAW), str(tmp_path / "docs")]) == 0

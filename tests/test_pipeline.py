@@ -370,6 +370,24 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=rf"config\.json: {re.escape(message)}$"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"theta1": "0.9"}, "theta1 must be in (0.5, 1), got '0.9'"),
+            ({"theta1": True}, "theta1 must be in (0.5, 1), got True"),
+            ({"theta2": None}, "theta2 must be in (0, 1), got None"),
+            ({"theta2": "0.5"}, "theta2 must be in (0, 1), got '0.5'"),
+            ({"min_score": False}, "min_score must be in [0, 1), got False"),
+            ({"min_score": None}, "min_score must be in [0, 1), got None"),
+            ({"bleu": {"epsilon": "x"}}, "epsilon must be in (0, 1), got 'x'"),
+            ({"bleu": {"epsilon": False}}, "epsilon must be in (0, 1), got False"),
+        ],
+    )
+    def test_threshold_that_is_not_a_number_rejected(self, tmp_path, payload, message):
+        path = self.write(tmp_path, {"input": "raw", "output": "out", **payload})
+        with pytest.raises(ValueError, match=rf"config\.json: {re.escape(message)}$"):
+            load_config(path)
+
 
 class TestReadMt:
     def template(self):
@@ -551,6 +569,87 @@ def runs(tmp_path_factory):
 
 def tree(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def one_article_corpus(root: Path) -> Path:
+    """A raw corpus holding only the fixture's article A01."""
+    raw = root / "raw"
+    raw.mkdir()
+    for lang in ("zh", "en"):
+        shutil.copy(CORPUS / "raw" / f"A01-{lang}.txt", raw)
+    rows = (CORPUS / "raw" / "metadata.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (raw / "metadata.tsv").write_text("".join(r for r in rows if r.startswith("A01-")), encoding="utf-8")
+    return raw
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The pools the pipeline starts; each counts the tasks each of its maps submits."""
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                self.submits_per_map = []
+                super().__init__(*args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                self.submits_per_map.append(0)
+                return super().map(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                self.submits_per_map[-1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        return started
+
+    def test_one_pool_serves_the_whole_run_in_a_few_chunks_per_worker(self, tmp_path, started):
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, jobs=2)
+        assert config.method == "moore"
+        assert run_pipeline(config) == 0
+        assert len(started) == 1
+        # sbd's 24 documents, then moore's two passes over 12 articles, in
+        # at most 4 chunks per worker each
+        assert started[0].submits_per_map == [8, 6, 6]
+
+    @pytest.mark.parametrize("one_article, jobs", [(False, 1), (True, 2)], ids=["jobs1", "one-article"])
+    def test_no_pool_at_one_job_or_one_article(self, tmp_path, started, one_article, jobs):
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path / "out", jobs=jobs)
+        if one_article:
+            config = dataclasses.replace(config, input=one_article_corpus(tmp_path))
+        assert run_pipeline(config) == 0
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"en_sbd": "punkt", "method": "moore"},
+            {"method": "bleualign"},
+            # no pass-1 pair is confident, so pass 2 warns once per article in
+            # the workers, and the held-out splits run out of articles
+            {"method": "moore", "theta1": 0.99999, "split": SplitSpec(10**6, 10**6)},
+        ],
+        ids=["punkt-moore", "bleualign-bidirectional", "moore-warnings"],
+    )
+    def test_two_jobs_write_the_same_bytes_and_warnings_as_one(self, tmp_path, caplog, changes):
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), **changes)
+        assert config.mt_tgt is not None
+        results = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert run_pipeline(dataclasses.replace(config, output=out, jobs=jobs)) == 0
+            files = {name: p.read_bytes() for name, p in tree(out).items() if name != "run_log.jsonl"}
+            warnings = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+            results.append((files, warnings))
+        assert results[0] == results[1]
+        if "theta1" in changes:
+            worker_docs = [m.split(":")[0] for name, _, m in warnings if name == "bitextkit.moore"]
+            assert worker_docs == [f"A{k:02d}-zh" for k in range(1, 13)]
+            assert len(warnings) == 1 + 12 + 2
 
 
 class TestPairArticles:
