@@ -224,7 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", type=Path, help="pipeline config (JSON)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="upper bound on worker processes: a run of A articles starts min(JOBS, A // 4) "
+        "of them, or none below two, since starting a worker costs more than a few articles' "
+        "work; a run without workers never loads the pool",
+    )
     parser.add_argument("--log-format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

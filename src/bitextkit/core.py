@@ -162,11 +162,13 @@ class Bead:
     method: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "src", tuple(int(i) for i in self.src))
-        object.__setattr__(self, "tgt", tuple(int(i) for i in self.tgt))
-        if not self.src and not self.tgt:
+        src, tgt = tuple(map(int, self.src)), tuple(map(int, self.tgt))
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        indices = src + tgt
+        if not indices:
             raise ValueError("src/tgt: a bead may not be empty on both sides")
-        if any(i < 0 for i in self.src + self.tgt):
+        if min(indices) < 0:
             raise ValueError("src/tgt: indices must be non-negative")
 
     @property

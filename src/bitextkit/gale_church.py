@@ -45,7 +45,10 @@ class LengthParams:
     The lattice memoizes its length term on the instance, as
     ``{source chars: {target chars: value}}``: one instance passed to every
     block scores each distinct pair of lengths once. The memo is not a
-    parameter; it takes no part in equality or ``repr``.
+    parameter; it takes no part in equality or ``repr``, and it is not
+    pickled. Every unpickled copy of equal params in one process is one
+    instance, so a pool worker keeps a single memo warm across the chunks of
+    articles it is sent.
     """
 
     c: float = DEFAULT_C
@@ -65,6 +68,22 @@ class LengthParams:
         total = sum(self.priors.values())
         if abs(total - 1.0) > 1e-6 or any(p <= 0 for p in self.priors.values()):
             raise ValueError("priors: must be positive and sum to 1")
+
+    def __reduce__(self):
+        return _unpickled_length_params, (self.c, self.s2, tuple(self.priors.items()))
+
+
+#: This process's unpickled LengthParams, by (c, s2, sorted prior items).
+_UNPICKLED: dict[tuple, LengthParams] = {}
+
+
+def _unpickled_length_params(c: float, s2: float, prior_items: tuple) -> LengthParams:
+    """The one instance of these params that this process unpickles."""
+    key = (c, s2, tuple(sorted(prior_items)))
+    params = _UNPICKLED.get(key)
+    if params is None:
+        params = _UNPICKLED[key] = LengthParams(c, s2, dict(prior_items))
+    return params
 
 
 # Rational tail approximation of the standard normal CDF

@@ -14,11 +14,14 @@ import logging
 import time
 import unicodedata
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # loaded by _open_pool, only for a run that starts a pool
+    from concurrent.futures import ProcessPoolExecutor
 
 try:  # the class hashlib.blake2b re-exports, without loading OpenSSL
     from _blake2 import blake2b
@@ -96,7 +99,8 @@ Bitext = list[tuple[str, str, str]]
 _SPLITS = ("train", "dev", "test")
 
 #: Chunks per worker in one :func:`_pool_map`: enough to even out the
-#: workers' loads, few enough that each pickles its bound model rarely.
+#: workers' loads, few enough that each pickles its bound model rarely. A
+#: run starts a worker only for this many articles (:func:`_pool_workers`).
 _CHUNKS_PER_WORKER = 4
 
 
@@ -355,10 +359,12 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     """Execute all stages, with ``jobs`` in place of ``config.jobs`` when it
     is given; returns 0 on success, raises PipelineError otherwise.
 
-    At more than one job and more than one article, one pool of
-    ``config.jobs`` processes serves the per-article work of sbd and align;
-    preprocess, the corpus models, dedup, split, stats and every file write
-    run in this process.
+    ``config.jobs`` bounds the worker processes. A run of ``n`` articles
+    starts ``min(config.jobs, n // 4)`` of them (:func:`_pool_workers`) in
+    one pool that serves the per-article work of sbd and align, or none
+    below two, and then runs that work in this process without loading the
+    pool's modules. Preprocess, the corpus models, dedup, split, stats and
+    every file write run in this process.
 
     Each stage's data is dropped once no later stage reads it: the documents
     after sbd, and each article's sentence lists (with their cached tokens)
@@ -512,27 +518,40 @@ def _logging_call(fn, *args):
         root.handlers = saved
 
 
-def _pool_map(pool: ProcessPoolExecutor, jobs: int, fn, *columns):
-    """``map(fn, *columns)`` over ``pool``, a pool of ``jobs`` processes, in
-    chunks of about ``len / (_CHUNKS_PER_WORKER * jobs)`` articles: ``fn``,
-    with the corpus model it binds, is pickled once per chunk and serves the
-    whole chunk in one worker, so a memo it keeps stays warm across the
-    chunk. Results arrive in order, chunk by chunk, and each worker's log
-    records are handled by the parent's loggers in article order, as a
-    serial run logs them."""
-    chunksize = -(-len(columns[0]) // (_CHUNKS_PER_WORKER * jobs))
+def _pool_map(pool: ProcessPoolExecutor, workers: int, fn, *columns):
+    """``map(fn, *columns)`` over ``pool``, a pool of ``workers`` processes,
+    in chunks of about ``len / (_CHUNKS_PER_WORKER * workers)`` articles:
+    ``fn``, with the corpus model it binds, is pickled once per chunk and
+    serves the whole chunk in one worker, so a memo it keeps stays warm
+    across the chunk. Results arrive in order, chunk by chunk, and each
+    worker's log records are handled by the parent's loggers in article
+    order, as a serial run logs them."""
+    chunksize = -(-len(columns[0]) // (_CHUNKS_PER_WORKER * workers))
     for result, records in pool.map(partial(_logging_call, fn), *columns, chunksize=chunksize):
         for record in records:
             logging.getLogger(record.name).handle(record)
         yield result
 
 
+def _pool_workers(config: PipelineConfig, pairs: Pairs) -> int:
+    """Worker processes for the per-article work of ``pairs``: at most
+    ``config.jobs``, and no more than give each worker
+    :data:`_CHUNKS_PER_WORKER` chunks of at least one article."""
+    return min(config.jobs, len(pairs) // _CHUNKS_PER_WORKER)
+
+
 def _open_pool(config: PipelineConfig, pairs: Pairs):
-    """A pool of ``config.jobs`` processes for the per-article work of
-    ``pairs``, or ``nullcontext()`` (None) at one job or one article."""
-    if config.jobs > 1 and len(pairs) > 1:
-        return ProcessPoolExecutor(config.jobs)
-    return nullcontext()
+    """A pool of :func:`_pool_workers` processes for the per-article work of
+    ``pairs``, or ``nullcontext()`` (None) when that is below two: a worker
+    costs a fork and the pickling of its tasks, which a handful of articles
+    does not pay back. The pool's modules are imported here, so a run that
+    starts no pool never loads them."""
+    workers = _pool_workers(config, pairs)
+    if workers < 2:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
 
 
 @contextmanager
@@ -541,7 +560,7 @@ def _article_map(config: PipelineConfig, pairs: Pairs, pool: ProcessPoolExecutor
     over ``pool`` when one is given, else over a pool the block opens with
     :func:`_open_pool`, else the serial builtin ``map``."""
     with nullcontext(pool) if pool is not None else _open_pool(config, pairs) as pool:
-        yield map if pool is None else partial(_pool_map, pool, config.jobs)
+        yield map if pool is None else partial(_pool_map, pool, _pool_workers(config, pairs))
 
 
 def stage_align(

@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import bitextkit
-from bitextkit import __version__, pipeline
+from bitextkit import __version__
 from bitextkit.cli import build_parser, main
 from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
 from bitextkit.pipeline import PipelineConfig
@@ -198,11 +199,13 @@ def stages(tmp_path_factory):
 
 class TestStageCommands:
     def test_two_jobs_print_each_worker_warning_once(self, tmp_path):
-        # every pass-1 posterior is below 0.99, so pass 2 of each article warns in a worker
-        articles = {
-            "A": (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
-            "B": (("一二三。",), ("One two.", "Four five.")),
-        }
+        # every pass-1 posterior is below 0.99, so pass 2 of each article
+        # warns in a worker; eight articles are enough for two workers
+        shapes = (
+            (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
+            (("一二三。",), ("One two.", "Four five.")),
+        )
+        articles = {pair_id: shapes[k % 2] for k, pair_id in enumerate("ABCDEFGH")}
         sbd = tmp_path / "02_sbd"
         sbd.mkdir()
         rows = []
@@ -214,11 +217,24 @@ class TestStageCommands:
         write_records(sbd / META_FILENAME, rows)
         src = Path(bitextkit.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        # the console script's main, with each pool it starts announced on stdout
+        code = (
+            "import sys\n"
+            "from concurrent import futures\n"
+            "from bitextkit.cli import main\n"
+            "class AnnouncedPool(futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, max_workers):\n"
+            "        print(f'pool of {max_workers} workers', flush=True)\n"
+            "        super().__init__(max_workers)\n"
+            "futures.ProcessPoolExecutor = AnnouncedPool\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "bitextkit.cli", "--jobs", "2", "--log-format", "json",
+            [sys.executable, "-c", code, "--jobs", "2", "--log-format", "json",
              "align", str(sbd), str(tmp_path / "a"), "--method", "moore"],
             env=env, capture_output=True, text=True, check=True,
         )
+        assert proc.stdout.splitlines().count("pool of 2 workers") == 1
         records = [json.loads(line) for line in proc.stderr.splitlines() if line.startswith("{")]
         assert [(r["level"], r["message"]) for r in records] == [
             ("WARNING", "no confident sentence pairs to train on; pass 2 uses the length model"),
@@ -237,7 +253,7 @@ class TestStageCommands:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
         out = tmp_path / "s"
         assert main(["--jobs", "2", "sbd", str(CORPUS / "out" / "01_preprocess"), str(out)]) == 0
         assert started == [2]

@@ -46,6 +46,14 @@ def meta(pair_id="A01", language="zh", date="2021-03-04"):
     )
 
 
+# A bead side as (constructor, value): a tuple, list or iterator of things
+# int() may or may not take, or a value that is no sequence of indices.
+bead_side_items = st.integers(-3, 60) | st.booleans() | st.floats(-2, 60) | st.sampled_from(["7", "x"])
+bead_sides = st.tuples(
+    st.sampled_from([tuple, list, iter]), st.lists(bead_side_items, max_size=3)
+) | st.tuples(st.just(lambda value: value), st.none() | st.integers(0, 5) | st.text("09a", max_size=3))
+
+
 class TestModelValidation:
     def test_language_codes(self):
         assert check_language("zh") == "zh"
@@ -59,6 +67,32 @@ class TestModelValidation:
             Bead((), (), None, "gc")
         with pytest.raises(ValueError):
             Bead((-1,), (0,), None, "gc")
+
+    @settings(max_examples=300, deadline=None)
+    @given(sides=st.tuples(bead_sides, bead_sides))
+    def test_bead_normalizes_its_sides_as_the_per_element_loop_did(self, sides):
+        def reference(src, tgt):
+            """The per-element generator Bead.__post_init__ used to run."""
+            src, tgt = tuple(int(i) for i in src), tuple(int(i) for i in tgt)
+            if not src and not tgt:
+                raise ValueError("src/tgt: a bead may not be empty on both sides")
+            if any(i < 0 for i in src + tgt):
+                raise ValueError("src/tgt: indices must be non-negative")
+            return src, tgt
+
+        def build():  # a fresh input each call, since an iterator is consumed
+            return [make(value) for make, value in sides]
+
+        try:
+            expected = reference(*build())
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                Bead(*build(), None, "gc")
+            assert str(raised.value) == str(exc)
+        else:
+            bead = Bead(*build(), None, "gc")
+            assert bead.key == expected
+            assert all(type(i) is int for i in bead.src + bead.tgt)
 
     def test_bead_type_and_key(self):
         b = Bead((3, 4), (5,), 0.25, "gc")

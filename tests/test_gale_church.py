@@ -302,6 +302,34 @@ class TestLengthTermMemo:
         assert _align_block(src, tgt, back) == path
 
 
+class TestUnpickledLengthParams:
+    """Every unpickled copy of equal params in one process is one memo, so a
+    pool worker scores each pair of lengths once across its chunks."""
+
+    src = ["x" * n for n in (12, 30, 7, 44)]
+    tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+
+    def test_copies_of_equal_params_share_entries(self):
+        # two equal instances, each pickled as its own chunk would pickle it
+        first, second = (pickle.loads(pickle.dumps(LengthParams(c=1.7, s2=3.3))) for _ in range(2))
+        path = _align_block(self.src, self.tgt, first)
+        assert second._log_match_memo[12][10] == _log_match(12, 10, 1.7, 3.3)
+        assert second._log_match_memo == first._log_match_memo
+        assert _align_block(self.src, self.tgt, second) == path == _align_block(
+            self.src, self.tgt, LengthParams(c=1.7, s2=3.3)
+        )
+
+    @pytest.mark.parametrize("other", [{"c": 1.8, "s2": 3.3}, {"c": 1.7, "s2": 3.4}], ids=["c", "s2"])
+    def test_params_with_another_scale_share_none(self, other):
+        filled = pickle.loads(pickle.dumps(LengthParams(c=1.7, s2=3.3)))
+        _align_block(self.src, self.tgt, filled)
+        copy = pickle.loads(pickle.dumps(LengthParams(**other)))
+        assert copy._log_match_memo is not filled._log_match_memo
+        _align_block(self.src, self.tgt, copy)
+        assert copy._log_match_memo[12][10] == _log_match(12, 10, other["c"], other["s2"])
+        assert filled._log_match_memo[12][10] == _log_match(12, 10, 1.7, 3.3)
+
+
 class TestEstimateParams:
     def test_hand_computed_ratio_and_variance(self):
         pairs = [("ab", "abcd"), ("ab", "abcdefgh")]

@@ -13,6 +13,7 @@ import string
 import subprocess
 import sys
 import unicodedata
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -483,6 +484,31 @@ ALIGN_METHODS = {
 }
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The pools the pipeline starts, each with its worker count; each counts
+    the tasks each of its maps submits."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(self)
+            self.workers = max_workers
+            self.submits_per_map = []
+            super().__init__(max_workers, *args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            self.submits_per_map.append(0)
+            return super().map(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            self.submits_per_map[-1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
 class TestStageAlign:
     @pytest.mark.parametrize("changes", ALIGN_METHODS.values(), ids=list(ALIGN_METHODS))
     def test_one_and_two_jobs_align_the_same(self, tmp_path, changes):
@@ -500,33 +526,31 @@ class TestStageAlign:
         assert {f"03_align/{s.pair_id}.tsv" for s, _ in pairs} < set(files)
 
     @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-    def test_moore_runs_both_passes_in_one_pool(self, tmp_path, monkeypatch, jobs, pools):
-        started = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    def test_moore_runs_both_passes_in_one_pool(self, tmp_path, started, jobs, pools):
         pairs, sentences = fixture_sentences()
         config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, jobs=jobs)
         stage_align(config, pairs, sentences)
         assert len(started) == pools
 
-    def test_no_confident_pairs_falls_back_to_the_length_model(self, tmp_path, caplog):
+    def test_no_confident_pairs_falls_back_to_the_length_model(self, tmp_path, caplog, started):
         self.check_length_model_fallback(tmp_path, caplog, jobs=1)
+        assert started == []
 
-    def test_no_confident_pairs_falls_back_to_the_length_model_across_workers(self, tmp_path, caplog):
+    def test_no_confident_pairs_falls_back_to_the_length_model_across_workers(
+        self, tmp_path, caplog, started
+    ):
         self.check_length_model_fallback(tmp_path, caplog, jobs=2)
+        assert [pool.workers for pool in started] == [2]
 
     @staticmethod
     def check_length_model_fallback(tmp_path, caplog, jobs):
-        # every pass-1 posterior of these two articles is below 0.99
-        articles = {
-            "A": (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
-            "B": (("一二三。",), ("One two.", "Four five.")),
-        }
+        # every pass-1 posterior of these two article shapes is below 0.99;
+        # eight articles are enough for two workers
+        shapes = (
+            (("一二三。", "四五六。"), ("One two three.", "Four five six.", "Seven eight nine.")),
+            (("一二三。",), ("One two.", "Four five.")),
+        )
+        articles = {pair_id: shapes[k % 2] for k, pair_id in enumerate("ABCDEFGH")}
         pairs, sentences = [], {}
         for pair_id, sides in articles.items():
             metas = tuple(
@@ -571,40 +595,21 @@ def tree(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def one_article_corpus(root: Path) -> Path:
-    """A raw corpus holding only the fixture's article A01."""
+def first_articles_corpus(root: Path, n: int) -> Path:
+    """A raw corpus holding only the fixture's articles A01 to A{n}."""
     raw = root / "raw"
     raw.mkdir()
-    for lang in ("zh", "en"):
-        shutil.copy(CORPUS / "raw" / f"A01-{lang}.txt", raw)
+    pair_ids = [f"A{k:02d}" for k in range(1, n + 1)]
+    for pair_id in pair_ids:
+        for lang in ("zh", "en"):
+            shutil.copy(CORPUS / "raw" / f"{pair_id}-{lang}.txt", raw)
     rows = (CORPUS / "raw" / "metadata.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
-    (raw / "metadata.tsv").write_text("".join(r for r in rows if r.startswith("A01-")), encoding="utf-8")
+    kept = "".join(r for r in rows if r.split("-")[0] in pair_ids)
+    (raw / "metadata.tsv").write_text(kept, encoding="utf-8")
     return raw
 
 
 class TestWorkerPool:
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The pools the pipeline starts; each counts the tasks each of its maps submits."""
-        started = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(self)
-                self.submits_per_map = []
-                super().__init__(*args, **kwargs)
-
-            def map(self, *args, **kwargs):
-                self.submits_per_map.append(0)
-                return super().map(*args, **kwargs)
-
-            def submit(self, *args, **kwargs):
-                self.submits_per_map[-1] += 1
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
-        return started
-
     def test_one_pool_serves_the_whole_run_in_a_few_chunks_per_worker(self, tmp_path, started):
         config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, jobs=2)
         assert config.method == "moore"
@@ -618,9 +623,32 @@ class TestWorkerPool:
     def test_no_pool_at_one_job_or_one_article(self, tmp_path, started, one_article, jobs):
         config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path / "out", jobs=jobs)
         if one_article:
-            config = dataclasses.replace(config, input=one_article_corpus(tmp_path))
+            config = dataclasses.replace(config, input=first_articles_corpus(tmp_path, 1))
         assert run_pipeline(config) == 0
         assert started == []
+
+    @pytest.mark.parametrize(
+        "articles, jobs, workers", [(1, 2, None), (7, 2, None), (8, 2, 2), (12, 8, 3)]
+    )
+    def test_a_run_starts_a_worker_per_four_articles_and_none_below_two(
+        self, tmp_path, started, articles, jobs, workers
+    ):
+        config = dataclasses.replace(
+            load_config(CORPUS / "config.json"), input=first_articles_corpus(tmp_path, articles)
+        )
+        outs = {}
+        for n_jobs in (1, jobs):
+            outs[n_jobs] = tmp_path / f"jobs{n_jobs}"
+            assert run_pipeline(dataclasses.replace(config, output=outs[n_jobs], jobs=n_jobs)) == 0
+            log = json.loads((outs[n_jobs] / "run_log.jsonl").read_text(encoding="utf-8").splitlines()[0])
+            assert log["jobs"] == n_jobs
+        assert [pool.workers for pool in started] == ([] if workers is None else [workers])
+        # sbd and moore's two passes, each in 4 chunks per worker started
+        assert [pool.submits_per_map for pool in started] == ([] if workers is None else [[4 * workers] * 3])
+        serial, pooled = tree(outs[1]), tree(outs[jobs])
+        del serial["run_log.jsonl"], pooled["run_log.jsonl"]
+        assert serial.keys() == pooled.keys()
+        assert all(serial[rel].read_bytes() == pooled[rel].read_bytes() for rel in serial)
 
     @pytest.mark.parametrize(
         "changes",
@@ -713,6 +741,34 @@ def test_a_run_loads_no_openssl(tmp_path):
     subprocess.run(
         [sys.executable, "-c", code, str(CORPUS / "config.json"), str(out)], env=env, check=True
     )
+    assert (out / "run_log.jsonl").is_file()
+
+
+def test_a_jobs_one_run_loads_no_pool_modules(tmp_path):
+    """Importing the CLI, and then a run that starts no worker, leave the
+    pool's modules unloaded."""
+    code = (
+        "import dataclasses, sys\n"
+        "pool_modules = ('multiprocessing', 'concurrent.futures.process')\n"
+        "def check(when):\n"
+        "    loaded = [m for m in pool_modules if m in sys.modules]\n"
+        "    if loaded:\n"
+        "        sys.exit(f'{when} loaded {loaded}')\n"
+        "import bitextkit.cli\n"
+        "check('import bitextkit.cli')\n"
+        "from bitextkit.pipeline import load_config, run_pipeline\n"
+        "config = dataclasses.replace(load_config(sys.argv[1]), output=sys.argv[2])\n"
+        "run_pipeline(config, jobs=1)\n"
+        "check('a jobs-1 run')\n"
+    )
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(CORPUS / "config.json"), str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert (out / "run_log.jsonl").is_file()
 
 
