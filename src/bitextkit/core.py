@@ -146,7 +146,7 @@ class SentenceList:
         return spans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bead:
     """One alignment link: a block of source sentences paired with a block
     of target sentences (either side may be empty, not both).
@@ -170,6 +170,11 @@ class Bead:
             raise ValueError("src/tgt: a bead may not be empty on both sides")
         if min(indices) < 0:
             raise ValueError("src/tgt: indices must be non-negative")
+
+    def __reduce__(self):
+        # the fields as arguments: dataclass's own state functions for
+        # frozen slots call fields() per bead, twice as slow to pickle
+        return Bead, (self.src, self.tgt, self.score, self.method)
 
     @property
     def bead_type(self) -> tuple[int, int]:

@@ -213,24 +213,51 @@ def path_beads(
     return beads
 
 
+def paragraph_blocks(
+    src: SentenceList, tgt: SentenceList, params: LengthParams
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Matched paragraph blocks of a document pair, as ``((s0, s1), (t0, t1))``
+    sentence ranges in order.
+
+    Equal paragraph counts pair paragraphs in order; a side without
+    paragraphs gives one block. Otherwise the lattice aligns the paragraphs
+    themselves by their character lengths (sentences joined as
+    :meth:`SentenceList.join` joins them), and each paragraph bead is one
+    block; a 1-0 or 0-1 bead has an empty range on one side.
+    """
+    src_spans, tgt_spans = src.paragraph_spans(), tgt.paragraph_spans()
+    if not src_spans or not tgt_spans:
+        return [((0, len(src)), (0, len(tgt)))]
+    if len(src_spans) == len(tgt_spans):
+        return list(zip(src_spans, tgt_spans))
+    path = _align_block(
+        [src.join(range(a, b)) for a, b in src_spans],
+        [tgt.join(range(a, b)) for a, b in tgt_spans],
+        params,
+    )
+    src_bounds = [a for a, _ in src_spans] + [len(src)]
+    tgt_bounds = [a for a, _ in tgt_spans] + [len(tgt)]
+    blocks, i, j = [], 0, 0
+    for (m, n), _ in path:
+        blocks.append(((src_bounds[i], src_bounds[i + m]), (tgt_bounds[j], tgt_bounds[j + n])))
+        i, j = i + m, j + n
+    return blocks
+
+
 def gc_align(
     src: SentenceList, tgt: SentenceList, params: LengthParams | None = None
 ) -> AlignmentSet:
-    """Length-based alignment of a document pair.
-
-    When both sides have the same paragraph count the lattice runs per
-    corresponding paragraph pair (bad breaks cannot cross paragraphs and the
-    DP stays small); otherwise one lattice covers the whole document. Bead
-    scores are negated costs.
+    """Length-based alignment of a document pair, on Gale & Church's two
+    levels: :func:`paragraph_blocks` matches paragraphs (in order when both
+    sides have as many, else by a paragraph-level lattice), then the
+    sentence lattice runs within each matched block, so no bead crosses a
+    block boundary and each lattice stays small. Bead scores are negated
+    costs.
     """
     if params is None:
         params = LengthParams()
-    src_blocks = src.paragraph_spans()
-    tgt_blocks = tgt.paragraph_spans()
-    if len(src_blocks) != len(tgt_blocks) or not src_blocks:
-        src_blocks, tgt_blocks = [(0, len(src))], [(0, len(tgt))]
     beads: list[Bead] = []
-    for (s0, s1), (t0, t1) in zip(src_blocks, tgt_blocks):
+    for (s0, s1), (t0, t1) in paragraph_blocks(src, tgt, params):
         path = _align_block(list(src.sentences[s0:s1]), list(tgt.sentences[t0:t1]), params)
         beads.extend(path_beads(path, s0, t0, "gc"))
     return AlignmentSet(tuple(beads), len(src), len(tgt))

@@ -29,6 +29,7 @@ _EN_OPENERS = "\"'(["
 CITATION_RE = re.compile(r"[0-9]{1,3}(?:[-–,][0-9]{1,3})*")
 
 _TERMINATOR_RUN = re.compile(r"[.?!]+")
+_ZH_TERMINATOR = re.compile(f"[{ZH_TERMINATORS}]")
 
 
 def _citation_end(text: str, pos: int) -> int:
@@ -66,17 +67,13 @@ def segment_zh(paragraph: str) -> list[str]:
     text = paragraph.strip()
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] not in ZH_TERMINATORS:
-            i += 1
-            continue
-        j = _attach_left(text, i + 1, _ZH_CLOSERS)
+    while m := _ZH_TERMINATOR.search(text, start):
+        j = _attach_left(text, m.end(), _ZH_CLOSERS)
         while j < n and text[j].isspace():
             j += 1
         sentences.append(text[start:j])
-        start = i = j
+        start = j
     if start < n:
         sentences.append(text[start:])
     return sentences
@@ -130,16 +127,19 @@ def _is_abbreviation(text: str, period_pos: int, abbrevs: AbbrevList) -> bool:
     or a single-letter initial.
 
     A match of either pattern ends at the period and spans at most the last
-    two whitespace-delimited tokens before it (``str.isspace`` accepts
-    exactly the patterns' ``\\s``), so the search starts at the
-    second-to-last token: O(token length) per candidate period.
+    two whitespace-delimited tokens before it (``str.split`` splits exactly
+    at the patterns' ``\\s``), so the search starts where the token before
+    those two ends. A window before the period that doubles until it holds
+    that end keeps this O(token length) per candidate period.
     """
-    lo = period_pos
-    for _ in range(2):
-        while lo > 0 and text[lo - 1].isspace():
-            lo -= 1
-        while lo > 0 and not text[lo - 1].isspace():
-            lo -= 1
+    width = 64
+    while True:
+        start = max(period_pos - width, 0)
+        head = text[start:period_pos].rsplit(None, 2)
+        if len(head) == 3 or start == 0:
+            break
+        width *= 2
+    lo = start + len(head[0]) if len(head) == 3 else start
     m = _WORD_BEFORE.search(text, lo, period_pos)
     if not m:
         return False
@@ -172,14 +172,9 @@ def segment_en_rules(paragraph: str, abbrevs: AbbrevList | None = None) -> list[
     n = len(text)
     cuts: list[tuple[int, int]] = []  # (end of sentence, start of next)
     i = 0
-    while i < n:
-        ch = text[i]
-        if ch not in ".?!":
-            i += 1
-            continue
-        run = _TERMINATOR_RUN.match(text, i)
-        j = run.end()
-        if ch == "." and j == i + 1:
+    while run := _TERMINATOR_RUN.search(text, i):
+        i, j = run.span()
+        if j == i + 1 and text[i] == ".":
             if 0 < i and text[i - 1].isdigit() and j < n and text[j].isdigit():
                 i = j  # decimal point or number range: 3.5, 10.12
                 continue
@@ -443,11 +438,20 @@ def sbd_diff_report(counts: list[tuple[str, int, int]]) -> list[list]:
         diffs.append(abs(zh - en))
         rows.append([article, zh, en, zh - en])
     if diffs:
-        if len(diffs) == 1:
-            q1 = q2 = q3 = float(diffs[0])
-        else:
-            import statistics
-
-            q1, q2, q3 = statistics.quantiles(diffs, n=4, method="inclusive")
-        rows.append(["|diff| quartiles (q1/median/q3)", q1, q2, q3])
+        rows.append(["|diff| quartiles (q1/median/q3)", *_quartiles(diffs)])
     return rows
+
+
+def _quartiles(values: list[int]) -> list[float]:
+    """Inclusive quartiles of ``values``, interpolated as
+    ``statistics.quantiles(values, n=4, method="inclusive")`` does, without
+    importing ``statistics`` (which loads ``decimal`` and ``fractions``);
+    one value is its own three quartiles."""
+    data = sorted(values)
+    if len(data) == 1:
+        return [float(data[0])] * 3
+    m = len(data) - 1
+    return [
+        (data[j] * (4 - delta) + data[j + 1] * delta) / 4
+        for j, delta in (divmod(i * m, 4) for i in range(1, 4))
+    ]

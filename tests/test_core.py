@@ -1,6 +1,7 @@
 """Data model invariants and file format round-trips."""
 
 import datetime
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,23 @@ class TestModelValidation:
         b = Bead((3, 4), (5,), 0.25, "gc")
         assert b.bead_type == (2, 1)
         assert b.key == ((3, 4), (5,))
+
+    @pytest.mark.parametrize(
+        "bead", [Bead((3, 4), (5,), -0.25, "gc"), Bead((), (0,)), Bead((7,), (), None, "moore")]
+    )
+    def test_bead_has_slots_and_pickles(self, bead):
+        # a frozen dataclass with slots must round-trip through pickle, as
+        # jobs > 1 sends beads back from the workers
+        assert not hasattr(bead, "__dict__")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(bead, protocol))
+            assert type(back) is Bead
+            assert back == bead and hash(back) == hash(bead) and repr(back) == repr(bead)
+            assert all(type(i) is int for i in back.src + back.tgt)
+        aset = AlignmentSet((bead,), 8, 8)
+        assert pickle.loads(pickle.dumps(aset)) == aset
+        with pytest.raises(AttributeError):
+            bead.score = 1.0
 
     def test_sentence_list_paragraph_index_must_match(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitextkit.core import SentenceList, validate_alignment
+from bitextkit.core import AlignmentSet, SentenceList, validate_alignment
 from bitextkit.gale_church import (
     DEFAULT_PRIORS,
     GC_MOVES,
@@ -20,6 +20,8 @@ from bitextkit.gale_church import (
     gc_align,
     load_length_params,
     norm_cdf,
+    paragraph_blocks,
+    path_beads,
     save_length_params,
 )
 
@@ -459,14 +461,122 @@ class TestLatticeSearch:
         assert [b.bead_type for b in aset.beads] == [(2, 1), (2, 1)]
         assert aset.beads[0].src == (0, 1) and aset.beads[1].src == (2, 3)
 
-    def test_unequal_paragraph_counts_fall_back_to_one_block(self):
+    def test_unequal_paragraph_counts_merge_split_paragraphs_into_one_block(self):
         params = LengthParams(c=1.0, s2=6.8)
         src = sentences([20, 20, 20], paragraph_index=(0, 1, 2))
         tgt = sentences([20, 20, 20], paragraph_index=(0, 0, 1))
         aset = gc_align(src, tgt, params)
         assert [b.bead_type for b in aset.beads] == [(1, 1)] * 3
+        assert paragraph_blocks(src, tgt, params) == [((0, 2), (0, 2)), ((2, 3), (2, 3))]
+
+    def test_two_levels_keep_a_bead_the_whole_document_lattice_lets_cross_a_break(self):
+        params = LengthParams(c=1.0, s2=6.8)
+        src = sentences([40, 20], paragraph_index=(0, 1))
+        tgt = sentences([40, 10, 10, 20], paragraph_index=(0, 1, 1, 2))
+        # the whole-document lattice pairs source 1 with target 2, which ends
+        # a paragraph, and target 3, which starts the next
+        assert [b.key for b in whole_document_gc_align(src, tgt, params).beads] == [
+            ((0,), (0, 1)), ((1,), (2, 3))
+        ]
+        assert paragraph_blocks(src, tgt, params) == [((0, 1), (0, 3)), ((1, 2), (3, 4))]
+        assert [b.key for b in gc_align(src, tgt, params).beads] == [
+            ((0,), (0, 1)), ((), (2,)), ((1,), (3,))
+        ]
 
     def test_empty_side(self):
         params = LengthParams()
         aset = gc_align(sentences([5, 5]), sentences([]), params)
         assert [b.bead_type for b in aset.beads] == [(1, 0), (1, 0)]
+
+
+def whole_document_gc_align(src, tgt, params):
+    """gc_align before paragraphs were aligned: per paragraph pair when both
+    sides have as many paragraphs, else one whole-document lattice."""
+    src_blocks, tgt_blocks = src.paragraph_spans(), tgt.paragraph_spans()
+    if len(src_blocks) != len(tgt_blocks) or not src_blocks:
+        src_blocks, tgt_blocks = [(0, len(src))], [(0, len(tgt))]
+    beads = []
+    for (s0, s1), (t0, t1) in zip(src_blocks, tgt_blocks):
+        path = _align_block(list(src.sentences[s0:s1]), list(tgt.sentences[t0:t1]), params)
+        beads.extend(path_beads(path, s0, t0, "gc"))
+    return AlignmentSet(tuple(beads), len(src), len(tgt))
+
+
+def paragraphed(paragraphs, lang):
+    """A SentenceList of ``x`` runs, one list of sentence lengths per paragraph."""
+    lengths = [n for para in paragraphs for n in para]
+    index = [k for k, para in enumerate(paragraphs) for _ in para]
+    return sentences(lengths, lang=lang, paragraph_index=index)
+
+
+def paragraph_lengths(min_size=0, max_size=4):
+    """Paragraphs of one to three non-empty sentences, as sentence lengths."""
+    sentence = st.sampled_from((1, 2, 10, 20, 40)) | st.integers(1, 60)
+    return st.lists(st.lists(sentence, min_size=1, max_size=3), min_size=min_size, max_size=max_size)
+
+
+# both sides with as many paragraphs, or one side with none
+equal_paragraph_counts = st.integers(0, 4).flatmap(
+    lambda k: st.tuples(paragraph_lengths(k, k), paragraph_lengths(k, k))
+) | st.tuples(paragraph_lengths(), st.just([]))
+
+
+class TestParagraphBlocks:
+    """gc_align's first level: paragraphs matched in order, or by the
+    lattice when the paragraph counts differ."""
+
+    def test_paragraph_lattice_matches_exhaustive_enumeration(self):
+        rng = random.Random(211)
+        params = LengthParams(c=1.1, s2=6.8)
+        for trial in range(80):
+            counts = rng.sample(range(1, 5), 2)
+            src_paras, tgt_paras = (
+                [[rng.randint(1, 30) for _ in range(rng.randint(1, 3))] for _ in range(k)]
+                for k in counts
+            )
+            src, tgt = paragraphed(src_paras, "zh"), paragraphed(tgt_paras, "en")
+            # zh sentences run on, en sentences are joined by one space
+            src_chars = [sum(p) for p in src_paras]
+            tgt_chars = [sum(p) + len(p) - 1 for p in tgt_paras]
+            *_, moves = exhaustive_best(src_chars, tgt_chars, params)
+            blocks, i, j, s0, t0 = [], 0, 0, 0, 0
+            for m, n in moves:
+                s1 = s0 + sum(map(len, src_paras[i : i + m]))
+                t1 = t0 + sum(map(len, tgt_paras[j : j + n]))
+                blocks.append(((s0, s1), (t0, t1)))
+                i, j, s0, t0 = i + m, j + n, s1, t1
+            assert paragraph_blocks(src, tgt, params) == blocks, trial
+            # then each block is the sentence lattice's best path through it
+            want = []
+            for (s0, s1), (t0, t1) in blocks:
+                *_, moves = exhaustive_best(
+                    [len(x) for x in src.sentences[s0:s1]], [len(x) for x in tgt.sentences[t0:t1]], params
+                )
+                for m, n in moves:
+                    want.append((tuple(range(s0, s0 + m)), tuple(range(t0, t0 + n))))
+                    s0, t0 = s0 + m, t0 + n
+            assert [b.key for b in gc_align(src, tgt, params).beads] == want, trial
+
+    @settings(max_examples=200, deadline=None)
+    @given(src_paras=paragraph_lengths(), tgt_paras=paragraph_lengths(), params=lattice_params)
+    def test_blocks_partition_both_sides_and_confine_every_bead(self, src_paras, tgt_paras, params):
+        src, tgt = paragraphed(src_paras, "zh"), paragraphed(tgt_paras, "en")
+        blocks = paragraph_blocks(src, tgt, params)
+        assert [a for (a, _), _ in blocks] + [len(src)] == [0] + [b for (_, b), _ in blocks]
+        assert [a for _, (a, _) in blocks] + [len(tgt)] == [0] + [b for _, (_, b) in blocks]
+        aset = gc_align(src, tgt, params)
+        assert validate_alignment(aset) == []
+        assert sorted(i for b in aset.beads for i in b.src) == list(range(len(src)))
+        assert sorted(j for b in aset.beads for j in b.tgt) == list(range(len(tgt)))
+        for bead in aset.beads:
+            assert any(
+                all(s0 <= i < s1 for i in bead.src) and all(t0 <= j < t1 for j in bead.tgt)
+                for (s0, s1), (t0, t1) in blocks
+            ), (bead, blocks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(paras=equal_paragraph_counts, params=lattice_params)
+    def test_equal_paragraph_counts_give_the_old_output(self, paras, params):
+        src, tgt = paragraphed(paras[0], "zh"), paragraphed(paras[1], "en")
+        assert gc_align(src, tgt, params) == whole_document_gc_align(src, tgt, params)
+        assert gc_align(tgt, src, params) == whole_document_gc_align(tgt, src, params)

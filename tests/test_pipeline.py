@@ -744,14 +744,14 @@ def test_a_run_loads_no_openssl(tmp_path):
     assert (out / "run_log.jsonl").is_file()
 
 
-def test_a_jobs_one_run_loads_no_pool_modules(tmp_path):
-    """Importing the CLI, and then a run that starts no worker, leave the
-    pool's modules unloaded."""
+def run_fixture_checking_modules(tmp_path, modules):
+    """Import the CLI, then make a jobs-1 run of the fixture corpus, in a
+    fresh interpreter that fails if either step loaded one of ``modules``."""
     code = (
         "import dataclasses, sys\n"
-        "pool_modules = ('multiprocessing', 'concurrent.futures.process')\n"
+        f"modules = {tuple(modules)!r}\n"
         "def check(when):\n"
-        "    loaded = [m for m in pool_modules if m in sys.modules]\n"
+        "    loaded = [m for m in modules if m in sys.modules]\n"
         "    if loaded:\n"
         "        sys.exit(f'{when} loaded {loaded}')\n"
         "import bitextkit.cli\n"
@@ -770,6 +770,18 @@ def test_a_jobs_one_run_loads_no_pool_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "run_log.jsonl").is_file()
+
+
+def test_a_jobs_one_run_loads_no_pool_modules(tmp_path):
+    """Importing the CLI, and then a run that starts no worker, leave the
+    pool's modules unloaded."""
+    run_fixture_checking_modules(tmp_path, ("multiprocessing", "concurrent.futures.process"))
+
+
+def test_a_jobs_one_run_loads_no_statistics(tmp_path):
+    """The sbd report's quartiles are computed in place: no run pays for
+    importing statistics and the decimal and fractions modules it loads."""
+    run_fixture_checking_modules(tmp_path, ("statistics", "decimal", "fractions"))
 
 
 class TestEndToEnd:

@@ -3,6 +3,7 @@ unsupervised English segmenter."""
 
 import datetime
 import random
+import statistics
 from unittest import mock
 
 import pytest
@@ -283,7 +284,129 @@ class TestSegmentersKeepTokens:
         self.check(paragraph, segment_punkt(paragraph, TRAINED_PUNKT))
 
 
+def walk_segment_zh(paragraph):
+    """segment_zh stepping through the text one character at a time."""
+    text = paragraph.strip()
+    sentences, start, i, n = [], 0, 0, len(text)
+    while i < n:
+        if text[i] not in sbd.ZH_TERMINATORS:
+            i += 1
+            continue
+        j = sbd._attach_left(text, i + 1, sbd._ZH_CLOSERS)
+        while j < n and text[j].isspace():
+            j += 1
+        sentences.append(text[start:j])
+        start = i = j
+    if start < n:
+        sentences.append(text[start:])
+    return sentences
+
+
+def walk_is_abbreviation(text, period_pos, abbrevs):
+    """_is_abbreviation finding the last two tokens one character at a time."""
+    lo = period_pos
+    for _ in range(2):
+        while lo > 0 and text[lo - 1].isspace():
+            lo -= 1
+        while lo > 0 and not text[lo - 1].isspace():
+            lo -= 1
+    m = sbd._WORD_BEFORE.search(text, lo, period_pos)
+    if not m:
+        return False
+    word = m.group(1).rstrip(".").lower()
+    if (len(word) == 1 and word.isalpha()) or word in abbrevs.entries:
+        return True
+    m2 = sbd._TWO_WORDS_BEFORE.search(text, lo, period_pos)
+    return bool(m2) and f"{m2.group(1)} {m2.group(2)}".rstrip(".").lower() in abbrevs.entries
+
+
+def walk_segment_en_rules(paragraph, abbrevs):
+    """segment_en_rules stepping through the text one character at a time."""
+    text = paragraph.strip()
+    n = len(text)
+    cuts = []
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch not in ".?!":
+            i += 1
+            continue
+        j = sbd._TERMINATOR_RUN.match(text, i).end()
+        if ch == "." and j == i + 1:
+            if 0 < i and text[i - 1].isdigit() and j < n and text[j].isdigit():
+                i = j
+                continue
+            if walk_is_abbreviation(text, i, abbrevs):
+                i = j
+                continue
+        j = sbd._attach_left(text, j, sbd._EN_CLOSERS)
+        if j >= n:
+            break
+        s = j
+        while s < n and text[s] == " ":
+            s += 1
+        if s == j or s >= n:
+            i = j
+            continue
+        if text[s] == "(":
+            close = text.find(")", s)
+            if close != -1 and close + 1 < n and text[close + 1] == ".":
+                i = s + 1
+                continue
+        first = s
+        while first < n and text[first] in sbd._EN_OPENERS:
+            first += 1
+        if first < n and (text[first].isupper() or text[first].isdigit()):
+            cuts.append((j, s))
+            i = s
+        else:
+            i = j
+    return sbd._split_at(text, cuts)
+
+
+# single characters the segmenters look at, with words and long tokens that
+# push the abbreviation window past its first width
+segmenter_text = st.lists(
+    st.sampled_from(
+        list(".?!\"')([ \t\n\u00a0\u3000aZ19-,–&") + ["et", "al", "et al", "e.g", "Fig", "op. cit", "J",
+        "x" * 70, "Trial" * 30, " " * 80]
+    ),
+    max_size=40,
+).map("".join)
+zh_text = st.text("甲乙。！？」）』”12,-– \n\u3000a.", max_size=60)
+
+
+class TestTerminatorSearch:
+    """The regex jump to the next terminator splits exactly as the
+    character walk did."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=segmenter_text | paragraph_text | abbreviation_text)
+    @example(text="See " + "x" * 200 + " et al. More. " + "Fig" * 40 + "\u00a0op. cit. Then")
+    # the last two tokens reach past the first window
+    @example(text="See op." + " " * 80 + "cit. More")
+    def test_en_rules_equal_the_character_walk(self, text):
+        abbrevs = default_abbrevs()
+        assert segment_en_rules(text, abbrevs) == walk_segment_en_rules(text, abbrevs)
+        for pos in (i for i, ch in enumerate(text) if ch == "."):
+            assert sbd._is_abbreviation(text, pos, abbrevs) == walk_is_abbreviation(text, pos, abbrevs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=zh_text)
+    @example(text="第一句。」12 第二句！？残句")
+    def test_zh_equals_the_character_walk(self, text):
+        assert segment_zh(text) == walk_segment_zh(text)
+
+
 class TestDiffReport:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(0, 40), min_size=2, max_size=50))
+    def test_quartiles_equal_statistics_quantiles(self, values):
+        assert sbd._quartiles(values) == statistics.quantiles(values, n=4, method="inclusive")
+
+    def test_one_value_is_its_own_quartiles(self):
+        assert sbd._quartiles([3]) == [3.0, 3.0, 3.0]
+
     def test_rows_and_quartiles(self):
         rows = sbd_diff_report([("A3", 12, 9), ("A1", 10, 10), ("A2", 8, 9)])
         assert rows[0] == ["article", "zh", "en", "diff"]
