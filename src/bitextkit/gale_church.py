@@ -40,21 +40,11 @@ DEFAULT_S2 = 6.8
 @dataclass(frozen=True)
 class LengthParams:
     """Length-model parameters: expected target chars per source char (c),
-    per-char variance of the mismatch (s2), and bead-type priors.
-
-    The lattice memoizes its length term on the instance, as
-    ``{source chars: {target chars: value}}``: one instance passed to every
-    block scores each distinct pair of lengths once. The memo is not a
-    parameter; it takes no part in equality or ``repr``, and it is not
-    pickled. Every unpickled copy of equal params in one process is one
-    instance, so a pool worker keeps a single memo warm across the chunks of
-    articles it is sent.
-    """
+    per-char variance of the mismatch (s2), and bead-type priors."""
 
     c: float = DEFAULT_C
     s2: float = DEFAULT_S2
     priors: dict = field(default_factory=lambda: dict(DEFAULT_PRIORS))
-    _log_match_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
@@ -69,21 +59,12 @@ class LengthParams:
         if abs(total - 1.0) > 1e-6 or any(p <= 0 for p in self.priors.values()):
             raise ValueError("priors: must be positive and sum to 1")
 
-    def __reduce__(self):
-        return _unpickled_length_params, (self.c, self.s2, tuple(self.priors.items()))
 
-
-#: This process's unpickled LengthParams, by (c, s2, sorted prior items).
-_UNPICKLED: dict[tuple, LengthParams] = {}
-
-
-def _unpickled_length_params(c: float, s2: float, prior_items: tuple) -> LengthParams:
-    """The one instance of these params that this process unpickles."""
-    key = (c, s2, tuple(sorted(prior_items)))
-    params = _UNPICKLED.get(key)
-    if params is None:
-        params = _UNPICKLED[key] = LengthParams(c, s2, dict(prior_items))
-    return params
+#: The lattice's length terms, ``{(c, s2): {source chars: {target chars:
+#: value}}}``: :func:`_log_match` reads only ``c`` and ``s2``, so every
+#: params of one scale shares one memo, which stays warm for the life of the
+#: process (across the chunks a pool worker is sent, too).
+_LOG_MATCH_MEMO: dict[tuple[float, float], dict[int, dict[int, float]]] = {}
 
 
 # Rational tail approximation of the standard normal CDF
@@ -151,13 +132,14 @@ def _align_block(
     a prefix makes the totals equal. It tries the moves in sorted order and
     keeps the first that attains the minimum, with its step cost, so the
     forward pass only follows those moves. The length term of each cell and
-    move is read from ``params``' memo, so each distinct pair of block
-    lengths is evaluated once per ``params`` instance.
+    move is read from :data:`_LOG_MATCH_MEMO`, so each distinct pair of block
+    lengths is evaluated once per scale ``(c, s2)`` in a process.
     """
     S, T = len(src_sents), len(tgt_sents)
     spre = list(accumulate(map(len, src_sents), initial=0))
     tpre = list(accumulate(map(len, tgt_sents), initial=0))
-    c, s2, memo = params.c, params.s2, params._log_match_memo
+    c, s2 = params.c, params.s2
+    memo = _LOG_MATCH_MEMO.setdefault((c, s2), {})
     moves = [
         ((m, n), m, n, -math.log(params.priors[m, n]), int((m, n) == (1, 1)))
         for m, n in sorted(GC_MOVES)

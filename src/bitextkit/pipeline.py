@@ -14,20 +14,17 @@ import logging
 import time
 import unicodedata
 from collections.abc import Iterable
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # loaded by _open_pool, only for a run that starts a pool
-    from concurrent.futures import ProcessPoolExecutor
 
 try:  # the class hashlib.blake2b re-exports, without loading OpenSSL
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b
 
+from bitextkit import gale_church
 from bitextkit.bleualign import bleualign, check_min_score
 from bitextkit.core import (
     META_FILENAME,
@@ -98,9 +95,9 @@ Bitext = list[tuple[str, str, str]]
 
 _SPLITS = ("train", "dev", "test")
 
-#: Chunks per worker in one :func:`_pool_map`: enough to even out the
-#: workers' loads, few enough that each pickles its bound model rarely. A
-#: run starts a worker only for this many articles (:func:`_pool_workers`).
+#: Chunks per worker in one map over the pool (:func:`_article_map`): enough
+#: to even out the workers' loads, few enough that each pickles its bound
+#: model rarely. A run starts a worker only for this many articles.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -287,7 +284,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ValueError(f"unsupported hash (only {HASH_NAME})")
         for key, value in raw.items():
             if key in _PATH_KEYS:
-                kwargs[key] = (path.parent / value).resolve() if value is not None else None
+                optional = key not in ("input", "output")
+                if not isinstance(value, str) and not (optional and value is None):
+                    raise ValueError(f"{key} must be a string{' or null' if optional else ''}, got {value!r}")
+                kwargs[key] = None if value is None else (path.parent / value).resolve()
             elif key == "bleu":
                 kwargs[key] = BleuConfig(**value)
             elif key == "split":
@@ -360,11 +360,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     is given; returns 0 on success, raises PipelineError otherwise.
 
     ``config.jobs`` bounds the worker processes. A run of ``n`` articles
-    starts ``min(config.jobs, n // 4)`` of them (:func:`_pool_workers`) in
-    one pool that serves the per-article work of sbd and align, or none
-    below two, and then runs that work in this process without loading the
-    pool's modules. Preprocess, the corpus models, dedup, split, stats and
-    every file write run in this process.
+    opens one :func:`_article_map` for the per-article work of sbd and
+    align: a pool of ``min(config.jobs, n // 4)`` workers, or none below
+    two, and then that work runs in this process without loading the pool's
+    modules. Preprocess, the corpus models, dedup, split, stats and every
+    file write run in this process.
 
     Each stage's data is dropped once no later stage reads it: the documents
     after sbd, and each article's sentence lists (with their cached tokens)
@@ -386,11 +386,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     docs, pairs = stage("preprocess", stage_preprocess, config)
     counts = {"preprocess": (len(docs), len(docs))}
-    with _open_pool(config, pairs) as pool:
-        sentences = stage("sbd", stage_sbd, config, pairs, docs, pool)
+    with _article_map(config, pairs) as pmap:
+        sentences = stage("sbd", stage_sbd, config, pairs, docs, pmap)
         counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
         del docs
-        alignments = stage("align", stage_align, config, pairs, sentences, pool)
+        alignments = stage("align", stage_align, config, pairs, sentences, pmap)
     counts["align"] = (len(pairs), sum(map(len, alignments.values())))
     bitext, removed = stage("dedup", _stage_dedup, config, pairs, sentences, alignments)
     counts["dedup"] = (len(bitext) + removed, len(bitext))
@@ -441,13 +441,14 @@ def stage_sbd(
     config: PipelineConfig,
     pairs: Pairs,
     docs: list[Document],
-    pool: ProcessPoolExecutor | None = None,
+    pmap=None,
 ) -> dict[str, SentenceList]:
     """Segment ``docs``, the documents of ``pairs``; returns the sentences
     keyed by doc_id. The corpus models (the abbreviation list, and the Punkt
     model trained here when ``en_sbd`` is punkt) are bound to one segmenter,
-    which runs through :func:`_article_map` (over ``pool`` when one is
-    given), and each document's file is written as its sentences arrive.
+    which runs through ``pmap`` when one is given, else through an
+    :func:`_article_map` the stage opens, and each document's file is
+    written as its sentences arrive.
     ``sbd_report.csv`` compares each pair's zh and en sentence counts."""
     out = Path(config.output)
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
@@ -459,7 +460,7 @@ def stage_sbd(
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
     segment = partial(_segment, abbrevs=abbrevs, punkt_model=punkt_model)
     sentence_lists: dict[str, SentenceList] = {}
-    with _article_map(config, pairs, pool) as pmap:
+    with _article_map(config, pairs, pmap) as pmap:
         for doc, sl in zip(docs, pmap(segment, docs)):
             sentence_lists[doc.meta.doc_id] = sl
             write_sentences(sl, stage_dir / f"{doc.meta.doc_id}.tsv")
@@ -518,101 +519,93 @@ def _logging_call(fn, *args):
         root.handlers = saved
 
 
-def _pool_map(pool: ProcessPoolExecutor, workers: int, fn, *columns):
-    """``map(fn, *columns)`` over ``pool``, a pool of ``workers`` processes,
-    in chunks of about ``len / (_CHUNKS_PER_WORKER * workers)`` articles:
-    ``fn``, with the corpus model it binds, is pickled once per chunk and
-    serves the whole chunk in one worker, so a memo it keeps stays warm
-    across the chunk. Results arrive in order, chunk by chunk, and each
-    worker's log records are handled by the parent's loggers in article
+@contextmanager
+def _article_map(config: PipelineConfig, pairs: Pairs, pmap=None):
+    """The map a stage runs its per-article work through: ``pmap`` when one
+    is given, else a pool of ``min(config.jobs, len(pairs) //
+    _CHUNKS_PER_WORKER)`` worker processes open for the block, else, below
+    two workers, the serial builtin ``map``. A worker costs a fork and the
+    pickling of its tasks, which a handful of articles does not pay back;
+    the pool's modules are imported only when a pool opens.
+
+    Over the pool, each map goes out in :data:`_CHUNKS_PER_WORKER` chunks per
+    worker: ``fn``, with the corpus model it binds, is pickled once per chunk
+    and serves the whole chunk in one worker. Results arrive in order, and
+    each worker's log records are handled by the parent's loggers in article
     order, as a serial run logs them."""
-    chunksize = -(-len(columns[0]) // (_CHUNKS_PER_WORKER * workers))
-    for result, records in pool.map(partial(_logging_call, fn), *columns, chunksize=chunksize):
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        yield result
-
-
-def _pool_workers(config: PipelineConfig, pairs: Pairs) -> int:
-    """Worker processes for the per-article work of ``pairs``: at most
-    ``config.jobs``, and no more than give each worker
-    :data:`_CHUNKS_PER_WORKER` chunks of at least one article."""
-    return min(config.jobs, len(pairs) // _CHUNKS_PER_WORKER)
-
-
-def _open_pool(config: PipelineConfig, pairs: Pairs):
-    """A pool of :func:`_pool_workers` processes for the per-article work of
-    ``pairs``, or ``nullcontext()`` (None) when that is below two: a worker
-    costs a fork and the pickling of its tasks, which a handful of articles
-    does not pay back. The pool's modules are imported here, so a run that
-    starts no pool never loads them."""
-    workers = _pool_workers(config, pairs)
-    if workers < 2:
-        return nullcontext()
+    workers = min(config.jobs, len(pairs) // _CHUNKS_PER_WORKER)
+    if pmap is not None or workers < 2:
+        yield map if pmap is None else pmap
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers)
+    with ProcessPoolExecutor(workers) as pool:
 
+        def pool_map(fn, *columns):
+            chunksize = -(-len(columns[0]) // (_CHUNKS_PER_WORKER * workers))
+            for result, records in pool.map(partial(_logging_call, fn), *columns, chunksize=chunksize):
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
+                yield result
 
-@contextmanager
-def _article_map(config: PipelineConfig, pairs: Pairs, pool: ProcessPoolExecutor | None):
-    """The map a stage runs its per-article work through: :func:`_pool_map`
-    over ``pool`` when one is given, else over a pool the block opens with
-    :func:`_open_pool`, else the serial builtin ``map``."""
-    with nullcontext(pool) if pool is not None else _open_pool(config, pairs) as pool:
-        yield map if pool is None else partial(_pool_map, pool, _pool_workers(config, pairs))
+        yield pool_map
 
 
 def stage_align(
     config: PipelineConfig,
     pairs: Pairs,
     sentences: dict[str, SentenceList],
-    pool: ProcessPoolExecutor | None = None,
+    pmap=None,
 ) -> dict[str, AlignmentSet]:
     """Align every article pair; returns the alignments keyed by pair_id.
 
     The corpus model (moore's translation table, trained between its two
     passes, or the length params) is fitted and saved under ``03_align`` in
     this process, then bound to one per-article aligner. Both moore passes,
-    gc and bleualign run through :func:`_article_map` (over ``pool`` when
-    one is given), and each article's file is written as its alignment
-    arrives."""
+    gc and bleualign run through ``pmap`` when one is given, else through an
+    :func:`_article_map` the stage opens, and each article's file is
+    written as its alignment arrives. The length terms this process
+    memoized are dropped when the stage ends."""
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    with _article_map(config, pairs, pool) as pmap:
-        if config.method == "moore":
-            passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
-            confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
-            if any(found for _, _, found in confident):
-                table = train_lexicon(confident, config.em_iterations)
+    try:
+        with _article_map(config, pairs, pmap) as pmap:
+            if config.method == "moore":
+                passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
+                confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
+                if any(found for _, _, found in confident):
+                    table = train_lexicon(confident, config.em_iterations)
+                else:
+                    log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
+                    table = TranslationTable({})
+                save_table(table, stage_dir / "translation_table.tsv")
+                align = partial(moore_align, table=table, theta2=config.theta2)
             else:
-                log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
-                table = TranslationTable({})
-            save_table(table, stage_dir / "translation_table.tsv")
-            align = partial(moore_align, table=table, theta2=config.theta2)
-        else:
-            params = _corpus_length_params(config, list(zip(*columns)))
-            save_length_params(params, stage_dir / "length_params.txt")
-            align = partial(gc_align, params=params)
-        if config.method == "bleualign":
-            mt_srcs, mt_tgts = [], []
-            for (meta, _), src, tgt in zip(pairs, *columns):
-                pair_id = meta.pair_id
-                mt_srcs.append(
-                    _read_mt(Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src)
-                )
-                mt_tgts.append(
-                    None if config.mt_tgt is None else _read_mt(
-                        Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
+                params = _corpus_length_params(config, list(zip(*columns)))
+                save_length_params(params, stage_dir / "length_params.txt")
+                align = partial(gc_align, params=params)
+            if config.method == "bleualign":
+                mt_srcs, mt_tgts = [], []
+                for (meta, _), src, tgt in zip(pairs, *columns):
+                    pair_id = meta.pair_id
+                    mt_srcs.append(
+                        _read_mt(Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src)
                     )
-                )
-            columns += [mt_srcs, mt_tgts]
-            align = partial(bleualign, cfg=config.bleu, min_score=config.min_score, params=params)
-        alignments: dict[str, AlignmentSet] = {}
-        for (meta, _), aset in zip(pairs, pmap(align, *columns)):
-            alignments[meta.pair_id] = aset
-            write_alignments(aset, stage_dir / f"{meta.pair_id}.tsv")
+                    mt_tgts.append(
+                        None if config.mt_tgt is None else _read_mt(
+                            Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
+                        )
+                    )
+                columns += [mt_srcs, mt_tgts]
+                align = partial(bleualign, cfg=config.bleu, min_score=config.min_score, params=params)
+            alignments: dict[str, AlignmentSet] = {}
+            for (meta, _), aset in zip(pairs, pmap(align, *columns)):
+                alignments[meta.pair_id] = aset
+                write_alignments(aset, stage_dir / f"{meta.pair_id}.tsv")
+    finally:
+        # pool workers keep their own length terms until the pool closes
+        gale_church._LOG_MATCH_MEMO.clear()
     return alignments
 
 

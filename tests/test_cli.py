@@ -162,6 +162,11 @@ class TestRun:
             ("jobs", "2", "jobs must be >= 1 and an integer, got '2'"),
             ("bleu", {"n_max": 2.5}, "n_max must be an integer >= 1, got 2.5"),
             ("split", {"dev_sentence_target": 2.5}, "dev_sentence_target must be an integer >= 0, got 2.5"),
+            ("input", None, "input must be a string, got None"),
+            ("output", None, "output must be a string, got None"),
+            ("output", ["out"], "output must be a string, got ['out']"),
+            ("mt_src", 3, "mt_src must be a string or null, got 3"),
+            ("patterns", False, "patterns must be a string or null, got False"),
         ],
     )
     def test_config_value_of_the_wrong_type_fails_before_any_stage(

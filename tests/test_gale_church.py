@@ -4,11 +4,13 @@ the lattice search checked against exhaustive enumeration."""
 import math
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitextkit import gale_church
 from bitextkit.core import AlignmentSet, SentenceList, validate_alignment
 from bitextkit.gale_church import (
     DEFAULT_PRIORS,
@@ -257,8 +259,15 @@ class TestLengthParams:
             LengthParams(**kwargs)
 
 
+def path_from_empty_memo(monkeypatch, src, tgt, params):
+    """The path :func:`_align_block` finds for ``params`` with no length term
+    memoized yet; the memo it fills stays in place for the test."""
+    monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
+    return _align_block(src, tgt, params)
+
+
 class TestLengthTermMemo:
-    """The lattice memoizes its length term on the LengthParams it is given."""
+    """The lattice memoizes its length term per scale (c, s2), process-wide."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -266,70 +275,110 @@ class TestLengthTermMemo:
         params=lattice_params,
     )
     def test_one_instance_over_many_blocks_equals_a_fresh_one_per_block(self, blocks, params):
-        for slen, tlen in blocks:
-            src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
-            fresh = LengthParams(params.c, params.s2, params.priors)
-            assert _align_block(src, tgt, params) == _align_block(src, tgt, fresh)
+        # hypothesis runs many examples in one test call, so each memo is
+        # patched in by a context manager, not the function-scoped monkeypatch
+        with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
+            for slen, tlen in blocks:
+                src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
+                warm = _align_block(src, tgt, params)
+                with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
+                    assert _align_block(src, tgt, params) == warm
 
-    def test_instances_with_other_scales_share_no_entries(self):
+    def test_instances_with_other_scales_share_no_entries(self, monkeypatch):
         src = ["x" * n for n in (12, 30, 7, 44)]
         tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
         instances = [LengthParams(), LengthParams(c=1.3), LengthParams(s2=1.0)]
+        fresh = [path_from_empty_memo(monkeypatch, src, tgt, p) for p in instances]
+        monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
         paths = [_align_block(src, tgt, p) for p in instances]
-        for p, path in zip(instances, paths):
+        memo = gale_church._LOG_MATCH_MEMO
+        assert list(memo) == [(p.c, p.s2) for p in instances]
+        for p, path, fresh_path in zip(instances, paths, fresh):
             entries = [
                 (sc, tc, value)
-                for sc, by_tc in p._log_match_memo.items()
+                for sc, by_tc in memo[p.c, p.s2].items()
                 for tc, value in by_tc.items()
             ]
             assert entries
             assert all(value == _log_match(sc, tc, p.c, p.s2) for sc, tc, value in entries)
-            assert path == _align_block(src, tgt, LengthParams(p.c, p.s2))
-        # the three instances hold different values for one length pair
-        assert len({p._log_match_memo[12][10] for p in instances}) == 3
+            assert path == fresh_path
+        # the three scales hold different values for one length pair
+        assert len({memo[p.c, p.s2][12][10] for p in instances}) == 3
 
-    def test_filled_memo_changes_no_value_semantics(self, tmp_path):
-        filled, empty = LengthParams(c=1.1, s2=5.0), LengthParams(c=1.1, s2=5.0)
+    def test_filled_memo_changes_no_value_semantics(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
+        params = LengthParams(c=1.1, s2=5.0)
+        before_repr, before_pickle = repr(params), pickle.dumps(params)
+        save_length_params(params, tmp_path / "empty.txt")
         src, tgt = ["x" * 12, "x" * 30], ["x" * 10, "x" * 35]
-        path = _align_block(src, tgt, filled)
-        assert filled._log_match_memo
-        assert filled == empty
-        assert repr(filled) == repr(empty)
-        save_length_params(filled, tmp_path / "filled.txt")
-        save_length_params(empty, tmp_path / "empty.txt")
+        path = _align_block(src, tgt, params)
+        assert gale_church._LOG_MATCH_MEMO[1.1, 5.0]
+        assert vars(params).keys() == {"c", "s2", "priors"}
+        assert params == LengthParams(c=1.1, s2=5.0)
+        assert repr(params) == before_repr
+        save_length_params(params, tmp_path / "filled.txt")
         assert (tmp_path / "filled.txt").read_bytes() == (tmp_path / "empty.txt").read_bytes()
-        back = pickle.loads(pickle.dumps(filled))
-        assert back == empty
-        assert repr(back) == repr(empty)
+        assert pickle.dumps(params) == before_pickle
+        back = pickle.loads(pickle.dumps(params))
+        assert back == params
+        assert repr(back) == before_repr
         assert _align_block(src, tgt, back) == path
+
+    def test_params_that_differ_only_in_priors_share_entries(self, monkeypatch):
+        src = ["x" * n for n in (12, 30, 7, 44)]
+        tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+        priors = dict(DEFAULT_PRIORS)
+        priors[1, 1] -= 0.2
+        priors[2, 1] += 0.1
+        priors[1, 2] += 0.1
+        pair = [LengthParams(c=1.7, s2=3.3), LengthParams(c=1.7, s2=3.3, priors=priors)]
+        fresh = [path_from_empty_memo(monkeypatch, src, tgt, p) for p in pair]
+        assert fresh[0] != fresh[1]
+        for order in (pair, pair[::-1]):
+            monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
+            paths = [_align_block(src, tgt, p) for p in order]
+            assert list(gale_church._LOG_MATCH_MEMO) == [(1.7, 3.3)]
+            assert paths == (fresh if order is pair else fresh[::-1])
 
 
 class TestUnpickledLengthParams:
-    """Every unpickled copy of equal params in one process is one memo, so a
-    pool worker scores each pair of lengths once across its chunks."""
+    """Copies of equal params, pickled or not, share one memo through its
+    (c, s2) key, so a pool worker scores each pair of lengths once across its
+    chunks."""
 
     src = ["x" * n for n in (12, 30, 7, 44)]
     tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
 
-    def test_copies_of_equal_params_share_entries(self):
+    def test_copies_of_equal_params_share_entries(self, monkeypatch):
+        fresh = path_from_empty_memo(monkeypatch, self.src, self.tgt, LengthParams(c=1.7, s2=3.3))
+        monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
         # two equal instances, each pickled as its own chunk would pickle it
         first, second = (pickle.loads(pickle.dumps(LengthParams(c=1.7, s2=3.3))) for _ in range(2))
         path = _align_block(self.src, self.tgt, first)
-        assert second._log_match_memo[12][10] == _log_match(12, 10, 1.7, 3.3)
-        assert second._log_match_memo == first._log_match_memo
-        assert _align_block(self.src, self.tgt, second) == path == _align_block(
-            self.src, self.tgt, LengthParams(c=1.7, s2=3.3)
-        )
+        memo = gale_church._LOG_MATCH_MEMO
+        assert memo[second.c, second.s2][12][10] == _log_match(12, 10, 1.7, 3.3)
+        entries = {sc: dict(by_tc) for sc, by_tc in memo[1.7, 3.3].items()}
+
+        def recomputed(*args):
+            raise AssertionError(f"length term {args} computed again")
+
+        monkeypatch.setattr(gale_church, "_log_match", recomputed)
+        assert _align_block(self.src, self.tgt, second) == path == fresh
+        assert list(memo) == [(1.7, 3.3)]
+        assert memo[1.7, 3.3] == entries
 
     @pytest.mark.parametrize("other", [{"c": 1.8, "s2": 3.3}, {"c": 1.7, "s2": 3.4}], ids=["c", "s2"])
-    def test_params_with_another_scale_share_none(self, other):
+    def test_params_with_another_scale_share_none(self, monkeypatch, other):
+        monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
         filled = pickle.loads(pickle.dumps(LengthParams(c=1.7, s2=3.3)))
         _align_block(self.src, self.tgt, filled)
         copy = pickle.loads(pickle.dumps(LengthParams(**other)))
-        assert copy._log_match_memo is not filled._log_match_memo
         _align_block(self.src, self.tgt, copy)
-        assert copy._log_match_memo[12][10] == _log_match(12, 10, other["c"], other["s2"])
-        assert filled._log_match_memo[12][10] == _log_match(12, 10, 1.7, 3.3)
+        memo = gale_church._LOG_MATCH_MEMO
+        assert list(memo) == [(1.7, 3.3), (other["c"], other["s2"])]
+        assert memo[other["c"], other["s2"]] is not memo[1.7, 3.3]
+        assert memo[other["c"], other["s2"]][12][10] == _log_match(12, 10, other["c"], other["s2"])
+        assert memo[1.7, 3.3][12][10] == _log_match(12, 10, 1.7, 3.3)
 
 
 class TestEstimateParams:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitextkit import pipeline
+from bitextkit import gale_church, pipeline
 from bitextkit.core import (
     ArticleMeta,
     SentenceList,
@@ -541,6 +541,24 @@ class TestStageAlign:
     ):
         self.check_length_model_fallback(tmp_path, caplog, jobs=2)
         assert [pool.workers for pool in started] == [2]
+
+    def test_the_stage_drops_the_length_terms_it_memoized(self, tmp_path, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", memo)
+        sizes = []
+        write = pipeline.write_alignments
+
+        def recording_write(aset, path):
+            sizes.append(len(memo))
+            write(aset, path)
+
+        monkeypatch.setattr(pipeline, "write_alignments", recording_write)
+        pairs, sentences = fixture_sentences()
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, method="gc")
+        stage_align(config, pairs, sentences)
+        # one scale memoized while the articles were aligned, none after
+        assert sizes == [1] * len(pairs)
+        assert memo == {}
 
     @staticmethod
     def check_length_model_fallback(tmp_path, caplog, jobs):
