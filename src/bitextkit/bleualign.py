@@ -177,15 +177,14 @@ def _fill_gaps(
     tgt: SentenceList,
     params: LengthParams,
 ) -> list[Bead]:
-    """Length-align the sentences between consecutive anchors."""
+    """Length-align the sentences between consecutive anchors by their character counts."""
     out: list[Bead] = []
     prev_s = prev_t = 0
+    src_lens, tgt_lens = [len(s) for s in src.sentences], [len(t) for t in tgt.sentences]
     bounds = [(b.src[0], b.tgt[0], b) for b in anchor_beads] + [(len(src), len(tgt), None)]
     for s_start, t_start, bead in bounds:
         if prev_s < s_start or prev_t < t_start:
-            path = _align_block(
-                list(src.sentences[prev_s:s_start]), list(tgt.sentences[prev_t:t_start]), params
-            )
+            path = _align_block(src_lens[prev_s:s_start], tgt_lens[prev_t:t_start], params)
             out.extend(path_beads(path, prev_s, prev_t, "bleualign+gc"))
         if bead is not None:
             out.append(bead)

@@ -135,6 +135,10 @@ class SentenceList:
         en sentences are separated by a space."""
         return ("" if self.language == SRC_LANG else " ").join(self.sentences[i] for i in indices)
 
+    def paragraph_lengths(self) -> list[int]:
+        """Each paragraph's character count, its sentences joined as :meth:`join` joins them."""
+        return [len(self.join(range(a, b))) for a, b in self.paragraph_spans()]
+
     def paragraph_spans(self) -> list[tuple[int, int]]:
         """(start, end) sentence ranges of each paragraph, in order."""
         spans = []

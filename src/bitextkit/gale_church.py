@@ -101,28 +101,28 @@ def _log_match(src_chars: int, tgt_chars: int, c: float, s2: float) -> float:
     return _LOG_2 - 0.5 * ax * ax - _LOG_SQRT_2PI + math.log(_tail_poly(ax))
 
 
-def estimate_length_params(paragraph_pairs: list[tuple[str, str]]) -> LengthParams:
-    """Fit c and s2 from parallel text blocks.
+def estimate_length_params(length_pairs: list[tuple[int, int]]) -> LengthParams:
+    """Fit c and s2 from the character counts of parallel text blocks, one
+    ``(source chars, target chars)`` pair per block.
 
     c is the corpus character ratio; s2 the mean squared normalized residual
     (tgt - c*src)^2 / src over the pairs, floored at 1.0.
     """
-    src_total = sum(len(s) for s, _ in paragraph_pairs)
-    tgt_total = sum(len(t) for _, t in paragraph_pairs)
+    src_total = sum(s for s, _ in length_pairs)
+    tgt_total = sum(t for _, t in length_pairs)
     if src_total == 0:
         raise ValueError("zero total source length")
     c = tgt_total / src_total
-    residuals = [
-        (len(t) - c * len(s)) ** 2 / len(s) for s, t in paragraph_pairs if len(s) > 0
-    ]
+    residuals = [(t - c * s) ** 2 / s for s, t in length_pairs if s > 0]
     s2 = max(sum(residuals) / len(residuals), 1.0) if residuals else 1.0
     return LengthParams(c, s2)
 
 
 def _align_block(
-    src_sents: list[str], tgt_sents: list[str], params: LengthParams
+    src_lens: list[int], tgt_lens: list[int], params: LengthParams
 ) -> list[tuple[tuple[int, int], float]]:
-    """Minimum-cost path over one lattice block; returns (move, cost) pairs.
+    """Minimum-cost path over one lattice block whose items (sentences or
+    paragraphs) are given by their character counts; returns (move, cost) pairs.
 
     Cost ties are broken by most 1-1 beads, then fewest beads overall, then
     the lexicographically smallest move sequence. The first three are
@@ -135,9 +135,9 @@ def _align_block(
     move is read from :data:`_LOG_MATCH_MEMO`, so each distinct pair of block
     lengths is evaluated once per scale ``(c, s2)`` in a process.
     """
-    S, T = len(src_sents), len(tgt_sents)
-    spre = list(accumulate(map(len, src_sents), initial=0))
-    tpre = list(accumulate(map(len, tgt_sents), initial=0))
+    S, T = len(src_lens), len(tgt_lens)
+    spre = list(accumulate(src_lens, initial=0))
+    tpre = list(accumulate(tgt_lens, initial=0))
     c, s2 = params.c, params.s2
     memo = _LOG_MATCH_MEMO.setdefault((c, s2), {})
     moves = [
@@ -201,22 +201,16 @@ def paragraph_blocks(
     """Matched paragraph blocks of a document pair, as ``((s0, s1), (t0, t1))``
     sentence ranges in order.
 
-    Equal paragraph counts pair paragraphs in order; a side without
-    paragraphs gives one block. Otherwise the lattice aligns the paragraphs
-    themselves by their character lengths (sentences joined as
-    :meth:`SentenceList.join` joins them), and each paragraph bead is one
-    block; a 1-0 or 0-1 bead has an empty range on one side.
+    Equal paragraph counts pair paragraphs in order. Otherwise the lattice
+    aligns the paragraphs themselves by their character counts
+    (:meth:`SentenceList.paragraph_lengths`), and each paragraph bead is one
+    block; a 1-0 or 0-1 bead has an empty range on one side, so a side
+    without paragraphs gives one block per paragraph of the other.
     """
     src_spans, tgt_spans = src.paragraph_spans(), tgt.paragraph_spans()
-    if not src_spans or not tgt_spans:
-        return [((0, len(src)), (0, len(tgt)))]
     if len(src_spans) == len(tgt_spans):
         return list(zip(src_spans, tgt_spans))
-    path = _align_block(
-        [src.join(range(a, b)) for a, b in src_spans],
-        [tgt.join(range(a, b)) for a, b in tgt_spans],
-        params,
-    )
+    path = _align_block(src.paragraph_lengths(), tgt.paragraph_lengths(), params)
     src_bounds = [a for a, _ in src_spans] + [len(src)]
     tgt_bounds = [a for a, _ in tgt_spans] + [len(tgt)]
     blocks, i, j = [], 0, 0
@@ -232,15 +226,16 @@ def gc_align(
     """Length-based alignment of a document pair, on Gale & Church's two
     levels: :func:`paragraph_blocks` matches paragraphs (in order when both
     sides have as many, else by a paragraph-level lattice), then the
-    sentence lattice runs within each matched block, so no bead crosses a
-    block boundary and each lattice stays small. Bead scores are negated
-    costs.
+    sentence lattice runs over each matched block's slice of the sentence
+    character counts, so no bead crosses a block boundary and each lattice
+    stays small. Bead scores are negated costs.
     """
     if params is None:
         params = LengthParams()
+    src_lens, tgt_lens = [len(s) for s in src.sentences], [len(t) for t in tgt.sentences]
     beads: list[Bead] = []
     for (s0, s1), (t0, t1) in paragraph_blocks(src, tgt, params):
-        path = _align_block(list(src.sentences[s0:s1]), list(tgt.sentences[t0:t1]), params)
+        path = _align_block(src_lens[s0:s1], tgt_lens[t0:t1], params)
         beads.extend(path_beads(path, s0, t0, "gc"))
     return AlignmentSet(tuple(beads), len(src), len(tgt))
 

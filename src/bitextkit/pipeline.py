@@ -477,20 +477,21 @@ def _corpus_length_params(
     config: PipelineConfig, doc_pairs: list[tuple[SentenceList, SentenceList]]
 ) -> LengthParams:
     """Length-model parameters for gc/bleualign: loaded from
-    ``config.params_file`` when it is set, otherwise fitted on the paragraph
-    pairs rebuilt from the segmented sentences (a document whose paragraph
-    counts differ counts as one pair)."""
+    ``config.params_file`` when it is set, otherwise fitted on the character
+    counts of the paragraph pairs (a document whose paragraph counts differ
+    counts as one pair, a newline between two paragraphs)."""
     if config.params_file:
         return load_length_params(config.params_file)
-    paragraph_pairs: list[tuple[str, str]] = []
+    length_pairs: list[tuple[int, int]] = []
     for src, tgt in doc_pairs:
-        src_paras = [src.join(range(a, b)) for a, b in src.paragraph_spans()]
-        tgt_paras = [tgt.join(range(a, b)) for a, b in tgt.paragraph_spans()]
-        if len(src_paras) == len(tgt_paras):
-            paragraph_pairs.extend(zip(src_paras, tgt_paras))
+        sides = src.paragraph_lengths(), tgt.paragraph_lengths()
+        if len(sides[0]) == len(sides[1]):
+            length_pairs.extend(zip(*sides))
         else:
-            paragraph_pairs.append(("\n".join(src_paras), "\n".join(tgt_paras)))
-    return estimate_length_params(paragraph_pairs)
+            length_pairs.append(tuple(sum(lens) + max(len(lens) - 1, 0) for lens in sides))
+    if not any(s for s, _ in length_pairs):
+        raise ValueError("no source-side text to fit the length model on; set params_file (--params)")
+    return estimate_length_params(length_pairs)
 
 
 class _Collect(logging.Handler):

@@ -486,13 +486,8 @@ def check_aligner_ordering(articles, golds):
 
     paragraph_pairs = []
     for zh_sl, en_sl, _, _ in sls.values():
-        by_p: dict[int, list[list[str]]] = {}
-        for sent, p in zip(zh_sl.sentences, zh_sl.paragraph_index):
-            by_p.setdefault(p, [[], []])[0].append(sent)
-        for sent, p in zip(en_sl.sentences, en_sl.paragraph_index):
-            by_p.setdefault(p, [[], []])[1].append(sent)
         paragraph_pairs.extend(
-            ("".join(zh), " ".join(en)) for zh, en in by_p.values()
+            zip(zh_sl.paragraph_lengths(), en_sl.paragraph_lengths(), strict=True)
         )
     params = estimate_length_params(paragraph_pairs)
     check_trap_geometry(articles, params)

@@ -319,12 +319,7 @@ def test_criterion_07_aligner_quality_ordering(corpus_views):
 
     paragraph_pairs = []
     for zh, en, _, _ in corpus_views.values():
-        by_p: dict[int, list[list[str]]] = {}
-        for sent, p in zip(zh.sentences, zh.paragraph_index):
-            by_p.setdefault(p, [[], []])[0].append(sent)
-        for sent, p in zip(en.sentences, en.paragraph_index):
-            by_p.setdefault(p, [[], []])[1].append(sent)
-        paragraph_pairs.extend(("".join(z), " ".join(e)) for z, e in by_p.values())
+        paragraph_pairs.extend(zip(zh.paragraph_lengths(), en.paragraph_lengths(), strict=True))
     params = estimate_length_params(paragraph_pairs)
     table = train_lexicon(
         [(zh, en, length_pass(zh, en)[1]) for zh, en, _, _ in corpus_views.values()]

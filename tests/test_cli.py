@@ -153,6 +153,42 @@ class TestRun:
         assert err.count("bleualign requires mt_src") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("method", ["gc", "bleualign"])
+    def test_saved_length_params_reproduce_the_alignments(self, tmp_path, monkeypatch, method):
+        """A run's ``03_align/length_params.txt``, read back as config
+        ``params_file`` and as ``align --params``, gives that run's
+        ``03_align`` byte for byte."""
+        settings = json.loads((CORPUS / "config.json").read_text(encoding="utf-8"))
+        settings.update(
+            input=str(RAW), method=method, mt_src=str(CORPUS / "mt_zh2en"), mt_tgt=str(CORPUS / "mt_en2zh")
+        )
+        config = tmp_path / "config.json"
+
+        def run(output, params_file=None):
+            settings.update(output=output, params_file=params_file)
+            config.write_text(json.dumps(settings), encoding="utf-8")
+            assert main(["--config", str(config), "run"]) == 0
+
+        def refit(length_pairs):
+            raise AssertionError("length params fitted again")
+
+        run("fit")
+        monkeypatch.setattr("bitextkit.pipeline.estimate_length_params", refit)
+        # params_file is relative to the config's directory, as output is
+        run("loaded", "fit/03_align/length_params.txt")
+        fitted = tmp_path / "fit" / "03_align"
+        argv = ["align", str(tmp_path / "fit" / "02_sbd"), str(tmp_path / "flag"), "--method", method,
+                "--src-mt", settings["mt_src"], "--tgt-mt", settings["mt_tgt"],
+                "--min-score", str(settings["min_score"]), "--params", str(fitted / "length_params.txt")]
+        assert main(argv) == 0
+        names = sorted(p.name for p in fitted.iterdir())
+        assert len(names) == 13 and "length_params.txt" in names
+        for other in ("loaded", "flag"):
+            align = tmp_path / other / "03_align"
+            assert sorted(p.name for p in align.iterdir()) == names
+            for name in names:
+                assert (align / name).read_bytes() == (fitted / name).read_bytes(), (other, name)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -317,6 +353,20 @@ class TestStageCommands:
         assert rc == 1
         assert f"{mt / 'A01.txt'}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not (tmp_path / "a" / "03_align" / "A01.tsv").exists()
+
+    @pytest.mark.parametrize("method", ["gc", "bleualign"])
+    @pytest.mark.parametrize("corpus", ["no metadata rows", "every zh side empty"])
+    def test_corpus_without_source_text_names_the_cause(self, tmp_path, capsys, stages, method, corpus):
+        sbd = tmp_path / "02_sbd"
+        shutil.copytree(stages / "s" / "02_sbd", sbd)
+        emptied = [sbd / META_FILENAME] if corpus == "no metadata rows" else sbd.glob("*-zh.tsv")
+        for path in emptied:
+            path.write_text("", encoding="utf-8")
+        mt = str(CORPUS / "mt_zh2en")
+        assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method, "--src-mt", mt]) == 1
+        err = capsys.readouterr().err
+        assert "no source-side text to fit the length model on; set params_file (--params)" in err
+        assert [p for p in (tmp_path / "a").rglob("*") if p.is_file()] == []
 
     def test_preprocess_artifacts(self, stages):
         pre = stages / "p" / "01_preprocess"

@@ -97,14 +97,12 @@ def exhaustive_best(slen, tlen, params):
     return best
 
 
-def reference_align_block(src_sents, tgt_sents, params):
+def reference_align_block(slen, tlen, params):
     """The lattice search scored through gc_cost with tuple keys: the
     backward pass keeps the smallest (cost, -ones, beads) per node, and the
     forward pass re-scores each node's moves in sorted order and takes the
     first whose key equals it."""
-    S, T = len(src_sents), len(tgt_sents)
-    slen = [len(s) for s in src_sents]
-    tlen = [len(t) for t in tgt_sents]
+    S, T = len(slen), len(tlen)
     best = [[None] * (T + 1) for _ in range(S + 1)]
     best[S][T] = (0.0, 0, 0)
 
@@ -279,14 +277,13 @@ class TestLengthTermMemo:
         # patched in by a context manager, not the function-scoped monkeypatch
         with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
             for slen, tlen in blocks:
-                src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
-                warm = _align_block(src, tgt, params)
+                warm = _align_block(slen, tlen, params)
                 with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
-                    assert _align_block(src, tgt, params) == warm
+                    assert _align_block(slen, tlen, params) == warm
 
     def test_instances_with_other_scales_share_no_entries(self, monkeypatch):
-        src = ["x" * n for n in (12, 30, 7, 44)]
-        tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+        src = [12, 30, 7, 44]
+        tgt = [10, 35, 9, 20, 40]
         instances = [LengthParams(), LengthParams(c=1.3), LengthParams(s2=1.0)]
         fresh = [path_from_empty_memo(monkeypatch, src, tgt, p) for p in instances]
         monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
@@ -310,7 +307,7 @@ class TestLengthTermMemo:
         params = LengthParams(c=1.1, s2=5.0)
         before_repr, before_pickle = repr(params), pickle.dumps(params)
         save_length_params(params, tmp_path / "empty.txt")
-        src, tgt = ["x" * 12, "x" * 30], ["x" * 10, "x" * 35]
+        src, tgt = [12, 30], [10, 35]
         path = _align_block(src, tgt, params)
         assert gale_church._LOG_MATCH_MEMO[1.1, 5.0]
         assert vars(params).keys() == {"c", "s2", "priors"}
@@ -325,8 +322,8 @@ class TestLengthTermMemo:
         assert _align_block(src, tgt, back) == path
 
     def test_params_that_differ_only_in_priors_share_entries(self, monkeypatch):
-        src = ["x" * n for n in (12, 30, 7, 44)]
-        tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+        src = [12, 30, 7, 44]
+        tgt = [10, 35, 9, 20, 40]
         priors = dict(DEFAULT_PRIORS)
         priors[1, 1] -= 0.2
         priors[2, 1] += 0.1
@@ -341,13 +338,12 @@ class TestLengthTermMemo:
             assert paths == (fresh if order is pair else fresh[::-1])
 
 
-class TestUnpickledLengthParams:
-    """Copies of equal params, pickled or not, share one memo through its
-    (c, s2) key, so a pool worker scores each pair of lengths once across its
-    chunks."""
+class TestEqualScalesShareOneMemo:
+    """Params with equal (c, s2) share one memo, pickled or not, so a pool
+    worker scores each pair of lengths once across its chunks."""
 
-    src = ["x" * n for n in (12, 30, 7, 44)]
-    tgt = ["x" * n for n in (10, 35, 9, 20, 40)]
+    src = [12, 30, 7, 44]
+    tgt = [10, 35, 9, 20, 40]
 
     def test_copies_of_equal_params_share_entries(self, monkeypatch):
         fresh = path_from_empty_memo(monkeypatch, self.src, self.tgt, LengthParams(c=1.7, s2=3.3))
@@ -383,23 +379,23 @@ class TestUnpickledLengthParams:
 
 class TestEstimateParams:
     def test_hand_computed_ratio_and_variance(self):
-        pairs = [("ab", "abcd"), ("ab", "abcdefgh")]
+        pairs = [(2, 4), (2, 8)]
         params = estimate_length_params(pairs)
         assert params.c == pytest.approx(3.0)
         # residuals: (4-6)^2/2 and (8-6)^2/2
         assert params.s2 == pytest.approx(2.0)
 
     def test_variance_floor(self):
-        params = estimate_length_params([("ab", "abcd"), ("abc", "abcdef")])
+        params = estimate_length_params([(2, 4), (3, 6)])
         assert params.c == pytest.approx(2.0)
         assert params.s2 == 1.0
 
     def test_zero_source_rejected(self):
         with pytest.raises(ValueError):
-            estimate_length_params([("", "abc")])
+            estimate_length_params([(0, 3)])
 
     def test_round_trip_through_file(self, tmp_path):
-        params = estimate_length_params([("ab", "abcd"), ("ab", "abcdefgh")])
+        params = estimate_length_params([(2, 4), (2, 8)])
         path = tmp_path / "params.json"
         save_length_params(params, path)
         back = load_length_params(path)
@@ -450,7 +446,7 @@ class TestLatticeSearch:
     @example(slen=[3], tlen=[20, 20, 20, 40], params=LengthParams(c=1.3, s2=1.0))
     @example(slen=[0, 2], tlen=[1, 1], params=LengthParams(priors=SPLIT_PRIORS))
     def test_block_matches_exhaustive_enumeration(self, slen, tlen, params):
-        path = _align_block(["x" * n for n in slen], ["x" * n for n in tlen], params)
+        path = _align_block(slen, tlen, params)
         total, i, j = 0.0, 0, 0
         for (m, n), step in path:
             assert step == gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
@@ -464,8 +460,7 @@ class TestLatticeSearch:
     @settings(max_examples=200, deadline=None)
     @given(slen=sentence_lengths(25), tlen=sentence_lengths(25), params=lattice_params)
     def test_block_equals_the_reference_search(self, slen, tlen, params):
-        src, tgt = ["x" * n for n in slen], ["x" * n for n in tlen]
-        assert _align_block(src, tgt, params) == reference_align_block(src, tgt, params)
+        assert _align_block(slen, tlen, params) == reference_align_block(slen, tlen, params)
 
     def test_balanced_documents_align_one_to_one(self):
         params = LengthParams(c=1.0, s2=6.8)
@@ -544,9 +539,10 @@ def whole_document_gc_align(src, tgt, params):
     src_blocks, tgt_blocks = src.paragraph_spans(), tgt.paragraph_spans()
     if len(src_blocks) != len(tgt_blocks) or not src_blocks:
         src_blocks, tgt_blocks = [(0, len(src))], [(0, len(tgt))]
+    slen, tlen = [len(s) for s in src.sentences], [len(t) for t in tgt.sentences]
     beads = []
     for (s0, s1), (t0, t1) in zip(src_blocks, tgt_blocks):
-        path = _align_block(list(src.sentences[s0:s1]), list(tgt.sentences[t0:t1]), params)
+        path = _align_block(slen[s0:s1], tlen[t0:t1], params)
         beads.extend(path_beads(path, s0, t0, "gc"))
     return AlignmentSet(tuple(beads), len(src), len(tgt))
 

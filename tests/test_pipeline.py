@@ -445,7 +445,9 @@ class TestCorpusLengthParams:
             zh, en = paragraphs[src.doc_id], paragraphs[tgt.doc_id]
             want.extend(zip(zh, en) if len(zh) == len(en) else [("\n".join(zh), "\n".join(en))])
         doc_pairs = [(sentences[s.doc_id], sentences[t.doc_id]) for s, t in pairs]
-        assert _corpus_length_params(config, doc_pairs) == estimate_length_params(want)
+        assert _corpus_length_params(config, doc_pairs) == estimate_length_params(
+            [(len(s), len(t)) for s, t in want]
+        )
 
     def test_mismatched_paragraph_counts_make_one_pair(self, tmp_path):
         config = load_config(CORPUS / "config.json")
@@ -463,7 +465,7 @@ class TestCorpusLengthParams:
             ("辛壬。", "Eight nine."),
         ]
         got = _corpus_length_params(config, [mismatched, matched])
-        assert got == estimate_length_params(want)
+        assert got == estimate_length_params([(len(s), len(t)) for s, t in want])
 
 
 def fixture_sentences():
