@@ -2,7 +2,11 @@
 
 Every pipeline stage is its own subcommand so a corpus can be built step by
 step and inspected between stages; ``run`` executes the whole chain from a
-JSON config. Paths are positional, tuning knobs are flags.
+JSON config. Paths are positional, tuning knobs are flags. Each flag's dest
+is the config field it sets, and a flag left out sets nothing, so the
+library's defaults are the only ones: ``_settings`` builds every
+:class:`PipelineConfig`, :class:`SplitSpec` and :class:`BleuConfig` from
+the flags given, ``--jobs`` included.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from bitextkit import __version__
@@ -29,7 +33,6 @@ from bitextkit.core import (
     write_records,
 )
 from bitextkit.evaluation import alignment_type_distribution, prf1
-from bitextkit.moore import EM_ITERATIONS, THETA1, THETA2
 from bitextkit.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -84,13 +87,17 @@ def _read_tsv(path: Path, min_cols: int, max_cols: int) -> list[tuple[str, ...]]
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _settings(cls, args) -> dict:
+    """The parsed arguments that name a field of dataclass ``cls``. A flag
+    left out sets no argument, so its field keeps the library default."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in vars(args).items() if key in names}
+
+
 def _cmd_run(args) -> int:
     if args.config is None:
         raise ValueError("run requires --config FILE")
-    config = load_config(args.config)
-    if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
-    return run_pipeline(config)
+    return run_pipeline(replace(load_config(args.config), **_settings(PipelineConfig, args)))
 
 
 def _cmd_ingest(args) -> int:
@@ -101,25 +108,13 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    config = PipelineConfig(
-        input=args.input,
-        output=args.output,
-        patterns=args.patterns,
-        truecase=not args.no_truecase,
-    )
-    docs, _ = stage_preprocess(config)
+    docs, _ = stage_preprocess(PipelineConfig(**_settings(PipelineConfig, args)))
     print(f"preprocessed {len(docs)} documents -> {args.output / '01_preprocess'}")
     return 0
 
 
 def _cmd_sbd(args) -> int:
-    config = PipelineConfig(
-        input=args.input,
-        output=args.output,
-        abbreviations=args.abbreviations,
-        en_sbd=args.en_method,
-        jobs=PipelineConfig.jobs if args.jobs is None else args.jobs,
-    )
+    config = PipelineConfig(**_settings(PipelineConfig, args))
     docs = read_documents(args.input)
     sentences = stage_sbd(config, pair_articles([d.meta for d in docs]), docs)
     n_sents = sum(len(sl) for sl in sentences.values())
@@ -128,23 +123,10 @@ def _cmd_sbd(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    config = PipelineConfig(
-        input=args.sentences,
-        output=args.output,
-        method=args.method,
-        params_file=args.params,
-        theta1=args.theta1,
-        theta2=args.theta2,
-        em_iterations=args.iterations,
-        min_score=args.min_score,
-        mt_src=args.src_mt,
-        mt_tgt=args.tgt_mt,
-        jobs=PipelineConfig.jobs if args.jobs is None else args.jobs,
-    )
-    directory = Path(args.sentences)
-    metas = read_metadata(directory)
+    config = PipelineConfig(**_settings(PipelineConfig, args))
+    metas = read_metadata(args.input)
     sentences = {
-        m.doc_id: read_sentences(directory / f"{m.doc_id}.tsv", m.doc_id, m.language)
+        m.doc_id: read_sentences(args.input / f"{m.doc_id}.tsv", m.doc_id, m.language)
         for m in metas
     }
     pairs = pair_articles(metas)
@@ -163,15 +145,10 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    rows = _read_tsv(Path(args.pairs), 3, 3)
-    meta_dir = Path(args.meta)
-    config = PipelineConfig(
-        input=meta_dir,
-        output=args.output,
-        split=SplitSpec(args.test, args.dev),
-    )
-    pairs = pair_articles(read_metadata(meta_dir))
-    stage_split(config, pairs, rows)
+    split = SplitSpec(**_settings(SplitSpec, args))
+    config = PipelineConfig(**_settings(PipelineConfig, args), split=split)
+    rows = _read_tsv(args.pairs, 3, 3)
+    stage_split(config, pair_articles(read_metadata(args.input)), rows)
     print(f"split manifests written -> {args.output / '05_split'}")
     return 0
 
@@ -201,7 +178,7 @@ def _cmd_stats(args) -> int:
 def _cmd_bleu(args) -> int:
     hyp_lines = read_lines(args.hyp)
     ref_lines = read_lines(args.ref)
-    cfg = BleuConfig(n_max=args.n_max)
+    cfg = BleuConfig(**_settings(BleuConfig, args))
     hyps = [tokenize(h, args.lang) for h in hyp_lines]
     refs = [tokenize(r, args.lang) for r in ref_lines]
     if args.sentence:
@@ -225,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", type=Path, help="pipeline config (JSON)")
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=argparse.SUPPRESS,
         help="upper bound on worker processes: a run of A articles starts min(JOBS, A // 4) "
         "of them, or none below two, since starting a worker costs more than a few articles' "
         "work; a run without workers never loads the pool",
@@ -233,72 +210,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("run", help="run the full pipeline from --config")
-    s.set_defaults(func=_cmd_run)
+    def command(name, func, help):
+        # a flag's dest is the config field it sets; one left out sets nothing
+        s = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        s.set_defaults(func=func)
+        return s
 
-    s = sub.add_parser("ingest", help="validate and copy a raw document directory")
+    command("run", _cmd_run, "run the full pipeline from --config")
+
+    s = command("ingest", _cmd_ingest, "validate and copy a raw document directory")
     s.add_argument("input", type=Path)
     s.add_argument("output", type=Path)
-    s.set_defaults(func=_cmd_ingest)
 
-    s = sub.add_parser("preprocess", help="normalize, stitch, filter boilerplate, truecase")
+    s = command("preprocess", _cmd_preprocess, "normalize, stitch, filter boilerplate, truecase")
     s.add_argument("input", type=Path)
     s.add_argument("output", type=Path)
     s.add_argument("--patterns", type=Path, help="boilerplate pattern file")
-    s.add_argument("--no-truecase", action="store_true")
-    s.set_defaults(func=_cmd_preprocess)
+    s.add_argument("--no-truecase", dest="truecase", action="store_false")
 
-    s = sub.add_parser("sbd", help="split paragraphs into sentences")
+    s = command("sbd", _cmd_sbd, "split paragraphs into sentences")
     s.add_argument("input", type=Path, help="preprocessed document directory")
     s.add_argument("output", type=Path)
-    s.add_argument("--en-method", choices=("rules", "punkt"), default=PipelineConfig.en_sbd)
+    s.add_argument("--en-method", dest="en_sbd", choices=("rules", "punkt"))
     s.add_argument("--abbreviations", type=Path, help="abbreviation list file")
-    s.set_defaults(func=_cmd_sbd)
 
-    s = sub.add_parser("align", help="align sentences of each article pair")
-    s.add_argument("sentences", type=Path, help="sentence directory (sbd output)")
+    s = command("align", _cmd_align, "align sentences of each article pair")
+    s.add_argument("input", metavar="sentences", type=Path, help="sentence directory (sbd output)")
     s.add_argument("output", type=Path)
-    s.add_argument("--method", choices=("gc", "moore", "bleualign"), default=PipelineConfig.method)
-    s.add_argument("--params", type=Path, help="length parameter file (skips estimation)")
-    s.add_argument("--theta1", type=float, default=THETA1)
-    s.add_argument("--theta2", type=float, default=THETA2)
-    s.add_argument("--iterations", type=int, default=EM_ITERATIONS)
-    s.add_argument("--min-score", type=float, default=PipelineConfig.min_score)
-    s.add_argument("--src-mt", type=Path, help="directory of source translations, one <pair_id>.txt each")
-    s.add_argument("--tgt-mt", type=Path, help="directory of target translations (enables bidirectional mode)")
-    s.set_defaults(func=_cmd_align)
+    s.add_argument("--method", choices=("gc", "moore", "bleualign"))
+    s.add_argument("--params", dest="params_file", type=Path, help="length parameter file (skips estimation)")
+    s.add_argument("--theta1", type=float)
+    s.add_argument("--theta2", type=float)
+    s.add_argument("--iterations", dest="em_iterations", type=int)
+    s.add_argument("--min-score", type=float)
+    s.add_argument("--src-mt", dest="mt_src", type=Path, help="directory of source translations, one <pair_id>.txt each")
+    s.add_argument("--tgt-mt", dest="mt_tgt", type=Path, help="directory of target translations (enables bidirectional mode)")
 
-    s = sub.add_parser("dedup", help="drop near-duplicate sentence pairs")
+    s = command("dedup", _cmd_dedup, "drop near-duplicate sentence pairs")
     s.add_argument("input", type=Path, help="2- or 3-column pair TSV")
     s.add_argument("output", type=Path)
-    s.set_defaults(func=_cmd_dedup)
 
-    s = sub.add_parser("split", help="assign articles to train/dev/test")
+    s = command("split", _cmd_split, "assign articles to train/dev/test")
     s.add_argument("pairs", type=Path, help="3-column (article, src, tgt) TSV")
-    s.add_argument("meta", type=Path, help="directory containing metadata.tsv")
+    s.add_argument("input", metavar="meta", type=Path, help="directory containing metadata.tsv")
     s.add_argument("output", type=Path)
-    s.add_argument("--test", type=int, default=SplitSpec.test_sentence_target, help="test sentence target")
-    s.add_argument("--dev", type=int, default=SplitSpec.dev_sentence_target, help="dev sentence target")
-    s.set_defaults(func=_cmd_split)
+    s.add_argument("--test", dest="test_sentence_target", type=int, help="test sentence target")
+    s.add_argument("--dev", dest="dev_sentence_target", type=int, help="dev sentence target")
 
-    s = sub.add_parser("eval", help="score an alignment against gold")
+    s = command("eval", _cmd_eval, "score an alignment against gold")
     s.add_argument("pred", type=Path)
     s.add_argument("gold", type=Path)
-    s.add_argument("--all-types", action="store_true", help="score all bead types, not only 1-1")
-    s.add_argument("--distribution", action="store_true", help="also print the gold bead type table")
-    s.set_defaults(func=_cmd_eval)
+    s.add_argument("--all-types", action="store_true", default=False, help="score all bead types, not only 1-1")
+    s.add_argument("--distribution", action="store_true", default=False, help="also print the gold bead type table")
 
-    s = sub.add_parser("stats", help="corpus size statistics from a pair TSV")
+    s = command("stats", _cmd_stats, "corpus size statistics from a pair TSV")
     s.add_argument("pairs", type=Path)
-    s.set_defaults(func=_cmd_stats)
 
-    s = sub.add_parser("bleu", help="BLEU of line-parallel files")
+    s = command("bleu", _cmd_bleu, "BLEU of line-parallel files")
     s.add_argument("hyp", type=Path)
     s.add_argument("ref", type=Path)
     s.add_argument("--lang", choices=(SRC_LANG, TGT_LANG), default=TGT_LANG, help="tokenizer language")
-    s.add_argument("--n-max", type=int, default=BleuConfig.n_max)
-    s.add_argument("--sentence", action="store_true", help="print one score per line")
-    s.set_defaults(func=_cmd_bleu)
+    s.add_argument("--n-max", type=int)
+    s.add_argument("--sentence", action="store_true", default=False, help="print one score per line")
 
     return parser
 

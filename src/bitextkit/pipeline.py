@@ -489,8 +489,9 @@ def _corpus_length_params(
             length_pairs.extend(zip(*sides))
         else:
             length_pairs.append(tuple(sum(lens) + max(len(lens) - 1, 0) for lens in sides))
-    if not any(s for s, _ in length_pairs):
-        raise ValueError("no source-side text to fit the length model on; set params_file (--params)")
+    for side, name in enumerate(("source", "target")):
+        if not any(pair[side] for pair in length_pairs):
+            raise ValueError(f"no {name}-side text to fit the length model on; set params_file (--params)")
     return estimate_length_params(length_pairs)
 
 

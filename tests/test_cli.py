@@ -8,15 +8,16 @@ import subprocess
 import sys
 from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import bitextkit
 from bitextkit import __version__
-from bitextkit.cli import build_parser, main
+from bitextkit.cli import main
 from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
-from bitextkit.pipeline import PipelineConfig
+from bitextkit.pipeline import PipelineConfig, SplitSpec
 from bitextkit.scoring import BleuConfig
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
@@ -40,24 +41,58 @@ class TestParser:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
-    def test_defaults_are_the_library_defaults(self):
-        parser = build_parser()
-        config = PipelineConfig(input=Path("in"), output=Path("out"))
-        align = parser.parse_args(["align", "s", "o"])
-        assert (align.theta1, align.theta2, align.iterations, align.min_score) == (
-            config.theta1,
-            config.theta2,
-            config.em_iterations,
-            config.min_score,
-        )
-        split = parser.parse_args(["split", "p", "m", "o"])
-        assert (split.test, split.dev) == (
-            config.split.test_sentence_target,
-            config.split.dev_sentence_target,
-        )
-        assert parser.parse_args(["bleu", "h", "r"]).n_max == BleuConfig().n_max
-        assert align.method == config.method
-        assert parser.parse_args(["sbd", "i", "o"]).en_method == config.en_sbd
+    @staticmethod
+    def _configs(monkeypatch, *argvs):
+        """The config each argv's command hands its stage (or BLEU), with
+        every stage stubbed so nothing is written."""
+        seen = []
+
+        def stage(result):
+            return lambda config, *rest: seen.append(config) or result
+
+        for name, result in [("stage_preprocess", ([], None)), ("stage_sbd", {}), ("stage_align", {}),
+                             ("stage_split", None)]:
+            monkeypatch.setattr(f"bitextkit.cli.{name}", stage(result))
+        monkeypatch.setattr("bitextkit.cli.corpus_bleu", lambda hyps, refs, cfg: seen.append(cfg) or 0.0)
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        return seen
+
+    _STAGES = [
+        ("preprocess", [str(RAW)]),
+        ("sbd", [str(CORPUS / "out" / "01_preprocess")]),
+        ("align", [str(CORPUS / "out" / "02_sbd")]),
+        ("split", [str(CORPUS / "out" / "04_dedup" / "pairs.tsv"), str(CORPUS / "out" / "02_sbd")]),
+    ]
+
+    def test_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        hyp = str(CORPUS / "mt_zh2en" / "A01.txt")
+        argvs = [[name, *paths, str(tmp_path)] for name, paths in self._STAGES] + [["bleu", hyp, hyp]]
+        *configs, bleu = self._configs(monkeypatch, *argvs)
+        assert configs == [PipelineConfig(Path(paths[-1]), tmp_path) for _, paths in self._STAGES]
+        assert all(config.split == SplitSpec() for config in configs)
+        assert bleu == BleuConfig()
+
+    def test_every_stage_flag_sets_its_field(self, tmp_path, monkeypatch):
+        settings = {
+            "preprocess": (["--patterns", "p.txt", "--no-truecase"], dict(patterns=Path("p.txt"), truecase=False)),
+            "sbd": (["--en-method", "punkt", "--abbreviations", "a.txt"],
+                    dict(en_sbd="punkt", abbreviations=Path("a.txt"))),
+            "align": (["--method", "bleualign", "--params", "l.txt", "--theta1", "0.8", "--theta2", "0.4",
+                       "--iterations", "7", "--min-score", "0.1", "--src-mt", "zh2en", "--tgt-mt", "en2zh"],
+                      dict(method="bleualign", params_file=Path("l.txt"), theta1=0.8, theta2=0.4,
+                           em_iterations=7, min_score=0.1, mt_src=Path("zh2en"), mt_tgt=Path("en2zh"))),
+            "split": (["--test", "5", "--dev", "6"], dict(split=SplitSpec(5, 6))),
+        }
+        argvs = [["--jobs", "3", name, *paths, str(tmp_path), *settings[name][0]] for name, paths in self._STAGES]
+        hyp = str(CORPUS / "mt_zh2en" / "A01.txt")
+        *configs, bleu = self._configs(monkeypatch, *argvs, ["bleu", hyp, hyp, "--n-max", "3"])
+        for (name, paths), config in zip(self._STAGES, configs, strict=True):
+            given = dict(settings[name][1], jobs=3)
+            default = PipelineConfig(Path(paths[-1]), tmp_path)
+            assert all(getattr(default, key) != value for key, value in given.items()), name
+            assert config == replace(default, **given), name
+        assert bleu == BleuConfig(n_max=3) != BleuConfig()
 
     def test_run_without_config_is_an_error(self, capsys):
         assert main(["--log-format", "json", "run"]) == 1
@@ -101,8 +136,11 @@ class TestRun:
         config.write_text(json.dumps({"input": str(RAW), "output": "out"}), encoding="utf-8")
         assert main(["--config", str(config), "--jobs", jobs, "run"]) == 1
         assert main(["--jobs", jobs, "align", str(stages / "s" / "02_sbd"), str(tmp_path / "a")]) == 1
-        assert capsys.readouterr().err.count("jobs must be >= 1") == 2
-        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
+        assert main(["--jobs", jobs, "preprocess", str(RAW), str(tmp_path / "p")]) == 1
+        pairs, meta = CORPUS / "out" / "04_dedup" / "pairs.tsv", CORPUS / "out" / "02_sbd"
+        assert main(["--jobs", jobs, "split", str(pairs), str(meta), str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err.count("jobs must be >= 1") == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "key, value, method",
@@ -366,6 +404,18 @@ class TestStageCommands:
         assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method, "--src-mt", mt]) == 1
         err = capsys.readouterr().err
         assert "no source-side text to fit the length model on; set params_file (--params)" in err
+        assert [p for p in (tmp_path / "a").rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("method", ["gc", "bleualign"])
+    def test_corpus_without_target_text_names_the_cause(self, tmp_path, capsys, stages, method):
+        sbd = tmp_path / "02_sbd"
+        shutil.copytree(stages / "s" / "02_sbd", sbd)
+        for path in sbd.glob("*-en.tsv"):
+            path.write_text("", encoding="utf-8")
+        mt = str(CORPUS / "mt_zh2en")
+        assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method, "--src-mt", mt]) == 1
+        err = capsys.readouterr().err
+        assert "no target-side text to fit the length model on; set params_file (--params)" in err
         assert [p for p in (tmp_path / "a").rglob("*") if p.is_file()] == []
 
     def test_preprocess_artifacts(self, stages):
