@@ -181,15 +181,14 @@ def _fill_gaps(
     out: list[Bead] = []
     prev_s = prev_t = 0
     src_lens, tgt_lens = [len(s) for s in src.sentences], [len(t) for t in tgt.sentences]
-    bounds = [(b.src[0], b.tgt[0], b) for b in anchor_beads] + [(len(src), len(tgt), None)]
-    for s_start, t_start, bead in bounds:
+    for bead in [*anchor_beads, None]:
+        s_start, t_start = (bead.src[0], bead.tgt[0]) if bead is not None else (len(src), len(tgt))
         if prev_s < s_start or prev_t < t_start:
             path = _align_block(src_lens[prev_s:s_start], tgt_lens[prev_t:t_start], params)
             out.extend(path_beads(path, prev_s, prev_t, "bleualign+gc"))
         if bead is not None:
             out.append(bead)
-            prev_s = max(bead.src) + 1
-            prev_t = max(bead.tgt) + 1
+            prev_s, prev_t = max(bead.src) + 1, max(bead.tgt) + 1
     return out
 
 

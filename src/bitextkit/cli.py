@@ -6,7 +6,9 @@ JSON config. Paths are positional, tuning knobs are flags. Each flag's dest
 is the config field it sets, and a flag left out sets nothing, so the
 library's defaults are the only ones: ``_settings`` builds every
 :class:`PipelineConfig`, :class:`SplitSpec` and :class:`BleuConfig` from
-the flags given, ``--jobs`` included.
+the flags given, ``--jobs`` included. Only ``run`` reads ``--config``, and
+only ``run``, ``preprocess``, ``sbd``, ``align`` and ``split`` read ``--jobs``;
+either flag given to another command is a usage error.
 """
 
 from __future__ import annotations
@@ -277,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, readers in (("config", {"run"}), ("jobs", {"run", "preprocess", "sbd", "align", "split"})):
+        if getattr(args, flag, None) is not None and args.command not in readers:
+            parser.error(f"--{flag} is not read by {args.command}")
     _configure_logging(args.log_format)
     try:
         return args.func(args)

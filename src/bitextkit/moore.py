@@ -384,29 +384,23 @@ def moore_align(
     """
     check_theta2(theta2)
     S, T = len(src), len(tgt)
-    if S == 0 or T == 0:
-        beads = [Bead((i,), (), None, "moore") for i in range(S)]
-        beads += [Bead((), (j,), None, "moore") for j in range(T)]
-        return AlignmentSet(tuple(beads), S, T)
-    log_bead, lexical = _bead_scorer(src.tokens, tgt.tokens, table)
-    if not lexical:
-        log.warning(
-            "%s: translation table shares no vocabulary with the document; using length model only",
-            src.doc_id,
-        )
-    post = _forward_backward(S, T, log_bead)
+    accepted = []
+    if S and T:
+        log_bead, lexical = _bead_scorer(src.tokens, tgt.tokens, table)
+        if not lexical:
+            log.warning(
+                "%s: translation table shares no vocabulary with the document; using length model only",
+                src.doc_id,
+            )
+        accepted = _accept_one_one(_forward_backward(S, T, log_bead), theta2)
     beads: list[Bead] = []
     si = ti = 0
-    for i, j, p in _accept_one_one(post, theta2) + [(S, T, 0.0)]:
-        while si < i:
-            beads.append(Bead((si,), (), None, "moore"))
-            si += 1
-        while ti < j:
-            beads.append(Bead((), (ti,), None, "moore"))
-            ti += 1
-        if (i, j) != (S, T):
+    for i, j, p in accepted + [(S, T, None)]:
+        beads += [Bead((k,), (), None, "moore") for k in range(si, i)]
+        beads += [Bead((), (k,), None, "moore") for k in range(ti, j)]
+        if p is not None:
             beads.append(Bead((i,), (j,), p, "moore"))
-            si, ti = i + 1, j + 1
+        si, ti = i + 1, j + 1
     return AlignmentSet(tuple(beads), S, T)
 
 

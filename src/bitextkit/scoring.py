@@ -86,12 +86,7 @@ def sentence_bleu(
     zero matches contributes epsilon instead; multiplied by the brevity
     penalty min(1, e^(1 - |ref|/|hyp|)). Empty hypotheses score 0.
     """
-    matches = [
-        _clipped_matches(ngram_counts(hyp_tokens, n), ngram_counts(ref_tokens, n))
-        for n in range(1, cfg.n_max + 1)
-    ]
-    totals = [len(hyp_tokens) - n for n in range(cfg.n_max)]
-    return _bleu(matches, totals, len(hyp_tokens), len(ref_tokens), cfg)
+    return corpus_bleu([hyp_tokens], [ref_tokens], cfg)
 
 
 def corpus_bleu(

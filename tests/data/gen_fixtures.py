@@ -42,14 +42,14 @@ from bitextkit.core import (
 from bitextkit.evaluation import prf1
 from bitextkit.gale_church import estimate_length_params, gc_align, norm_cdf
 from bitextkit.moore import length_pass, moore_align, train_lexicon
-from bitextkit.pipeline import pair_hash
+from bitextkit.pipeline import _segment, pair_hash
 from bitextkit.preprocess import (
     default_filter_rules,
     filter_boilerplate,
     normalize_document,
     stitch_paragraphs,
 )
-from bitextkit.sbd import segment_en_rules, segment_punkt, segment_zh, train_punkt
+from bitextkit.sbd import default_abbrevs, segment_en_rules, segment_punkt, train_punkt
 from bitextkit.scoring import sentence_bleu, tokenize
 
 BASE = Path(__file__).resolve().parent
@@ -335,16 +335,12 @@ def check_preprocess_and_sbd(raw_docs, articles):
             post, _ = filter_boilerplate(stitch_paragraphs(normalize_document(doc)), rules)
             if lang == "en":
                 en_docs_post.append(post)
-            got_sents, got_para = [], []
-            for p, para in enumerate(post.paragraphs):
-                segs = segment_zh(para) if lang == "zh" else segment_en_rules(para)
-                got_sents.extend(segs)
-                got_para.extend([p] * len(segs))
-            assert got_sents == want_sents, (
+            got = _segment(post, default_abbrevs(), None)
+            assert list(got.sentences) == want_sents, (
                 f"{pair_id}-{lang}: segmented sentences differ from plan:\n"
-                f"got  {got_sents}\nwant {want_sents}"
+                f"got  {list(got.sentences)}\nwant {want_sents}"
             )
-            assert got_para == want_para, f"{pair_id}-{lang}: paragraph indices differ"
+            assert list(got.paragraph_index) == want_para, f"{pair_id}-{lang}: paragraph indices differ"
     return en_docs_post
 
 

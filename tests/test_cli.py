@@ -94,6 +94,31 @@ class TestParser:
             assert config == replace(default, **given), name
         assert bleu == BleuConfig(n_max=3) != BleuConfig()
 
+    @staticmethod
+    def _paths(command, out):
+        golden, hyp = CORPUS / "out", CORPUS / "mt_zh2en" / "A01.txt"
+        pairs, gold = golden / "04_dedup" / "pairs.tsv", CORPUS / "gold" / "A01.tsv"
+        return [str(p) for p in {
+            "ingest": [RAW, out], "preprocess": [RAW, out], "sbd": [golden / "01_preprocess", out],
+            "align": [golden / "02_sbd", out], "dedup": [pairs, out], "split": [pairs, golden / "02_sbd", out],
+            "eval": [gold, gold], "stats": [pairs], "bleu": [hyp, hyp],
+        }[command]]
+
+    @pytest.mark.parametrize(
+        "flag, value, command",
+        [("--config", str(CORPUS / "config.json"), command)
+         for command in ("ingest", "preprocess", "sbd", "align", "dedup", "split", "eval", "stats", "bleu")]
+        + [("--jobs", "2", command) for command in ("ingest", "dedup", "eval", "stats", "bleu")],
+    )
+    def test_global_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, flag, value, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value, command, *self._paths(command, tmp_path / "out")])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} is not read by {command}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_without_config_is_an_error(self, capsys):
         assert main(["--log-format", "json", "run"]) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -498,10 +498,19 @@ class TestSecondPass:
         with pytest.raises(ValueError):
             moore_align(src, tgt, table, theta2=0.0)
 
-    def test_empty_target_yields_all_deletions(self):
+    def test_empty_target_yields_all_deletions(self, caplog):
+        """An empty side, or two, skips pass two's lattice and its shared
+        vocabulary warning: the sentences come out as 1-0, then 0-1 beads."""
         table = train_ibm1(TWO_PAIR_CORPUS, 1)
-        aset = moore_align(doc("s", ["a b"]), doc("t", []), table)
-        assert [b.key for b in aset.beads] == [((0,), ())]
+        for src, tgt, keys in (
+            (["a b", "a"], [], [((0,), ()), ((1,), ())]),
+            ([], ["x y", "x"], [((), (0,)), ((), (1,))]),
+            ([], [], []),
+        ):
+            aset = moore_align(doc("s", src), doc("t", tgt), table)
+            assert [b.key for b in aset.beads] == keys
+            assert all(b.score is None and b.method == "moore" for b in aset.beads)
+        assert caplog.records == []
 
     def test_train_lexicon_requires_confident_pairs(self):
         src, tgt = training_docs()

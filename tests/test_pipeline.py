@@ -26,6 +26,7 @@ from bitextkit.core import (
     ArticleMeta,
     SentenceList,
     read_alignments,
+    read_documents,
     read_metadata,
     read_sentences,
     validate_alignment,
@@ -51,6 +52,7 @@ from bitextkit.pipeline import (
     stage_preprocess,
     stage_sbd,
 )
+from bitextkit.preprocess import train_truecaser
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 
@@ -511,6 +513,34 @@ def started(monkeypatch):
     return started
 
 
+class TestStagePreprocess:
+    def test_truecasing_changes_only_the_first_en_token(self, tmp_path):
+        """With truecasing on, preprocessing writes the golden (truecasing
+        off) documents except that an en paragraph's first token may take the
+        majority casing the truecaser learns from those documents."""
+        golden = CORPUS / "out" / "01_preprocess"
+        config = dataclasses.replace(load_config(CORPUS / "config.json"), output=tmp_path, truecase=True)
+        stage_preprocess(config)
+        out = tmp_path / "01_preprocess"
+        assert (out / "metadata.tsv").read_bytes() == (golden / "metadata.tsv").read_bytes()
+        plain = read_documents(golden)
+        casing = train_truecaser(plain).casing
+        changed = 0
+        for before, after in zip(plain, read_documents(out), strict=True):
+            if before.meta.language == "zh":
+                name = f"{before.meta.doc_id}.txt"
+                assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+                continue
+            assert len(after.paragraphs) == len(before.paragraphs)
+            for old, new in zip(before.paragraphs, after.paragraphs):
+                (old_head, _, old_rest), (new_head, _, new_rest) = old.partition(" "), new.partition(" ")
+                assert new_rest == old_rest
+                if new_head != old_head:
+                    changed += 1
+                    assert new_head == casing[old_head.lower()][0]
+        assert changed == 25  # the fixture's paragraphs that open with a capitalized common word
+
+
 class TestStageAlign:
     @pytest.mark.parametrize("changes", ALIGN_METHODS.values(), ids=list(ALIGN_METHODS))
     def test_one_and_two_jobs_align_the_same(self, tmp_path, changes):
@@ -543,6 +573,18 @@ class TestStageAlign:
     ):
         self.check_length_model_fallback(tmp_path, caplog, jobs=2)
         assert [pool.workers for pool in started] == [2]
+
+    @pytest.mark.parametrize("method", ["gc", "bleualign"])
+    def test_writes_the_golden_alignments(self, tmp_path, method):
+        """gc and bidirectional bleualign at their defaults write the
+        committed golden ``03_align``, as ``bitextkit align --method`` does."""
+        pairs, sentences = fixture_sentences()
+        mt = dict(mt_src=CORPUS / "mt_zh2en", mt_tgt=CORPUS / "mt_en2zh") if method == "bleualign" else {}
+        stage_align(PipelineConfig(CORPUS / "out" / "02_sbd", tmp_path, method=method, **mt), pairs, sentences)
+        golden = tree(CORPUS / "golden" / method)
+        assert list(tree(tmp_path)) == list(golden)
+        for name, path in golden.items():
+            assert (tmp_path / name).read_bytes() == path.read_bytes(), name
 
     def test_the_stage_drops_the_length_terms_it_memoized(self, tmp_path, monkeypatch):
         memo = {}
