@@ -16,7 +16,7 @@ from functools import cache
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
-from bitextkit.scoring import BleuConfig, _brevity_penalty, ngram_counts, sentence_bleu
+from bitextkit.scoring import N_MAX, _brevity_penalty, _log_precision, ngram_counts, sentence_bleu
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,9 @@ class ScoreMatrix:
         return self.entries[pos[0]][pos[1]]
 
 
-def score_matrix(
-    src_translation: SentenceList, tgt: SentenceList, cfg: BleuConfig = BleuConfig()
-) -> ScoreMatrix:
+def score_matrix(src_translation: SentenceList, tgt: SentenceList) -> ScoreMatrix:
     """:func:`sentence_bleu` of every (translated source sentence, target
-    sentence) pair, equal to it bit for bit.
+    sentence) pair at the default order ``N_MAX``, equal to it bit for bit.
 
     The targets' n-grams are indexed per order as gram -> [(j, count)], and
     each hypothesis walks its own n-grams once, adding the clipped counts
@@ -51,19 +49,19 @@ def score_matrix(
     them, so the result is the same also where ``sum`` is compensated.
     """
     refs = tgt.tokens
-    index: list[dict] = [{} for _ in range(cfg.n_max)]
+    index: list[dict] = [{} for _ in range(N_MAX)]
     for j, tokens in enumerate(refs):
         for n, grams in enumerate(index, 1):
             for g, count in ngram_counts(tokens, n).items():
                 grams.setdefault(g, []).append((j, count))
-    log_precision = cache(lambda m, t: math.log((m if m > 0 else cfg.epsilon) / t))
-    penalty = cache(lambda hyp_len, ref_len: _brevity_penalty(hyp_len, ref_len, cfg))
+    log_precision = cache(_log_precision)
+    penalty = cache(_brevity_penalty)
     rows = []
     for tokens in src_translation.tokens:
         hyp_len = len(tokens)
         logs = []
         # the n-gram totals of the orders the hypothesis is long enough to populate
-        totals = range(hyp_len, max(hyp_len - cfg.n_max, 0), -1)
+        totals = range(hyp_len, max(hyp_len - N_MAX, 0), -1)
         for n, (t, grams) in enumerate(zip(totals, index), 1):
             matches = [0] * len(refs)
             for g, h in ngram_counts(tokens, n).items():
@@ -137,7 +135,6 @@ def _grow_anchors(
     m: ScoreMatrix,
     mt_tokens: list,
     tgt_tokens: list,
-    cfg: BleuConfig,
 ) -> list[Bead]:
     """Try one merge per anchor: absorb an adjacent unaligned target or
     source sentence when the merged BLEU strictly beats the anchor's score.
@@ -159,7 +156,7 @@ def _grow_anchors(
             if 0 <= added < size and added not in used:
                 hyp = [w for k in src_ix for w in mt_tokens[k]]
                 ref = [w for k in tgt_ix for w in tgt_tokens[k]]
-                options.append((src_ix, tgt_ix, sentence_bleu(hyp, ref, cfg)))
+                options.append((src_ix, tgt_ix, sentence_bleu(hyp, ref)))
         grown = max(options, key=lambda o: o[2], default=None)
         if grown is not None and grown[2] > base:
             src_ix, tgt_ix, score = grown
@@ -196,13 +193,12 @@ def _one_direction(
     src: SentenceList,
     tgt: SentenceList,
     src_translation: SentenceList,
-    cfg: BleuConfig,
     min_score: float,
     params: LengthParams,
 ) -> list[Bead]:
-    m = score_matrix(src_translation, tgt, cfg)
+    m = score_matrix(src_translation, tgt)
     anchors = find_anchors(m, min_score)
-    anchor_beads = _grow_anchors(anchors, m, src_translation.tokens, tgt.tokens, cfg)
+    anchor_beads = _grow_anchors(anchors, m, src_translation.tokens, tgt.tokens)
     return _fill_gaps(anchor_beads, src, tgt, params)
 
 
@@ -211,7 +207,6 @@ def bleualign(
     tgt: SentenceList,
     src_translation: SentenceList,
     tgt_translation: SentenceList | None = None,
-    cfg: BleuConfig = BleuConfig(),
     min_score: float = 0.0,
     params: LengthParams | None = None,
 ) -> AlignmentSet:
@@ -231,10 +226,10 @@ def bleualign(
         )
     if params is None:
         params = LengthParams()
-    forward = _one_direction(src, tgt, src_translation, cfg, min_score, params)
+    forward = _one_direction(src, tgt, src_translation, min_score, params)
     if tgt_translation is None:
         return AlignmentSet(tuple(forward), len(src), len(tgt))
-    reverse = _one_direction(tgt, src, tgt_translation, cfg, min_score, params)
+    reverse = _one_direction(tgt, src, tgt_translation, min_score, params)
     reverse_keys = {(b.tgt, b.src) for b in reverse}
     kept = tuple(b for b in forward if (b.src, b.tgt) in reverse_keys)
     return AlignmentSet(kept, len(src), len(tgt))

@@ -2,13 +2,15 @@
 
 Every pipeline stage is its own subcommand so a corpus can be built step by
 step and inspected between stages; ``run`` executes the whole chain from a
-JSON config. Paths are positional, tuning knobs are flags. Each flag's dest
-is the config field it sets, and a flag left out sets nothing, so the
-library's defaults are the only ones: ``_settings`` builds every
-:class:`PipelineConfig`, :class:`SplitSpec` and :class:`BleuConfig` from
-the flags given, ``--jobs`` included. Only ``run`` reads ``--config``, and
-only ``run``, ``preprocess``, ``sbd``, ``align`` and ``split`` read ``--jobs``;
-either flag given to another command is a usage error.
+JSON config. Paths are positional, tuning knobs are flags. Each stage
+flag's dest is the config field it sets, and a flag left out sets nothing,
+so the library's defaults are the only ones: ``_settings`` builds every
+:class:`PipelineConfig` and :class:`SplitSpec` from the flags given,
+``--jobs`` included. ``bleu``'s ``--n-max`` sets no config field, only the
+highest n-gram order of that command's score (``scoring.N_MAX`` unless
+given). Only ``run`` reads ``--config``, and only ``run``, ``preprocess``,
+``sbd``, ``align`` and ``split`` read ``--jobs``; either flag given to
+another command is a usage error.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from bitextkit.pipeline import (
     stage_sbd,
     stage_split,
 )
-from bitextkit.scoring import BleuConfig, corpus_bleu, sentence_bleu, tokenize
+from bitextkit.scoring import N_MAX, check_n_max, corpus_bleu, sentence_bleu, tokenize
 
 log = logging.getLogger("bitextkit")
 
@@ -178,18 +180,18 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
+    check_n_max(args.n_max)
     hyp_lines = read_lines(args.hyp)
     ref_lines = read_lines(args.ref)
-    cfg = BleuConfig(**_settings(BleuConfig, args))
     hyps = [tokenize(h, args.lang) for h in hyp_lines]
     refs = [tokenize(r, args.lang) for r in ref_lines]
     if args.sentence:
         if len(hyps) != len(refs):
             raise ValueError(f"length mismatch: {len(hyps)} hypotheses vs {len(refs)} references")
         for h, r in zip(hyps, refs):
-            print(f"{sentence_bleu(h, r, cfg):.6f}")
+            print(f"{sentence_bleu(h, r, args.n_max):.6f}")
     else:
-        print(f"{corpus_bleu(hyps, refs, cfg):.6f}")
+        print(f"{corpus_bleu(hyps, refs, args.n_max):.6f}")
     return 0
 
 
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("hyp", type=Path)
     s.add_argument("ref", type=Path)
     s.add_argument("--lang", choices=(SRC_LANG, TGT_LANG), default=TGT_LANG, help="tokenizer language")
-    s.add_argument("--n-max", type=int)
+    s.add_argument("--n-max", type=int, default=N_MAX, help="highest n-gram order (default %(default)s)")
     s.add_argument("--sentence", action="store_true", default=False, help="print one score per line")
 
     return parser

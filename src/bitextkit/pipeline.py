@@ -81,7 +81,7 @@ from bitextkit.sbd import (
     segment_zh,
     train_punkt,
 )
-from bitextkit.scoring import BleuConfig, tokenize
+from bitextkit.scoring import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -247,7 +247,6 @@ class PipelineConfig:
     min_score: float = 0.0
     mt_src: Path | None = None
     mt_tgt: Path | None = None
-    bleu: BleuConfig = BleuConfig()
     split: SplitSpec = SplitSpec()
     jobs: int = 1
 
@@ -288,8 +287,6 @@ def load_config(path: str | Path) -> PipelineConfig:
                 if not isinstance(value, str) and not (optional and value is None):
                     raise ValueError(f"{key} must be a string{' or null' if optional else ''}, got {value!r}")
                 kwargs[key] = None if value is None else (path.parent / value).resolve()
-            elif key == "bleu":
-                kwargs[key] = BleuConfig(**value)
             elif key == "split":
                 kwargs[key] = SplitSpec(**value)
             else:
@@ -600,7 +597,7 @@ def stage_align(
                         )
                     )
                 columns += [mt_srcs, mt_tgts]
-                align = partial(bleualign, cfg=config.bleu, min_score=config.min_score, params=params)
+                align = partial(bleualign, min_score=config.min_score, params=params)
             alignments: dict[str, AlignmentSet] = {}
             for (meta, _), aset in zip(pairs, pmap(align, *columns)):
                 alignments[meta.pair_id] = aset

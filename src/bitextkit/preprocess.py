@@ -111,12 +111,11 @@ class FilterRules:
     """Boilerplate paragraph filters.
 
     ``drop_prefix_patterns`` maps a language tag (or ``*`` for both) to
-    regexes matched at paragraph start; ``drop_exact`` lists exact paragraph
-    texts to drop regardless of language.
+    ``(label, regex)`` rules matched at paragraph start; an exact rule's
+    regex also ends at the paragraph's end.
     """
 
     drop_prefix_patterns: dict = field(default_factory=dict)
-    drop_exact: tuple[str, ...] = ()
 
     def for_language(self, lang: str) -> list[tuple[str, re.Pattern]]:
         rules = []
@@ -130,7 +129,6 @@ def load_filter_rules(path: str | Path) -> FilterRules:
     ``lang:=text`` for exact paragraph matches, ``#`` comments. A line may
     not hold a tab: it becomes the rule's label in the removal log."""
     patterns: dict[str, list] = {}
-    exact: list[str] = []
 
     def parse(fields, lineno):
         if len(fields) > 1:
@@ -139,16 +137,14 @@ def load_filter_rules(path: str | Path) -> FilterRules:
         lang, sep, body = line.partition(":")
         if not sep or lang not in ("zh", "en", "*") or not body:
             raise ValueError("expected 'zh:'/'en:'/'*:' prefix and a pattern")
-        if body.startswith("="):
-            exact.append(body[1:])
-        else:
-            try:
-                patterns.setdefault(lang, []).append((line, re.compile(body)))
-            except re.error as exc:
-                raise ValueError(f"bad regex {body!r}: {exc}") from exc
+        try:
+            rx = re.compile(re.escape(body[1:]) + r"\Z" if body.startswith("=") else body)
+        except re.error as exc:
+            raise ValueError(f"bad regex {body!r}: {exc}") from exc
+        patterns.setdefault(lang, []).append((line, rx))
 
     read_records(path, parse, comments=True)
-    return FilterRules(patterns, tuple(exact))
+    return FilterRules(patterns)
 
 
 def default_filter_rules() -> FilterRules:
@@ -167,9 +163,6 @@ def filter_boilerplate(
     kept: list[str] = []
     removed: list[tuple[int, str]] = []
     for idx, p in enumerate(doc.paragraphs):
-        if p in rules.drop_exact:
-            removed.append((idx, f"={p}"))
-            continue
         hit = next((label for label, rx in rule_list if rx.match(p)), None)
         if hit is not None:
             removed.append((idx, hit))

@@ -14,6 +14,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -109,7 +110,9 @@ def load_abbrevs(path: str | Path) -> AbbrevList:
     return AbbrevList(frozenset(read_records(path, parse, comments=True)))
 
 
+@cache
 def default_abbrevs() -> AbbrevList:
+    """The bundled list, read once per process."""
     with resources.as_file(
         resources.files("bitextkit.data").joinpath("abbreviations.txt")
     ) as p:

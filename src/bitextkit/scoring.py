@@ -3,7 +3,9 @@
 Scores are used both for corpus quality checks and as the similarity signal
 for translation-based sentence alignment, so the sentence-level score is
 floored (epsilon smoothing) instead of collapsing to 0 when an n-gram order
-has no matches.
+has no matches. There is one BLEU: precisions of orders 1..n_max (2 unless
+the caller asks for another), ``EPSILON`` in place of zero matches, and the
+brevity penalty.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
+
+#: The highest n-gram order scored unless a caller passes ``n_max``.
+N_MAX = 2
+#: The match count an order with no matches contributes instead of 0.
+EPSILON = 0.01
 
 _EN_TOKEN = re.compile(r"\w+(?:[-'’]\w+)*|[^\w\s]")
 _ZH_TOKEN = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
@@ -29,23 +35,10 @@ def tokenize(text: str, lang: str = "en") -> list[str]:
     return pattern.findall(text)
 
 
-@dataclass(frozen=True)
-class BleuConfig:
-    n_max: int = 2
-    epsilon: float = 0.01
-    use_brevity_penalty: bool = True
-
-    def __post_init__(self):
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-        if not isinstance(self.use_brevity_penalty, bool):
-            raise ValueError(f"use_brevity_penalty must be true or false, got {self.use_brevity_penalty!r}")
-        if (
-            isinstance(self.epsilon, bool)
-            or not isinstance(self.epsilon, (int, float))
-            or not 0 < self.epsilon < 1
-        ):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+def check_n_max(n_max: int) -> None:
+    """Raise ValueError unless n_max is an integer (not a bool) >= 1."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -56,43 +49,39 @@ def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:
     return sum(min(hyp_counts[g], ref_counts[g]) for g in hyp_counts.keys() & ref_counts.keys())
 
 
-def _bleu(
-    matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int, cfg: BleuConfig
-) -> float:
-    """Smoothed precisions of the orders with n-grams, times the brevity
-    penalty. ``bleualign.score_matrix`` repeats this arithmetic in this order."""
-    precisions = [
-        (m if m > 0 else cfg.epsilon) / t for m, t in zip(matches, totals) if t > 0
-    ]
-    if not precisions:
-        return 0.0
-    log_sum = sum(math.log(p) for p in precisions)
-    return _brevity_penalty(hyp_len, ref_len, cfg) * math.exp(log_sum / len(precisions))
+def _log_precision(matches: int, total: int) -> float:
+    """Log of one order's smoothed precision."""
+    return math.log((matches if matches > 0 else EPSILON) / total)
 
 
-def _brevity_penalty(hyp_len: int, ref_len: int, cfg: BleuConfig) -> float:
-    if not cfg.use_brevity_penalty or hyp_len == 0:
+def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
+    if hyp_len == 0:
         return 1.0
     return min(1.0, math.exp(1.0 - ref_len / hyp_len))
 
 
-def sentence_bleu(
-    hyp_tokens: Sequence[str], ref_tokens: Sequence[str], cfg: BleuConfig = BleuConfig()
-) -> float:
+def _bleu(matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int) -> float:
+    """Smoothed precisions of the orders with n-grams, times the brevity
+    penalty. ``bleualign.score_matrix`` repeats this arithmetic in this order."""
+    logs = [_log_precision(m, t) for m, t in zip(matches, totals) if t > 0]
+    if not logs:
+        return 0.0
+    return _brevity_penalty(hyp_len, ref_len) * math.exp(sum(logs) / len(logs))
+
+
+def sentence_bleu(hyp_tokens: Sequence[str], ref_tokens: Sequence[str], n_max: int = N_MAX) -> float:
     """Smoothed sentence-level BLEU in [0, 1].
 
     Geometric mean of modified n-gram precisions for n = 1..n_max (orders the
     hypothesis is too short to populate are skipped), where an order with
-    zero matches contributes epsilon instead; multiplied by the brevity
-    penalty min(1, e^(1 - |ref|/|hyp|)). Empty hypotheses score 0.
+    zero matches contributes ``EPSILON`` matches instead; multiplied by the
+    brevity penalty min(1, e^(1 - |ref|/|hyp|)). Empty hypotheses score 0.
     """
-    return corpus_bleu([hyp_tokens], [ref_tokens], cfg)
+    return corpus_bleu([hyp_tokens], [ref_tokens], n_max)
 
 
 def corpus_bleu(
-    hyps: Sequence[Sequence[str]],
-    refs: Sequence[Sequence[str]],
-    cfg: BleuConfig = BleuConfig(),
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], n_max: int = N_MAX
 ) -> float:
     """Micro-averaged BLEU over parallel lists of token sequences.
 
@@ -101,15 +90,16 @@ def corpus_bleu(
     still count toward the brevity penalty. A single-pair corpus scores the
     same as :func:`sentence_bleu` on that pair.
     """
+    check_n_max(n_max)
     if len(hyps) != len(refs):
         raise ValueError(f"length mismatch: {len(hyps)} hypotheses vs {len(refs)} references")
-    matches = [0] * cfg.n_max
-    totals = [0] * cfg.n_max
+    matches = [0] * n_max
+    totals = [0] * n_max
     hyp_len = ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, cfg.n_max + 1):
+        for n in range(1, n_max + 1):
             matches[n - 1] += _clipped_matches(ngram_counts(hyp, n), ngram_counts(ref, n))
             totals[n - 1] += max(len(hyp) - n + 1, 0)
-    return _bleu(matches, totals, hyp_len, ref_len, cfg)
+    return _bleu(matches, totals, hyp_len, ref_len)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bitextkit.bleualign import ScoreMatrix, bleualign, find_anchors, score_matrix
 from bitextkit.core import SentenceList, validate_alignment
 from bitextkit.gale_church import LengthParams
-from bitextkit.scoring import BleuConfig, _bleu, ngram_counts, sentence_bleu, tokenize
+from bitextkit.scoring import N_MAX, _bleu, ngram_counts, sentence_bleu, tokenize
 
 
 def brute_force_chain(m: ScoreMatrix, min_score: float) -> list[tuple[int, int]]:
@@ -108,14 +108,14 @@ def sentence_lists(draw, lang, max_sentences=4):
     return draw(st.lists(sentence, min_size=1, max_size=max_sentences))
 
 
-def dense_score_matrix(src_translation, tgt, cfg: BleuConfig) -> ScoreMatrix:
+def dense_score_matrix(src_translation, tgt) -> ScoreMatrix:
     """The score matrix that the sparse one replaced: every (hypothesis,
     reference) cell intersects the two sentences' n-gram counts of each order
     and scores the clipped matches with ``scoring._bleu``."""
 
     def profile(sentence, lang):
         tokens = tokenize(sentence, lang)
-        return len(tokens), [ngram_counts(tokens, n) for n in range(1, cfg.n_max + 1)]
+        return len(tokens), [ngram_counts(tokens, n) for n in range(1, N_MAX + 1)]
 
     def cell(hyp, ref):
         (hyp_len, hyp_counts), (ref_len, ref_counts) = hyp, ref
@@ -123,8 +123,8 @@ def dense_score_matrix(src_translation, tgt, cfg: BleuConfig) -> ScoreMatrix:
             sum(min(h[g], r[g]) for g in h.keys() & r.keys())
             for h, r in zip(hyp_counts, ref_counts)
         ]
-        totals = [hyp_len - n for n in range(cfg.n_max)]
-        return _bleu(matches, totals, hyp_len, ref_len, cfg)
+        totals = [hyp_len - n for n in range(N_MAX)]
+        return _bleu(matches, totals, hyp_len, ref_len)
 
     hyps = [profile(s, src_translation.language) for s in src_translation.sentences]
     refs = [profile(s, tgt.language) for s in tgt.sentences]
@@ -176,37 +176,23 @@ class TestScoreMatrix:
         assert m[0, 0] > m[0, 1] and m[0, 0] > m[1, 0]
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        lang=st.sampled_from(("en", "zh")),
-        n_max=st.integers(1, 4),
-        brevity=st.booleans(),
-    )
-    def test_every_cell_equals_sentence_bleu(self, data, lang, n_max, brevity):
+    @given(data=st.data(), lang=st.sampled_from(("en", "zh")))
+    def test_every_cell_equals_sentence_bleu(self, data, lang):
         mt = sl("mt", lang, data.draw(sentence_lists(lang)))
         tgt = sl("t", lang, data.draw(sentence_lists(lang)))
-        cfg = BleuConfig(n_max=n_max, use_brevity_penalty=brevity)
-        m = score_matrix(mt, tgt, cfg)
+        m = score_matrix(mt, tgt)
         expected = tuple(
-            tuple(sentence_bleu(tokenize(h, lang), tokenize(r, lang), cfg) for r in tgt.sentences)
+            tuple(sentence_bleu(tokenize(h, lang), tokenize(r, lang)) for r in tgt.sentences)
             for h in mt.sentences
         )
         assert m.entries == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        data=st.data(),
-        lang=st.sampled_from(("en", "zh")),
-        shared=st.booleans(),
-        n_max=st.integers(1, 4),
-        brevity=st.booleans(),
-        epsilon=st.sampled_from((0.01, 0.5)),
-    )
-    def test_equals_the_dense_matrix(self, data, lang, shared, n_max, brevity, epsilon):
+    @given(data=st.data(), lang=st.sampled_from(("en", "zh")), shared=st.booleans())
+    def test_equals_the_dense_matrix(self, data, lang, shared):
         mt = data.draw(documents(lang, shared))
         tgt = data.draw(documents(lang, shared))
-        cfg = BleuConfig(n_max=n_max, epsilon=epsilon, use_brevity_penalty=brevity)
-        assert score_matrix(mt, tgt, cfg).entries == dense_score_matrix(mt, tgt, cfg).entries
+        assert score_matrix(mt, tgt).entries == dense_score_matrix(mt, tgt).entries
 
 
 class TestFindAnchors:

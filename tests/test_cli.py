@@ -18,7 +18,7 @@ from bitextkit import __version__
 from bitextkit.cli import main
 from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
 from bitextkit.pipeline import PipelineConfig, SplitSpec
-from bitextkit.scoring import BleuConfig
+from bitextkit.scoring import N_MAX
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 RAW = CORPUS / "raw"
@@ -43,8 +43,8 @@ class TestParser:
 
     @staticmethod
     def _configs(monkeypatch, *argvs):
-        """The config each argv's command hands its stage (or BLEU), with
-        every stage stubbed so nothing is written."""
+        """The config each argv's command hands its stage (or the n_max it
+        hands BLEU), with every stage stubbed so nothing is written."""
         seen = []
 
         def stage(result):
@@ -53,7 +53,7 @@ class TestParser:
         for name, result in [("stage_preprocess", ([], None)), ("stage_sbd", {}), ("stage_align", {}),
                              ("stage_split", None)]:
             monkeypatch.setattr(f"bitextkit.cli.{name}", stage(result))
-        monkeypatch.setattr("bitextkit.cli.corpus_bleu", lambda hyps, refs, cfg: seen.append(cfg) or 0.0)
+        monkeypatch.setattr("bitextkit.cli.corpus_bleu", lambda hyps, refs, n_max: seen.append(n_max) or 0.0)
         for argv in argvs:
             assert main(argv) == 0, argv
         return seen
@@ -71,7 +71,7 @@ class TestParser:
         *configs, bleu = self._configs(monkeypatch, *argvs)
         assert configs == [PipelineConfig(Path(paths[-1]), tmp_path) for _, paths in self._STAGES]
         assert all(config.split == SplitSpec() for config in configs)
-        assert bleu == BleuConfig()
+        assert bleu == N_MAX
 
     def test_every_stage_flag_sets_its_field(self, tmp_path, monkeypatch):
         settings = {
@@ -92,7 +92,7 @@ class TestParser:
             default = PipelineConfig(Path(paths[-1]), tmp_path)
             assert all(getattr(default, key) != value for key, value in given.items()), name
             assert config == replace(default, **given), name
-        assert bleu == BleuConfig(n_max=3) != BleuConfig()
+        assert bleu == 3 != N_MAX
 
     @staticmethod
     def _paths(command, out):
@@ -259,7 +259,6 @@ class TestRun:
             ("jobs", 1.5, "jobs must be >= 1 and an integer, got 1.5"),
             ("jobs", True, "jobs must be >= 1 and an integer, got True"),
             ("jobs", "2", "jobs must be >= 1 and an integer, got '2'"),
-            ("bleu", {"n_max": 2.5}, "n_max must be an integer >= 1, got 2.5"),
             ("split", {"dev_sentence_target": 2.5}, "dev_sentence_target must be an integer >= 0, got 2.5"),
             ("input", None, "input must be a string, got None"),
             ("output", None, "output must be a string, got None"),
@@ -275,6 +274,15 @@ class TestRun:
         config.write_text(json.dumps({"input": str(RAW), "output": "out", key: value}), encoding="utf-8")
         assert main(["--config", str(config), "run"]) == 1
         assert f"{config}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("theta_1", 0.9), ("bleu", {"n_max": 2})])
+    def test_unknown_top_level_key_fails_before_any_stage(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(RAW), "output": "out", key: value}), encoding="utf-8")
+        assert main(["--config", str(config), "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: " in err and f"'{key}'" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -616,6 +624,29 @@ class TestBleuCommand:
         (tmp_path / bad).write_bytes(b"a \xff\n")
         assert main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt")]) == 1
         assert f"{tmp_path / bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_n_max_sets_the_order(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("a b c\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a b d\n", encoding="utf-8")
+        for n_max, score in (("1", "0.666667"), ("3", "0.149380")):
+            assert main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.txt"), "--n-max", n_max]) == 0
+            assert capsys.readouterr().out.strip() == score
+
+    @pytest.mark.parametrize("sentence", [[], ["--sentence"]])
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_fails_before_reading(self, tmp_path, capsys, n_max, sentence):
+        (tmp_path / "hyp.txt").write_text("", encoding="utf-8")
+        argv = ["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "hyp.txt"), "--n-max", n_max, *sentence]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"n_max must be an integer >= 1, got {n_max}" in captured.err
+        assert captured.out == ""
+
+    def test_n_max_that_is_not_an_integer_is_a_usage_error(self, tmp_path):
+        (tmp_path / "hyp.txt").write_text("a\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "hyp.txt"), "--n-max", "2.5"])
+        assert excinfo.value.code == 2
 
     def test_lang_outside_the_pair_is_a_usage_error(self, tmp_path):
         (tmp_path / "hyp.txt").write_text("a\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bitextkit.core import ArticleMeta, Document
 from bitextkit.preprocess import (
     _INITIAL_TOKEN,
-    FilterRules,
     TruecaseModel,
     apply_truecaser,
     default_filter_rules,
@@ -88,9 +87,8 @@ class TestFilter:
         p = tmp_path / "rules.txt"
         p.write_text("# comment\nzh:图\nen:Figure [0-9]\n*:=Advertisement\n", encoding="utf-8")
         rules = load_filter_rules(p)
-        assert [label for label, _ in rules.for_language("zh")] == ["zh:图"]
-        assert [label for label, _ in rules.for_language("en")] == ["en:Figure [0-9]"]
-        assert rules.drop_exact == ("Advertisement",)
+        assert [label for label, _ in rules.for_language("zh")] == ["zh:图", "*:=Advertisement"]
+        assert [label for label, _ in rules.for_language("en")] == ["en:Figure [0-9]", "*:=Advertisement"]
 
     def test_rule_file_rejects_unknown_language(self, tmp_path):
         p = tmp_path / "rules.txt"
@@ -116,11 +114,31 @@ class TestFilter:
         en_kept, _ = filter_boilerplate(en_doc, rules)
         assert en_kept.paragraphs == ("Real text.",)
 
-    def test_exact_drop_applies_to_any_language(self):
-        rules = FilterRules({}, ("Advertisement",))
-        kept, removed = filter_boilerplate(doc("zh", "正文。", "Advertisement"), rules)
-        assert kept.paragraphs == ("正文。",)
-        assert removed == [(1, "=Advertisement")]
+    @staticmethod
+    def rules(tmp_path, text):
+        p = tmp_path / "rules.txt"
+        p.write_text(text, encoding="utf-8")
+        return load_filter_rules(p)
+
+    def test_exact_drop_applies_to_any_language(self, tmp_path):
+        rules = self.rules(tmp_path, "*:=Advertisement\n")
+        for lang, body in (("zh", "正文。"), ("en", "Body text.")):
+            kept, removed = filter_boilerplate(doc(lang, body, "Advertisement"), rules)
+            assert kept.paragraphs == (body,)
+            assert removed == [(1, "*:=Advertisement")]
+
+    def test_exact_drop_keeps_to_its_language(self, tmp_path):
+        rules = self.rules(tmp_path, "zh:=X\n")
+        kept, removed = filter_boilerplate(doc("en", "X"), rules)
+        assert kept.paragraphs == ("X",) and removed == []
+        kept, removed = filter_boilerplate(doc("zh", "X"), rules)
+        assert kept.paragraphs == () and removed == [(0, "zh:=X")]
+
+    def test_exact_drop_matches_the_whole_paragraph_literally(self, tmp_path):
+        rules = self.rules(tmp_path, "en:=Ad (1.)\n")
+        kept, removed = filter_boilerplate(doc("en", "Ad (1.)", "Ad (1.) more", "Ad (12)"), rules)
+        assert kept.paragraphs == ("Ad (1.) more", "Ad (12)")
+        assert removed == [(0, "en:=Ad (1.)")]
 
 
 def reference_train_truecaser(corpus):

@@ -119,6 +119,9 @@ class TestEnglishRules:
         entries = default_abbrevs().entries
         assert "dr" in entries and "et al" in entries
 
+    def test_default_list_is_read_once(self):
+        assert default_abbrevs() is default_abbrevs()
+
 
 def full_prefix_is_abbreviation(text, period_pos, abbrevs):
     """The abbreviation check searching the whole text before the period."""

@@ -2,11 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
 from bitextkit.scoring import (
-    BleuConfig,
     corpus_bleu,
     ngram_counts,
     sentence_bleu,
@@ -67,8 +67,6 @@ class TestSentenceBleu:
     def test_brevity_penalty_applies_to_short_hypotheses(self):
         hyp, ref = ["a"], ["a", "b", "c"]
         assert math.isclose(sentence_bleu(hyp, ref), math.exp(-2.0), abs_tol=1e-12)
-        cfg = BleuConfig(use_brevity_penalty=False)
-        assert sentence_bleu(hyp, ref, cfg) == 1.0
 
     def test_long_hypotheses_are_not_rewarded(self):
         # no penalty above ratio 1, but precision denominators grow
@@ -98,11 +96,10 @@ class TestSentenceBleu:
         far = tokenize("unrelated words entirely here now .")
         assert sentence_bleu(close, ref) > sentence_bleu(far, ref)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BleuConfig(n_max=0)
-        with pytest.raises(ValueError):
-            BleuConfig(epsilon=0.0)
+    def test_n_max_sets_the_highest_order(self):
+        hyp, ref = ["a", "b", "c"], ["a", "b", "d"]
+        assert math.isclose(sentence_bleu(hyp, ref, n_max=1), 2 / 3, abs_tol=1e-12)
+        assert math.isclose(sentence_bleu(hyp, ref, n_max=3), (2 / 3 * 1 / 2 * 0.01) ** (1 / 3), abs_tol=1e-12)
 
 
 class TestCorpusBleu:
@@ -130,3 +127,10 @@ class TestCorpusBleu:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             corpus_bleu([["a"]], [])
+
+    @pytest.mark.parametrize("n_max", [0, 2.5, True, "2"])
+    def test_n_max_validated(self, n_max):
+        message = f"n_max must be an integer >= 1, got {n_max!r}"
+        for score in (lambda: corpus_bleu([["a"]], [["a"]], n_max), lambda: sentence_bleu(["a"], ["a"], n_max)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                score()
