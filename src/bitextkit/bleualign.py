@@ -92,41 +92,31 @@ def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]
     Ties go to the chain nearer the main diagonal (smaller sum of |i - j|),
     then to the lexicographically smallest index sequence. Both total score
     and diagonal distance are additive, so a chain starting at cell (i, j)
-    has the key (-total, distance) = (best[i+1][j+1][0] - m[i, j],
-    best[i+1][j+1][1] + |i - j|), where the suffix-min table best[i][j] holds
-    the smallest of (0.0, 0) and the keys of all cells (i2, j2) with i2 >= i
-    and j2 >= j. A forward walk then takes, row by row after the last pick,
-    the first cell whose key is the best remaining one. Time and memory are
-    O(S*T) for an S x T matrix. Totals are compared as suffix sums, so of two
+    has the key (-total, distance, i, j) = (c[0] - m[i, j], c[1] + |i - j|,
+    i, j) with c = best[i+1][j+1], where the suffix-min table best[i][j]
+    holds the smallest of (0.0, 0) and the keys of all cells (i2, j2) with
+    i2 >= i and j2 >= j. The chain starts at best[0][0]'s cell and goes on
+    from each cell (i, j) to best[i+1][j+1]'s. Time and memory are O(S*T)
+    for an S x T matrix. Totals are compared as suffix sums, so of two
     chains whose exact totals tie, the one whose float suffix sum is an ulp
     higher wins.
     """
     check_min_score(min_score)
     rows, cols = m.rows, m.cols
-    empty = (0.0, 0)
-    best = [[empty] * (cols + 1) for _ in range(rows + 1)]
-    keys: list[list] = [[None] * cols for _ in range(rows)]
+    best = [[(0.0, 0)] * (cols + 1) for _ in range(rows + 1)]
     for i in range(rows - 1, -1, -1):
         scores, here, below = m.entries[i], best[i], best[i + 1]
         for j in range(cols - 1, -1, -1):
             b = min(below[j], here[j + 1])
             if scores[j] > min_score:
                 cont = below[j + 1]
-                key = keys[i][j] = (cont[0] - scores[j], cont[1] + abs(i - j))
-                b = min(b, key)
+                b = min(b, (cont[0] - scores[j], cont[1] + abs(i - j), i, j))
             here[j] = b
     chain: list[tuple[int, int]] = []
-    remaining = best[0][0]
-    while remaining != empty:
-        i0, j0 = chain[-1] if chain else (-1, -1)
-        nxt = next(
-            (i, j)
-            for i in range(i0 + 1, rows)
-            for j in range(j0 + 1, cols)
-            if keys[i][j] == remaining
-        )
-        chain.append(nxt)
-        remaining = best[nxt[0] + 1][nxt[1] + 1]
+    key = best[0][0]
+    while len(key) == 4:
+        chain.append(key[2:])
+        key = best[key[2] + 1][key[3] + 1]
     return chain
 
 

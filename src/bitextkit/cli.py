@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("output", type=Path)
     s.add_argument("--method", choices=("gc", "moore", "bleualign"))
     s.add_argument("--params", dest="params_file", type=Path, help="length parameter file (skips estimation)")
-    s.add_argument("--theta1", type=float)
-    s.add_argument("--theta2", type=float)
-    s.add_argument("--iterations", dest="em_iterations", type=int)
     s.add_argument("--min-score", type=float)
     s.add_argument("--src-mt", dest="mt_src", type=Path, help="directory of source translations, one <pair_id>.txt each")
     s.add_argument("--tgt-mt", dest="mt_tgt", type=Path, help="directory of target translations (enables bidirectional mode)")

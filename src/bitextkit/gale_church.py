@@ -56,7 +56,7 @@ class LengthParams:
         if missing or unknown:
             raise ValueError(f"priors: missing moves {missing}, unknown moves {unknown}")
         total = sum(self.priors.values())
-        if abs(total - 1.0) > 1e-6 or any(p <= 0 for p in self.priors.values()):
+        if abs(total - 1.0) > 1e-6 or not all(0 < p < math.inf for p in self.priors.values()):
             raise ValueError("priors: must be positive and sum to 1")
 
 

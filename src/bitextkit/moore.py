@@ -1,10 +1,11 @@
 """Two-pass sentence aligner: length model, then a word-translation model.
 
-Pass one runs a Poisson sentence-length lattice and keeps 1-1 pairs whose
-posterior clears a high threshold. Those pairs train an IBM Model 1 word
-translation table. Pass two reruns the lattice with the translation
-probability folded into each bead's score and emits the 1-1 pairs that
-remain confident; everything else is left unaligned.
+Pass one runs a Poisson sentence-length lattice and keeps the 1-1 pairs
+whose posterior is at least THETA1. Those pairs train an IBM Model 1 word
+translation table in EM_ITERATIONS rounds of EM. Pass two reruns the
+lattice with the translation probability folded into each bead's score and
+emits the 1-1 pairs whose posterior is at least THETA2; everything else is
+left unaligned. The three settings are fixed, as in Moore (2002).
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ OTHER_TOKEN = "<OTHER>"
 #: (unseen vocabulary); keeps partially-covered documents alignable.
 _LEX_FLOOR = 1e-9
 
+#: Pass one's posterior threshold for a pair that trains the lexicon.
 THETA1 = 0.99
+#: Pass two's posterior threshold for an emitted 1-1 bead.
 THETA2 = 0.5
+#: Rounds of IBM Model 1 EM that train the lexicon.
 EM_ITERATIONS = 4
 
 
@@ -137,40 +141,16 @@ def _length_model(slen: list[int], tlen: list[int]):
     return log_bead
 
 
-def check_theta1(theta1: float) -> None:
-    """Raise ValueError unless theta1 is a number (not a bool) with
-    0.5 < theta1 < 1 (NaN fails too)."""
-    if isinstance(theta1, bool) or not isinstance(theta1, (int, float)) or not 0.5 < theta1 < 1:
-        raise ValueError(f"theta1 must be in (0.5, 1), got {theta1!r}")
-
-
-def check_theta2(theta2: float) -> None:
-    """Raise ValueError unless theta2 is a number (not a bool) with
-    0 < theta2 < 1 (NaN fails too)."""
-    if isinstance(theta2, bool) or not isinstance(theta2, (int, float)) or not 0 < theta2 < 1:
-        raise ValueError(f"theta2 must be in (0, 1), got {theta2!r}")
-
-
-def check_em_iterations(iterations: int) -> None:
-    """Raise ValueError unless iterations is an integer >= 1 (not a bool)."""
-    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
-        raise ValueError(f"em_iterations must be an integer >= 1, got {iterations!r}")
-
-
-def length_pass(
-    src: SentenceList, tgt: SentenceList, theta1: float = THETA1
-) -> tuple[list[list[float]], list[tuple[int, int]]]:
+def length_pass(src: SentenceList, tgt: SentenceList) -> tuple[list[list[float]], list[tuple[int, int]]]:
     """First pass: Poisson length lattice over the token counts of both
     sides; it needs no trained parameters.
 
     Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors and, in
-    row-major order, the (i, j) index pairs whose posterior is >= theta1,
-    which must lie in (0.5, 1).
+    row-major order, the (i, j) index pairs whose posterior is >= THETA1.
     """
-    check_theta1(theta1)
     length_model = _length_model([len(ts) for ts in src.tokens], [len(ts) for ts in tgt.tokens])
     post = _forward_backward(len(src), len(tgt), length_model)
-    confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= theta1]
+    confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= THETA1]
     return post, confident
 
 
@@ -210,7 +190,8 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
     context's rows once, and each target token's lookups feed both its
     denominator and its count updates, in context order.
     """
-    check_em_iterations(iterations)
+    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 1:
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     pairs = [(list(s), list(t)) for s, t in pairs]
     if not pairs:
         raise ValueError("empty training pair list")
@@ -368,12 +349,10 @@ def _accept_one_one(post: list[list[float]], theta2: float) -> list[tuple[int, i
     return accepted
 
 
-def moore_align(
-    src: SentenceList, tgt: SentenceList, table: TranslationTable, theta2: float = THETA2
-) -> AlignmentSet:
+def moore_align(src: SentenceList, tgt: SentenceList, table: TranslationTable) -> AlignmentSet:
     """Second pass: lattice with prior x Poisson x lexical-ratio bead scores.
 
-    Emits 1-1 beads whose posterior reaches theta2 (see ``_accept_one_one``);
+    Emits 1-1 beads whose posterior reaches THETA2 (see ``_accept_one_one``);
     all other sentences come out as 1-0/0-1 beads. A table that shares no
     vocabulary with the document degenerates to the length-only model
     (warned once per call).
@@ -382,7 +361,6 @@ def moore_align(
     per document target type; each bead then costs one memoized length term
     plus one addition per merged target token (see ``_bead_scorer``).
     """
-    check_theta2(theta2)
     S, T = len(src), len(tgt)
     accepted = []
     if S and T:
@@ -392,7 +370,7 @@ def moore_align(
                 "%s: translation table shares no vocabulary with the document; using length model only",
                 src.doc_id,
             )
-        accepted = _accept_one_one(_forward_backward(S, T, log_bead), theta2)
+        accepted = _accept_one_one(_forward_backward(S, T, log_bead), THETA2)
     beads: list[Bead] = []
     si = ti = 0
     for i, j, p in accepted + [(S, T, None)]:
@@ -404,17 +382,16 @@ def moore_align(
     return AlignmentSet(tuple(beads), S, T)
 
 
-def train_lexicon(
-    docs_with_pairs: list, iterations: int = EM_ITERATIONS
-) -> TranslationTable:
+def train_lexicon(docs_with_pairs: list) -> TranslationTable:
     """Pool confident pairs from (src, tgt, pairs) triples, map rare words
-    to OTHER, and train one translation table for the corpus."""
+    to OTHER, and train one translation table for the corpus with
+    EM_ITERATIONS rounds of EM."""
     token_pairs = [
         (src.tokens[i], tgt.tokens[j]) for src, tgt, confident in docs_with_pairs for i, j in confident
     ]
     if not token_pairs:
         raise ValueError("no confident sentence pairs to train on")
-    return train_ibm1(map_rare_tokens(token_pairs), iterations)
+    return train_ibm1(map_rare_tokens(token_pairs))
 
 
 def save_table(table: TranslationTable, path: str | Path) -> None:

@@ -49,19 +49,7 @@ from bitextkit.gale_church import (
     load_length_params,
     save_length_params,
 )
-from bitextkit.moore import (
-    EM_ITERATIONS,
-    THETA1,
-    THETA2,
-    TranslationTable,
-    check_em_iterations,
-    check_theta1,
-    check_theta2,
-    length_pass,
-    moore_align,
-    save_table,
-    train_lexicon,
-)
+from bitextkit.moore import TranslationTable, length_pass, moore_align, save_table, train_lexicon
 from bitextkit.preprocess import (
     apply_truecaser,
     default_filter_rules,
@@ -241,9 +229,6 @@ class PipelineConfig:
     truecase: bool = True
     method: str = "gc"  # "gc" | "moore" | "bleualign"
     params_file: Path | None = None
-    theta1: float = THETA1
-    theta2: float = THETA2
-    em_iterations: int = EM_ITERATIONS
     min_score: float = 0.0
     mt_src: Path | None = None
     mt_tgt: Path | None = None
@@ -260,9 +245,6 @@ class PipelineConfig:
         if not isinstance(self.truecase, bool):
             raise ValueError(f"truecase must be true or false, got {self.truecase!r}")
         check_min_score(self.min_score)
-        check_theta1(self.theta1)
-        check_theta2(self.theta2)
-        check_em_iterations(self.em_iterations)
         if self.method == "bleualign" and self.mt_src is None:
             raise ValueError("bleualign requires mt_src (directory of translation files)")
 
@@ -571,15 +553,15 @@ def stage_align(
     try:
         with _article_map(config, pairs, pmap) as pmap:
             if config.method == "moore":
-                passes = pmap(partial(length_pass, theta1=config.theta1), *columns)
+                passes = pmap(length_pass, *columns)
                 confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
                 if any(found for _, _, found in confident):
-                    table = train_lexicon(confident, config.em_iterations)
+                    table = train_lexicon(confident)
                 else:
                     log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
                     table = TranslationTable({})
                 save_table(table, stage_dir / "translation_table.tsv")
-                align = partial(moore_align, table=table, theta2=config.theta2)
+                align = partial(moore_align, table=table)
             else:
                 params = _corpus_length_params(config, list(zip(*columns)))
                 save_length_params(params, stage_dir / "length_params.txt")

@@ -78,10 +78,10 @@ class TestParser:
             "preprocess": (["--patterns", "p.txt", "--no-truecase"], dict(patterns=Path("p.txt"), truecase=False)),
             "sbd": (["--en-method", "punkt", "--abbreviations", "a.txt"],
                     dict(en_sbd="punkt", abbreviations=Path("a.txt"))),
-            "align": (["--method", "bleualign", "--params", "l.txt", "--theta1", "0.8", "--theta2", "0.4",
-                       "--iterations", "7", "--min-score", "0.1", "--src-mt", "zh2en", "--tgt-mt", "en2zh"],
-                      dict(method="bleualign", params_file=Path("l.txt"), theta1=0.8, theta2=0.4,
-                           em_iterations=7, min_score=0.1, mt_src=Path("zh2en"), mt_tgt=Path("en2zh"))),
+            "align": (["--method", "bleualign", "--params", "l.txt", "--min-score", "0.1",
+                       "--src-mt", "zh2en", "--tgt-mt", "en2zh"],
+                      dict(method="bleualign", params_file=Path("l.txt"), min_score=0.1,
+                           mt_src=Path("zh2en"), mt_tgt=Path("en2zh"))),
             "split": (["--test", "5", "--dev", "6"], dict(split=SplitSpec(5, 6))),
         }
         argvs = [["--jobs", "3", name, *paths, str(tmp_path), *settings[name][0]] for name, paths in self._STAGES]
@@ -118,6 +118,23 @@ class TestParser:
         assert f"error: {flag} is not read by {command}" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--theta1", "--theta2", "--iterations"])
+    def test_removed_moore_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        sbd = str(CORPUS / "out" / "02_sbd")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["align", sbd, str(tmp_path / "a"), "--method", "moore", flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_align_help_lists_no_moore_setting(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["align", "-h"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--min-score" in out
+        assert not any(flag in out for flag in ("--theta1", "--theta2", "--iterations"))
 
     def test_run_without_config_is_an_error(self, capsys):
         assert main(["--log-format", "json", "run"]) == 1
@@ -169,7 +186,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "key, value, method",
-        [("min_score", 1.0, "bleualign"), ("theta1", 0.5, "moore"), ("theta2", math.nan, "moore")],
+        [("min_score", 1.0, "bleualign"), ("min_score", -0.01, "bleualign"), ("min_score", math.nan, "moore")],
     )
     def test_bad_aligner_threshold_fails_before_any_stage(
         self, tmp_path, capsys, stages, key, value, method
@@ -186,21 +203,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{config}: {key} must be in" in err
         assert err.count(f"{key} must be in") == 2
-        assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
-
-    @pytest.mark.parametrize("method, value", [("moore", 0), ("gc", -3)])
-    def test_bad_em_iterations_fails_before_any_stage(self, tmp_path, capsys, stages, method, value):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"input": str(RAW), "output": "out", "method": method, "em_iterations": value}),
-            encoding="utf-8",
-        )
-        assert main(["--config", str(config), "run"]) == 1
-        sbd = str(stages / "s" / "02_sbd")
-        assert main(["align", sbd, str(tmp_path / "a"), "--method", method, "--iterations", str(value)]) == 1
-        err = capsys.readouterr().err
-        assert f"{config}: em_iterations must be an integer >= 1" in err
-        assert err.count("em_iterations must be") == 2
         assert not (tmp_path / "out").exists() and not (tmp_path / "a").exists()
 
     def test_bleualign_without_mt_src_fails_before_any_stage(self, tmp_path, capsys, stages):
@@ -276,7 +278,10 @@ class TestRun:
         assert f"{config}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [("theta_1", 0.9), ("bleu", {"n_max": 2})])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("theta_1", 0.9), ("bleu", {"n_max": 2}), ("theta1", 0.99), ("theta2", 0.5), ("em_iterations", 4)],
+    )
     def test_unknown_top_level_key_fails_before_any_stage(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"input": str(RAW), "output": "out", key: value}), encoding="utf-8")

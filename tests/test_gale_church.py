@@ -249,7 +249,19 @@ class TestLengthParams:
             load_length_params(path)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"c": math.nan}, {"c": math.inf}, {"s2": math.nan}, {"s2": 0.0}]
+        "kwargs",
+        [
+            {"c": math.nan},
+            {"c": math.inf},
+            {"s2": math.nan},
+            {"s2": 0.0},
+            # NaN compares false both to the sum's tolerance and to 0
+            {"priors": {**DEFAULT_PRIORS, (1, 1): math.nan}},
+            {"priors": {**DEFAULT_PRIORS, (1, 1): math.inf}},
+            # these two sum to 1, so only the sign check stops them
+            {"priors": {**DEFAULT_PRIORS, (1, 1): DEFAULT_PRIORS[1, 1] + DEFAULT_PRIORS[1, 0], (1, 0): 0.0}},
+            {"priors": {**DEFAULT_PRIORS, (1, 1): DEFAULT_PRIORS[1, 1] + 0.01, (1, 0): DEFAULT_PRIORS[1, 0] - 0.01}},
+        ],
     )
     def test_non_finite_or_non_positive_scale_rejected(self, kwargs):
         # a NaN c would make every lattice key incomparable
@@ -408,10 +420,14 @@ class TestEstimateParams:
         with pytest.raises(ValueError, match=r"params\.txt line 2: .*'abc'"):
             load_length_params(path)
 
-    def test_rejected_value_names_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, message",
+        [("c=nan", "c: must be finite and > 0"), ("priors.1-1=nan", "priors: must be positive and sum to 1")],
+    )
+    def test_rejected_value_names_file(self, tmp_path, line, message):
         path = tmp_path / "params.txt"
-        path.write_text("c=nan\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"params\.txt: c: must be finite and > 0"):
+        path.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"params\.txt: {message}"):
             load_length_params(path)
 
 

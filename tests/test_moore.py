@@ -15,6 +15,8 @@ from bitextkit.moore import (
     NULL_TOKEN,
     OTHER_TOKEN,
     PRIORS,
+    THETA1,
+    THETA2,
     TranslationTable,
     _bead_scorer,
     _LEX_FLOOR,
@@ -267,6 +269,16 @@ class TestEmTraining:
         with pytest.raises(ValueError):
             train_ibm1([])
 
+    @pytest.mark.parametrize("iterations", [0, -3, 2.5, "4", True])
+    def test_iterations_that_are_not_a_positive_integer_rejected(self, iterations):
+        with pytest.raises(ValueError, match=r"iterations must be an integer >= 1, got "):
+            train_ibm1(TWO_PAIR_CORPUS, iterations)
+
+    def test_default_runs_em_iterations_rounds(self):
+        table = train_ibm1(TWO_PAIR_CORPUS)
+        assert len(table.ll_history) == EM_ITERATIONS
+        assert table.t == train_ibm1(TWO_PAIR_CORPUS, EM_ITERATIONS).t
+
     def test_unigram_smoothing(self):
         table = train_ibm1([(["a"], ["x", "x", "y"])], 1)
         assert table.tgt_counts == {"x": 2, "y": 1}
@@ -398,16 +410,26 @@ class TestLengthPass:
         _post, confident = length_pass(src, tgt)
         assert confident == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
-    def test_threshold_validated(self):
-        src, tgt = doc("s", ["a b"]), doc("t", ["x y"])
-        with pytest.raises(ValueError):
-            length_pass(src, tgt, theta1=0.5)
-        with pytest.raises(ValueError):
-            length_pass(src, tgt, theta1=1.0)
-
     def test_empty_side_returns_nothing_confident(self):
         _post, confident = length_pass(doc("s", []), doc("t", ["x"]))
         assert confident == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        src=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        tgt=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    )
+    def test_confident_pairs_are_the_posteriors_at_or_above_theta1(self, src, tgt):
+        post, confident = length_pass(
+            doc("s", [" ".join("w" * n) for n in src]), doc("t", [" ".join("v" * n) for n in tgt])
+        )
+        assert confident == [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= THETA1]
+
+
+def test_fixed_settings_are_moores():
+    """Pass one trains on posteriors >= 0.99, EM runs four rounds, and pass
+    two emits the 1-1 pairs whose posterior is >= 0.5."""
+    assert (THETA1, EM_ITERATIONS, THETA2) == (0.99, 4, 0.5)
 
 
 def training_docs(n_extra_tokens=0):
@@ -491,12 +513,6 @@ class TestSecondPass:
             for r in caplog.records
         )
         assert validate_alignment(aset) == []
-
-    def test_threshold_validated(self):
-        src, tgt = training_docs()
-        table = train_ibm1(TWO_PAIR_CORPUS, 1)
-        with pytest.raises(ValueError):
-            moore_align(src, tgt, table, theta2=0.0)
 
     def test_empty_target_yields_all_deletions(self, caplog):
         """An empty side, or two, skips pass two's lattice and its shared
