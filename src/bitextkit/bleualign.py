@@ -16,7 +16,7 @@ from functools import cache
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
-from bitextkit.scoring import N_MAX, _brevity_penalty, _log_precision, ngram_counts, sentence_bleu
+from bitextkit.scoring import N_MAX, _brevity_penalty, _log_precision, ngram_counts, sentence_bleu, tokenize
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,18 @@ class ScoreMatrix:
         return self.entries[pos[0]][pos[1]]
 
 
-def score_matrix(src_translation: SentenceList, tgt: SentenceList) -> ScoreMatrix:
-    """:func:`sentence_bleu` of every (translated source sentence, target
-    sentence) pair at the default order ``N_MAX``, equal to it bit for bit.
+def score_matrix(hyps: list, refs: list) -> ScoreMatrix:
+    """:func:`sentence_bleu` of every (hypothesis, reference) pair of token
+    lists at the default order ``N_MAX``, equal to it bit for bit: row i,
+    column j scores ``hyps[i]`` against ``refs[j]``.
 
-    The targets' n-grams are indexed per order as gram -> [(j, count)], and
-    each hypothesis walks its own n-grams once, adding the clipped counts
+    The references' n-grams are indexed per order as gram -> [(j, count)],
+    and each hypothesis walks its own n-grams once, adding the clipped counts
     into one integer match row per order. So the n-gram work is one step per
-    matching (gram, target) pair, and each cell costs a few memo lookups and
+    matching (gram, reference) pair, and each cell costs a few memo lookups and
     one ``exp``. The per-order logs are summed in the order ``_bleu`` sums
     them, so the result is the same also where ``sum`` is compensated.
     """
-    refs = tgt.tokens
     index: list[dict] = [{} for _ in range(N_MAX)]
     for j, tokens in enumerate(refs):
         for n, grams in enumerate(index, 1):
@@ -57,7 +57,7 @@ def score_matrix(src_translation: SentenceList, tgt: SentenceList) -> ScoreMatri
     log_precision = cache(_log_precision)
     penalty = cache(_brevity_penalty)
     rows = []
-    for tokens in src_translation.tokens:
+    for tokens in hyps:
         hyp_len = len(tokens)
         logs = []
         # the n-gram totals of the orders the hypothesis is long enough to populate
@@ -186,9 +186,11 @@ def _one_direction(
     min_score: float,
     params: LengthParams,
 ) -> list[Bead]:
-    m = score_matrix(src_translation, tgt)
+    mt_tokens = [tokenize(s, src_translation.language) for s in src_translation.sentences]
+    tgt_tokens = [tokenize(s, tgt.language) for s in tgt.sentences]
+    m = score_matrix(mt_tokens, tgt_tokens)
     anchors = find_anchors(m, min_score)
-    anchor_beads = _grow_anchors(anchors, m, src_translation.tokens, tgt.tokens)
+    anchor_beads = _grow_anchors(anchors, m, mt_tokens, tgt_tokens)
     return _fill_gaps(anchor_beads, src, tgt, params)
 
 

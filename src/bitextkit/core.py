@@ -21,11 +21,8 @@ import datetime
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
-
-from bitextkit.scoring import tokenize
 
 #: Bead shapes that may appear in alignments (the types observed in the
 #: hand-aligned reference data).
@@ -98,7 +95,8 @@ class Document:
 @dataclass(frozen=True)
 class SentenceList:
     """Sentence-segmented document; parallel paragraph indices are kept so
-    a paragraph's sentences can be re-joined losslessly."""
+    a paragraph's sentences can be re-joined losslessly. It holds only
+    these fields: an aligner tokenizes the sentences it scores."""
 
     doc_id: str
     language: str
@@ -124,11 +122,6 @@ class SentenceList:
 
     def __len__(self) -> int:
         return len(self.sentences)
-
-    @cached_property
-    def tokens(self) -> tuple[tuple[str, ...], ...]:
-        """Each sentence's scoring tokens (:func:`scoring.tokenize`), worked out on first use."""
-        return tuple(tuple(tokenize(s, self.language)) for s in self.sentences)
 
     def join(self, indices) -> str:
         """The sentences at ``indices`` as one text: zh sentences run on,

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
 from bitextkit.gale_church import _RAW_PRIORS as _GC_RAW_PRIORS
+from bitextkit.scoring import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +142,11 @@ def _length_model(slen: list[int], tlen: list[int]):
     return log_bead
 
 
+def _tokens(side: SentenceList) -> list[list[str]]:
+    """Each sentence's scoring tokens (:func:`scoring.tokenize`)."""
+    return [tokenize(s, side.language) for s in side.sentences]
+
+
 def length_pass(src: SentenceList, tgt: SentenceList) -> tuple[list[list[float]], list[tuple[int, int]]]:
     """First pass: Poisson length lattice over the token counts of both
     sides; it needs no trained parameters.
@@ -148,7 +154,7 @@ def length_pass(src: SentenceList, tgt: SentenceList) -> tuple[list[list[float]]
     Returns the len(src)×len(tgt) matrix of 1-1 bead posteriors and, in
     row-major order, the (i, j) index pairs whose posterior is >= THETA1.
     """
-    length_model = _length_model([len(ts) for ts in src.tokens], [len(ts) for ts in tgt.tokens])
+    length_model = _length_model([len(ts) for ts in _tokens(src)], [len(ts) for ts in _tokens(tgt)])
     post = _forward_backward(len(src), len(tgt), length_model)
     confident = [(i, j) for i, row in enumerate(post) for j, p in enumerate(row) if p >= THETA1]
     return post, confident
@@ -364,7 +370,7 @@ def moore_align(src: SentenceList, tgt: SentenceList, table: TranslationTable) -
     S, T = len(src), len(tgt)
     accepted = []
     if S and T:
-        log_bead, lexical = _bead_scorer(src.tokens, tgt.tokens, table)
+        log_bead, lexical = _bead_scorer(_tokens(src), _tokens(tgt), table)
         if not lexical:
             log.warning(
                 "%s: translation table shares no vocabulary with the document; using length model only",
@@ -387,7 +393,8 @@ def train_lexicon(docs_with_pairs: list) -> TranslationTable:
     to OTHER, and train one translation table for the corpus with
     EM_ITERATIONS rounds of EM."""
     token_pairs = [
-        (src.tokens[i], tgt.tokens[j]) for src, tgt, confident in docs_with_pairs for i, j in confident
+        (tokenize(src.sentences[i], src.language), tokenize(tgt.sentences[j], tgt.language))
+        for src, tgt, confident in docs_with_pairs for i, j in confident
     ]
     if not token_pairs:
         raise ValueError("no confident sentence pairs to train on")

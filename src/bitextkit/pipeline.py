@@ -346,10 +346,9 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     file write run in this process.
 
     Each stage's data is dropped once no later stage reads it: the documents
-    after sbd, and each article's sentence lists (with their cached tokens)
-    and alignment as dedup makes its rows. Only the counts the run log
-    reports are kept, so peak memory follows one stage's data, not the
-    whole run's."""
+    after sbd, and each article's sentence lists and alignment as dedup
+    makes its rows. Only the counts the run log reports are kept, so peak
+    memory follows one stage's data, not the whole run's."""
     if jobs is not None:
         config = replace(config, jobs=jobs)
     durations: dict[str, float] = {}

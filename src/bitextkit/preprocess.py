@@ -42,7 +42,7 @@ _WS_RUN = re.compile(r"\s+")
 _ZH_CITATION_FRAGMENT = re.compile(
     r"^[0-9０-９⁰¹²³⁴-⁹\-–,，.。;；\[\]()（）\s]+$"
 )
-_EN_STITCH_MARKER = "open in new tab"
+_EN_STITCH_MARKER = re.compile("open in new tab", re.ASCII | re.IGNORECASE)
 
 
 def normalize_text(text: str) -> str:
@@ -66,16 +66,15 @@ def stitch_paragraphs(doc: Document) -> Document:
 
     Chinese: a paragraph consisting only of citation markers and/or
     punctuation is appended (no joiner) to the preceding paragraph. English:
-    the literal "open in new tab" fragment is deleted and its flanking
-    fragments are concatenated into one paragraph. A fragment with no
-    predecessor is left in place and logged.
+    each "open in new tab" marker (in any ASCII case) is deleted, and the
+    paragraphs around a paragraph of markers are joined into one. A Chinese
+    fragment with no predecessor is kept and a marker paragraph at a
+    document edge is dropped; both are logged.
     """
     lang = doc.meta.language
     out: list[str] = []
-    i = 0
-    paragraphs = list(doc.paragraphs)
-    while i < len(paragraphs):
-        p = paragraphs[i]
+    join = False  # a marker paragraph stands between out[-1] and the next one
+    for p in doc.paragraphs:
         if lang == "zh" and _ZH_CITATION_FRAGMENT.fullmatch(p):
             if out:
                 out[-1] = out[-1] + p
@@ -85,24 +84,20 @@ def stitch_paragraphs(doc: Document) -> Document:
                     doc.meta.doc_id,
                 )
                 out.append(p)
-            i += 1
             continue
-        if lang == "en" and p.strip().lower() == _EN_STITCH_MARKER:
-            if out and i + 1 < len(paragraphs):
-                out[-1] = out[-1] + " " + paragraphs[i + 1]
-                i += 2
-            else:
-                logger.warning(
-                    "%s: stitch marker at document edge dropped", doc.meta.doc_id
-                )
-                i += 1
-            continue
-        if lang == "en" and _EN_STITCH_MARKER in p.lower():
-            start = p.lower().index(_EN_STITCH_MARKER)
-            p = normalize_text(p[:start] + " " + p[start + len(_EN_STITCH_MARKER):])
-        if p:
+        if lang == "en" and _EN_STITCH_MARKER.search(p):
+            p = normalize_text(_EN_STITCH_MARKER.sub(" ", p))
+        if not p:  # the paragraph held only markers
+            if not out:
+                logger.warning("%s: stitch marker at document edge dropped", doc.meta.doc_id)
+            join = bool(out)
+        elif join:
+            out[-1] = out[-1] + " " + p
+            join = False
+        else:
             out.append(p)
-        i += 1
+    if join:
+        logger.warning("%s: stitch marker at document edge dropped", doc.meta.doc_id)
     return Document(doc.meta, tuple(out))
 
 

@@ -2,6 +2,7 @@
 filling, and the bidirectional intersection."""
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -140,7 +141,7 @@ def documents(draw, lang, shared):
     repeat within and across sentences; with ``shared`` every sentence
     starts with the same bigram, so nearly every cell has matches. A
     SentenceList rejects blank sentences, so a stand-in with the fields
-    score_matrix and the dense reference read carries them."""
+    ``tokens`` and the dense reference read carries them."""
     words = EN_WORDS if lang == "en" else ZH_TOKENS
     sep = " " if lang == "en" else ""
     size = draw(st.integers(0, 30))
@@ -149,9 +150,12 @@ def documents(draw, lang, shared):
     )
     prefix = [SHARED_BIGRAM[lang]] if shared else []
     sentences = tuple(sep.join(prefix + s) for s in sentences)
-    return SimpleNamespace(
-        language=lang, sentences=sentences, tokens=tuple(tuple(tokenize(t, lang)) for t in sentences)
-    )
+    return SimpleNamespace(language=lang, sentences=sentences)
+
+
+def tokens(sentences):
+    """Each sentence's scoring tokens, the lists score_matrix takes."""
+    return [tokenize(s, sentences.language) for s in sentences.sentences]
 
 
 def sl(doc_id, lang, sentences):
@@ -170,7 +174,7 @@ class TestScoreMatrix:
     def test_shape_and_identity_cell(self):
         mt = sl("mt", "en", ["the trial ended early .", "other words here ."])
         tgt = sl("t", "en", ["the trial ended early .", "unrelated text entirely ."])
-        m = score_matrix(mt, tgt)
+        m = score_matrix(tokens(mt), tokens(tgt))
         assert (m.rows, m.cols) == (2, 2)
         assert m[0, 0] == 1.0
         assert m[0, 0] > m[0, 1] and m[0, 0] > m[1, 0]
@@ -180,7 +184,7 @@ class TestScoreMatrix:
     def test_every_cell_equals_sentence_bleu(self, data, lang):
         mt = sl("mt", lang, data.draw(sentence_lists(lang)))
         tgt = sl("t", lang, data.draw(sentence_lists(lang)))
-        m = score_matrix(mt, tgt)
+        m = score_matrix(tokens(mt), tokens(tgt))
         expected = tuple(
             tuple(sentence_bleu(tokenize(h, lang), tokenize(r, lang)) for r in tgt.sentences)
             for h in mt.sentences
@@ -192,7 +196,7 @@ class TestScoreMatrix:
     def test_equals_the_dense_matrix(self, data, lang, shared):
         mt = data.draw(documents(lang, shared))
         tgt = data.draw(documents(lang, shared))
-        assert score_matrix(mt, tgt).entries == dense_score_matrix(mt, tgt).entries
+        assert score_matrix(tokens(mt), tokens(tgt)).entries == dense_score_matrix(mt, tgt).entries
 
 
 class TestFindAnchors:
@@ -316,6 +320,24 @@ class TestBidirectional:
         uni = bleualign(src, tgt, mt, params=PARAMS)
         bi = bleualign(src, tgt, mt, mt_rev, params=PARAMS)
         assert {b.key for b in bi.beads} < {b.key for b in uni.beads}
+
+    def test_each_sentence_of_the_four_lists_is_tokenized_once(self, monkeypatch):
+        """Each direction tokenizes its hypotheses and its references once,
+        for both the score matrix and anchor growth."""
+        calls = Counter()
+
+        def counting_tokenize(text, lang):
+            calls[text, lang] += 1
+            return tokenize(text, lang)
+
+        monkeypatch.setattr("bitextkit.bleualign.tokenize", counting_tokenize)
+        src = sl("s", "zh", ["患者发热。", "体温下降。", "随访一年。"])
+        tgt = sl("t", "en", ["The patient had a fever .", "It fell .", "One year ."])
+        mt = sl("mt", "en", ["The patient had fever .", "Temperature fell .", "A year ."])
+        mt_rev = sl("rev", "zh", ["患者发烧。", "它下降了。", "一年。"])
+        bleualign(src, tgt, mt, mt_rev, params=PARAMS)
+        lists = (src, tgt, mt, mt_rev)
+        assert calls == Counter((s, x.language) for x in lists for s in x.sentences)
 
     def test_intersection_is_always_a_subset(self):
         rng = random.Random(59)

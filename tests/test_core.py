@@ -1,12 +1,18 @@
 """Data model invariants and file format round-trips."""
 
 import datetime
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitextkit import core
+from bitextkit.bleualign import bleualign
 from bitextkit.cli import _read_tsv
 from bitextkit.core import (
     _CHUNK_ROWS,
@@ -31,8 +37,8 @@ from bitextkit.core import (
     write_sentences,
     write_text,
 )
-from bitextkit.gale_church import GC_MOVES, LengthParams, load_length_params, save_length_params
-from bitextkit.moore import TranslationTable, load_table, save_table
+from bitextkit.gale_church import GC_MOVES, LengthParams, gc_align, load_length_params, save_length_params
+from bitextkit.moore import TranslationTable, length_pass, load_table, moore_align, save_table, train_lexicon
 from bitextkit.preprocess import load_filter_rules
 from bitextkit.sbd import PunktModel, load_abbrevs, load_punkt, save_punkt
 
@@ -124,15 +130,20 @@ class TestModelValidation:
             # paragraph indices must be non-decreasing
             SentenceList("d", "en", ("a.", "b."), (1, 0))
 
-    def test_sentence_list_tokens_are_derived_not_a_field(self):
-        sl = SentenceList("d", "en", ("The patient's fever.", "It fell."), (0, 0))
-        zh = SentenceList("z", "zh", ("患者CT正常。",), (0,))
-        before = (repr(sl), hash(sl))
-        assert sl.tokens == (("The", "patient's", "fever", "."), ("It", "fell", "."))
-        assert zh.tokens == (("患", "者", "CT", "正", "常", "。"),)
-        assert sl.tokens is sl.tokens
-        assert (repr(sl), hash(sl)) == before
-        assert sl == SentenceList("d", "en", sl.sentences, sl.paragraph_index)
+    def test_aligners_leave_their_sentence_lists_as_they_were(self):
+        """A SentenceList is plain data: no aligner stores anything on one,
+        so each list pickles to the same bytes after the calls as before."""
+        zh = SentenceList("z", "zh", ("患者CT正常。", "体温下降。", "随访一年。"), (0, 0, 1))
+        en = SentenceList("e", "en", ("The patient's CT was normal.", "Fever fell.", "One year."), (0, 0, 1))
+        zh_mt = SentenceList("z-mt", "en", ("The patient CT normal.", "Temperature fell.", "A year."), (0, 0, 1))
+        en_mt = SentenceList("e-mt", "zh", ("患者CT正常。", "发热下降。", "一年。"), (0, 0, 1))
+        lists = (zh, en, zh_mt, en_mt)
+        before = [pickle.dumps(s) for s in lists]
+        length_pass(zh, en)
+        moore_align(zh, en, train_lexicon([(zh, en, [(0, 0), (1, 1), (2, 2)])]))
+        gc_align(zh, en, LengthParams())
+        bleualign(zh, en, zh_mt, en_mt)
+        assert [pickle.dumps(s) for s in lists] == before
 
     def test_sentence_list_joins_by_its_language(self):
         zh = SentenceList("z", "zh", ("甲。", "乙。", "丙。"), (0, 0, 1))
@@ -568,3 +579,13 @@ class TestWriteRecords:
         rows = [[str(i), f"sentence {i}{LINE_BREAKS_INSIDE_A_FIELD}"] for i in range(n)]
         write_records(tmp_path / "r.tsv", rows)
         assert read_records(tmp_path / "r.tsv", lambda fields, lineno: fields) == rows
+
+
+def test_importing_core_loads_no_scoring():
+    """core imports no other module of the package: the tokenization rule
+    stays in scoring, and the aligners call it on the sentences they score."""
+    code = "import sys, bitextkit.core\nsys.exit('core loaded scoring' if 'bitextkit.scoring' in sys.modules else 0)\n"
+    src = Path(core.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,12 +3,14 @@ the posterior-thresholded second pass."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitextkit.core import SentenceList, validate_alignment
+from bitextkit.scoring import tokenize
 from bitextkit.moore import (
     EM_ITERATIONS,
     MOORE_MOVES,
@@ -527,6 +529,30 @@ class TestSecondPass:
             assert [b.key for b in aset.beads] == keys
             assert all(b.score is None and b.method == "moore" for b in aset.beads)
         assert caplog.records == []
+
+    def test_each_pass_tokenizes_what_it_reads_once(self, monkeypatch):
+        """Pass one and pass two each tokenize both lists once; lexicon
+        training tokenizes only the sentences of its confident pairs."""
+        calls = Counter()
+
+        def counting_tokenize(text, lang):
+            calls[text, lang] += 1
+            return tokenize(text, lang)
+
+        monkeypatch.setattr("bitextkit.moore.tokenize", counting_tokenize)
+        src, tgt = training_docs()
+        src = doc("src", src.sentences, "zh")
+        everything = Counter((s, x.language) for x in (src, tgt) for s in x.sentences)
+        _post, confident = length_pass(src, tgt)
+        assert calls == everything
+        calls.clear()
+        table = train_lexicon([(src, tgt, confident[:3])])
+        assert calls == Counter(
+            [(src.sentences[i], "zh") for i, _ in confident[:3]] + [(tgt.sentences[j], "en") for _, j in confident[:3]]
+        )
+        calls.clear()
+        moore_align(src, tgt, table)
+        assert calls == everything
 
     def test_train_lexicon_requires_confident_pairs(self):
         src, tgt = training_docs()

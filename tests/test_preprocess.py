@@ -73,9 +73,40 @@ class TestStitch:
         d = doc("en", "See Table 1 Open in new tab for counts.")
         assert stitch_paragraphs(d).paragraphs == ("See Table 1 for counts.",)
 
+    def test_en_inline_marker_cut_where_it_stands(self):
+        # "İ".lower() is two characters long, so offsets found in the
+        # lowercased paragraph would cut one character too early
+        d = doc("en", "İstanbul study open in new tab results")
+        assert stitch_paragraphs(d).paragraphs == ("İstanbul study results",)
+
+    def test_en_every_inline_marker_removed(self):
+        d = doc("en", "A open in new tab B Open In New Tab C")
+        assert stitch_paragraphs(d).paragraphs == ("A B C",)
+
+    def test_en_paragraph_after_a_marker_paragraph_is_stitched_too(self):
+        d = doc("en", "A", "open in new tab", "B open in new tab C")
+        assert stitch_paragraphs(d).paragraphs == ("A B C",)
+        d = doc("en", "A", "open in new tab", "Open in new tab", "B")
+        assert stitch_paragraphs(d).paragraphs == ("A B",)
+
+    def test_en_marker_matches_ascii_letters_only(self):
+        # under Unicode case folding "ı" and "İ" would match "i"
+        d = doc("en", "A open ın new tab B", "C open İn new tab D")
+        assert stitch_paragraphs(d).paragraphs == d.paragraphs
+
     def test_en_marker_at_document_edge_dropped(self):
         d = doc("en", "Body text.", "Open in new tab")
         assert stitch_paragraphs(d).paragraphs == ("Body text.",)
+
+    @pytest.mark.parametrize("paragraphs", [
+        ("Body text.", "Open in new tab"),
+        ("Open in new tab", "Body text."),
+        ("Body text.", "Open in new tab", "open in new tab"),
+    ])
+    def test_en_marker_at_document_edge_is_logged_once(self, paragraphs, caplog):
+        with caplog.at_level("WARNING"):
+            assert stitch_paragraphs(doc("en", *paragraphs)).paragraphs == ("Body text.",)
+        assert [r.getMessage() for r in caplog.records] == ["P1-en: stitch marker at document edge dropped"]
 
     def test_zh_text_paragraphs_untouched(self):
         d = doc("zh", "第一段。", "第二段有数字12。")
