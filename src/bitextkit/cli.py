@@ -8,9 +8,9 @@ so the library's defaults are the only ones: ``_settings`` builds every
 :class:`PipelineConfig` and :class:`SplitSpec` from the flags given,
 ``--jobs`` included. ``bleu``'s ``--n-max`` sets no config field, only the
 highest n-gram order of that command's score (``scoring.N_MAX`` unless
-given). Only ``run`` reads ``--config``, and only ``run``, ``preprocess``,
-``sbd``, ``align`` and ``split`` read ``--jobs``; either flag given to
-another command is a usage error.
+given). Only ``run`` reads ``--config``, and only ``run`` and ``align``
+read ``--jobs``, since only the align stage starts workers; either flag
+given to another command is a usage error.
 """
 
 from __future__ import annotations
@@ -207,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="pipeline config (JSON)")
     parser.add_argument(
         "--jobs", type=int, default=argparse.SUPPRESS,
-        help="upper bound on worker processes: a run of A articles starts min(JOBS, A // 4) "
-        "of them, or none below two, since starting a worker costs more than a few articles' "
-        "work; a run without workers never loads the pool",
+        help="upper bound on the align stage's worker processes (run and align only): aligning "
+        "A articles starts min(JOBS, A // 4) of them, or none below two, since starting a worker "
+        "costs more than a few articles' work; a run without workers never loads the pool",
     )
     parser.add_argument("--log-format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, readers in (("config", {"run"}), ("jobs", {"run", "preprocess", "sbd", "align", "split"})):
+    for flag, readers in (("config", {"run"}), ("jobs", {"run", "align"})):
         if getattr(args, flag, None) is not None and args.command not in readers:
             parser.error(f"--{flag} is not read by {args.command}")
     _configure_logging(args.log_format)

@@ -83,9 +83,10 @@ Bitext = list[tuple[str, str, str]]
 
 _SPLITS = ("train", "dev", "test")
 
-#: Chunks per worker in one map over the pool (:func:`_article_map`): enough
-#: to even out the workers' loads, few enough that each pickles its bound
-#: model rarely. A run starts a worker only for this many articles.
+#: Chunks per worker in one map over the align stage's pool
+#: (:func:`_article_map`): enough to even out the workers' loads, few enough
+#: that each pickles its bound model rarely. The stage starts a worker only
+#: for this many articles.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -338,12 +339,9 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     """Execute all stages, with ``jobs`` in place of ``config.jobs`` when it
     is given; returns 0 on success, raises PipelineError otherwise.
 
-    ``config.jobs`` bounds the worker processes. A run of ``n`` articles
-    opens one :func:`_article_map` for the per-article work of sbd and
-    align: a pool of ``min(config.jobs, n // 4)`` workers, or none below
-    two, and then that work runs in this process without loading the pool's
-    modules. Preprocess, the corpus models, dedup, split, stats and every
-    file write run in this process.
+    ``config.jobs`` bounds the worker processes, which only the align stage
+    starts (see :func:`stage_align`). Preprocess, sbd, the corpus models,
+    dedup, split, stats and every file write run in this process.
 
     Each stage's data is dropped once no later stage reads it: the documents
     after sbd, and each article's sentence lists and alignment as dedup
@@ -364,11 +362,10 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     docs, pairs = stage("preprocess", stage_preprocess, config)
     counts = {"preprocess": (len(docs), len(docs))}
-    with _article_map(config, pairs) as pmap:
-        sentences = stage("sbd", stage_sbd, config, pairs, docs, pmap)
-        counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
-        del docs
-        alignments = stage("align", stage_align, config, pairs, sentences, pmap)
+    sentences = stage("sbd", stage_sbd, config, pairs, docs)
+    counts["sbd"] = (len(docs), sum(map(len, sentences.values())))
+    del docs
+    alignments = stage("align", stage_align, config, pairs, sentences)
     counts["align"] = (len(pairs), sum(map(len, alignments.values())))
     bitext, removed = stage("dedup", _stage_dedup, config, pairs, sentences, alignments)
     counts["dedup"] = (len(bitext) + removed, len(bitext))
@@ -415,19 +412,13 @@ def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
     return post, pairs
 
 
-def stage_sbd(
-    config: PipelineConfig,
-    pairs: Pairs,
-    docs: list[Document],
-    pmap=None,
-) -> dict[str, SentenceList]:
-    """Segment ``docs``, the documents of ``pairs``; returns the sentences
-    keyed by doc_id. The corpus models (the abbreviation list, and the Punkt
-    model trained here when ``en_sbd`` is punkt) are bound to one segmenter,
-    which runs through ``pmap`` when one is given, else through an
-    :func:`_article_map` the stage opens, and each document's file is
-    written as its sentences arrive.
-    ``sbd_report.csv`` compares each pair's zh and en sentence counts."""
+def stage_sbd(config: PipelineConfig, pairs: Pairs, docs: list[Document]) -> dict[str, SentenceList]:
+    """Segment ``docs``, the documents of ``pairs``, in this process at any
+    ``config.jobs``; returns the sentences keyed by doc_id. The corpus
+    models are the abbreviation list and, when ``en_sbd`` is punkt, the
+    Punkt model trained here. Each document's file is written as it is
+    segmented. ``sbd_report.csv`` compares each pair's zh and en sentence
+    counts."""
     out = Path(config.output)
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
@@ -436,12 +427,10 @@ def stage_sbd(
     if config.en_sbd == "punkt":
         punkt_model = train_punkt(docs)
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
-    segment = partial(_segment, abbrevs=abbrevs, punkt_model=punkt_model)
     sentence_lists: dict[str, SentenceList] = {}
-    with _article_map(config, pairs, pmap) as pmap:
-        for doc, sl in zip(docs, pmap(segment, docs)):
-            sentence_lists[doc.meta.doc_id] = sl
-            write_sentences(sl, stage_dir / f"{doc.meta.doc_id}.tsv")
+    for doc in docs:
+        sl = sentence_lists[doc.meta.doc_id] = _segment(doc, abbrevs, punkt_model)
+        write_sentences(sl, stage_dir / f"{doc.meta.doc_id}.tsv")
     write_metadata(docs, stage_dir / META_FILENAME)
     counts = [
         (s.pair_id, len(sentence_lists[s.doc_id]), len(sentence_lists[t.doc_id]))
@@ -500,13 +489,13 @@ def _logging_call(fn, *args):
 
 
 @contextmanager
-def _article_map(config: PipelineConfig, pairs: Pairs, pmap=None):
-    """The map a stage runs its per-article work through: ``pmap`` when one
-    is given, else a pool of ``min(config.jobs, len(pairs) //
-    _CHUNKS_PER_WORKER)`` worker processes open for the block, else, below
-    two workers, the serial builtin ``map``. A worker costs a fork and the
-    pickling of its tasks, which a handful of articles does not pay back;
-    the pool's modules are imported only when a pool opens.
+def _article_map(config: PipelineConfig, pairs: Pairs):
+    """The map :func:`stage_align` runs its per-article work through: a pool
+    of ``min(config.jobs, len(pairs) // _CHUNKS_PER_WORKER)`` worker
+    processes open for the block, or, below two workers, the serial builtin
+    ``map``. A worker costs a fork and the pickling of its tasks, which a
+    handful of articles does not pay back; the pool's modules are imported
+    only when a pool opens.
 
     Over the pool, each map goes out in :data:`_CHUNKS_PER_WORKER` chunks per
     worker: ``fn``, with the corpus model it binds, is pickled once per chunk
@@ -514,8 +503,8 @@ def _article_map(config: PipelineConfig, pairs: Pairs, pmap=None):
     each worker's log records are handled by the parent's loggers in article
     order, as a serial run logs them."""
     workers = min(config.jobs, len(pairs) // _CHUNKS_PER_WORKER)
-    if pmap is not None or workers < 2:
-        yield map if pmap is None else pmap
+    if workers < 2:
+        yield map
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -532,25 +521,21 @@ def _article_map(config: PipelineConfig, pairs: Pairs, pmap=None):
 
 
 def stage_align(
-    config: PipelineConfig,
-    pairs: Pairs,
-    sentences: dict[str, SentenceList],
-    pmap=None,
+    config: PipelineConfig, pairs: Pairs, sentences: dict[str, SentenceList]
 ) -> dict[str, AlignmentSet]:
     """Align every article pair; returns the alignments keyed by pair_id.
 
     The corpus model (moore's translation table, trained between its two
     passes, or the length params) is fitted and saved under ``03_align`` in
     this process, then bound to one per-article aligner. Both moore passes,
-    gc and bleualign run through ``pmap`` when one is given, else through an
-    :func:`_article_map` the stage opens, and each article's file is
-    written as its alignment arrives. The length terms this process
-    memoized are dropped when the stage ends."""
+    gc and bleualign run through the one :func:`_article_map` the stage
+    opens, and each article's file is written as its alignment arrives. The
+    length terms this process memoized are dropped when the stage ends."""
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
     stage_dir.mkdir(parents=True, exist_ok=True)
     try:
-        with _article_map(config, pairs, pmap) as pmap:
+        with _article_map(config, pairs) as pmap:
             if config.method == "moore":
                 passes = pmap(length_pass, *columns)
                 confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]

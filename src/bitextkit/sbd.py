@@ -289,7 +289,7 @@ def _col_llr(count_a: int, count_b: int, count_ab: int, n: int) -> float:
     )
     s4 = (
         0.0
-        if count_b == count_ab or p2 <= 0
+        if not 0 < p2 < 1  # the term's limit at p2 of 0 or 1, taking 0 * log(0) as 0
         else (count_b - count_ab) * math.log(p2)
         + (n - count_a - count_b + count_ab) * math.log(1.0 - p2)
     )

@@ -674,9 +674,9 @@ class TestWorkerPool:
         assert config.method == "moore"
         assert run_pipeline(config) == 0
         assert len(started) == 1
-        # sbd's 24 documents, then moore's two passes over 12 articles, in
-        # at most 4 chunks per worker each
-        assert started[0].submits_per_map == [8, 6, 6]
+        # moore's two passes over 12 articles, in at most 4 chunks per worker
+        # each; sbd runs in this process
+        assert started[0].submits_per_map == [6, 6]
 
     @pytest.mark.parametrize("one_article, jobs", [(False, 1), (True, 2)], ids=["jobs1", "one-article"])
     def test_no_pool_at_one_job_or_one_article(self, tmp_path, started, one_article, jobs):
@@ -702,8 +702,8 @@ class TestWorkerPool:
             log = json.loads((outs[n_jobs] / "run_log.jsonl").read_text(encoding="utf-8").splitlines()[0])
             assert log["jobs"] == n_jobs
         assert [pool.workers for pool in started] == ([] if workers is None else [workers])
-        # sbd and moore's two passes, each in 4 chunks per worker started
-        assert [pool.submits_per_map for pool in started] == ([] if workers is None else [[4 * workers] * 3])
+        # moore's two passes, each in 4 chunks per worker started
+        assert [pool.submits_per_map for pool in started] == ([] if workers is None else [[4 * workers] * 2])
         serial, pooled = tree(outs[1]), tree(outs[jobs])
         del serial["run_log.jsonl"], pooled["run_log.jsonl"]
         assert serial.keys() == pooled.keys()
@@ -803,6 +803,31 @@ def test_a_run_loads_no_openssl(tmp_path):
         [sys.executable, "-c", code, str(CORPUS / "config.json"), str(out)], env=env, check=True
     )
     assert (out / "run_log.jsonl").is_file()
+
+
+def test_segmentation_never_loads_the_pool(tmp_path):
+    """sbd segments in this process at any jobs: at two jobs, enough for two
+    workers over the fixture's 12 articles, it still leaves the pool's
+    module unloaded, and writes the golden ``02_sbd``."""
+    code = (
+        "import sys\n"
+        "from bitextkit.core import read_documents\n"
+        "from bitextkit.pipeline import PipelineConfig, pair_articles, stage_sbd\n"
+        "docs = read_documents(sys.argv[1])\n"
+        "stage_sbd(PipelineConfig(sys.argv[1], sys.argv[2], jobs=2), pair_articles([d.meta for d in docs]), docs)\n"
+        "loaded = 'concurrent.futures.process' in sys.modules\n"
+        "sys.exit('sbd loaded concurrent.futures.process' if loaded else 0)\n"
+    )
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-c", code, str(CORPUS / "out" / "01_preprocess"), str(out)], env=env, check=True
+    )
+    golden = CORPUS / "out" / "02_sbd"
+    assert sorted(p.name for p in (out / "02_sbd").iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out / "02_sbd" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def run_fixture_checking_modules(tmp_path, modules):

@@ -2,6 +2,7 @@
 unsupervised English segmenter."""
 
 import datetime
+import math
 import random
 import statistics
 from unittest import mock
@@ -242,6 +243,11 @@ class TestUnsupervised:
         b = train_punkt(self.corpus())
         assert a == b
 
+    def test_collocation_llr_takes_the_limit_when_every_token_not_after_a_is_b(self):
+        # p2 = (3 - 1) / (4 - 2) = 1, so the p2 term is 2 * log(1) + 0 * log(0), whose limit is 0
+        want = -2.0 * (3 * math.log(3 / 4) + math.log(1 / 4) - 2 * math.log(1 / 2))
+        assert sbd._col_llr(2, 3, 1, 4) == pytest.approx(want)
+
 
 # whitespace-joined words: dotted words, abbreviations, initials, decimals,
 # glued citations, ``?``/``!`` and parentheticals, with runs of spaces and tabs
@@ -285,6 +291,14 @@ class TestSegmentersKeepTokens:
     def test_punkt(self, paragraph):
         self.check(paragraph, segment_punkt(paragraph, PunktModel()))
         self.check(paragraph, segment_punkt(paragraph, TRAINED_PUNKT))
+
+    @settings(max_examples=200, deadline=None)
+    @given(paragraphs=st.lists(paragraph_text.filter(str.strip), max_size=4))
+    @example(paragraphs=["See Fig. 2? Yes? Fig. 3?"])
+    def test_punkt_trained_on_the_paragraphs(self, paragraphs):
+        model = train_punkt([en_doc(*paragraphs)])
+        for paragraph in paragraphs:
+            self.check(paragraph, segment_punkt(paragraph, model))
 
 
 def walk_segment_zh(paragraph):
