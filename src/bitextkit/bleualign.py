@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
+from operator import mul, truediv
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
@@ -45,17 +47,22 @@ def score_matrix(hyps: list, refs: list) -> ScoreMatrix:
     The references' n-grams are indexed per order as gram -> [(j, count)],
     and each hypothesis walks its own n-grams once, adding the clipped counts
     into one integer match row per order. So the n-gram work is one step per
-    matching (gram, reference) pair, and each cell costs a few memo lookups and
-    one ``exp``. The per-order logs are summed in the order ``_bleu`` sums
-    them, so the result is the same also where ``sum`` is compensated.
+    matching (gram, reference) pair. An order's log precision is read from
+    a list per n-gram total t, indexed by the match count (at most t), and
+    the brevity penalties from a row per hypothesis length, each built once.
+    A row is then built by C-level ``map`` and ``zip``: per cell one list
+    lookup per order, a ``sum`` of the per-order logs in the order ``_bleu``
+    sums them (so the result is the same also where ``sum`` is
+    compensated), one ``exp`` and one product.
     """
     index: list[dict] = [{} for _ in range(N_MAX)]
     for j, tokens in enumerate(refs):
         for n, grams in enumerate(index, 1):
             for g, count in ngram_counts(tokens, n).items():
                 grams.setdefault(g, []).append((j, count))
-    log_precision = cache(_log_precision)
-    penalty = cache(_brevity_penalty)
+    ref_lens = [len(tokens) for tokens in refs]
+    log_precisions = cache(lambda t: [_log_precision(m, t) for m in range(t + 1)])
+    penalties = cache(lambda hyp_len: [_brevity_penalty(hyp_len, r) for r in ref_lens])
     rows = []
     for tokens in hyps:
         hyp_len = len(tokens)
@@ -67,11 +74,12 @@ def score_matrix(hyps: list, refs: list) -> ScoreMatrix:
             for g, h in ngram_counts(tokens, n).items():
                 for j, r in grams.get(g, ()):
                     matches[j] += h if h < r else r
-            logs.append([log_precision(m, t) for m in matches])
-        rows.append(tuple(
-            penalty(hyp_len, len(ref)) * math.exp(sum(cell) / len(logs))
-            for ref, cell in zip(refs, zip(*logs))
-        ) if logs else (0.0,) * len(refs))
+            logs.append(map(log_precisions(t).__getitem__, matches))
+        rows.append(tuple(map(
+            mul,
+            penalties(hyp_len),
+            map(math.exp, map(truediv, map(sum, zip(*logs)), repeat(len(logs)))),
+        )) if logs else (0.0,) * len(refs))
     return ScoreMatrix(tuple(rows))
 
 
@@ -99,19 +107,28 @@ def find_anchors(m: ScoreMatrix, min_score: float = 0.0) -> list[tuple[int, int]
     from each cell (i, j) to best[i+1][j+1]'s. Time and memory are O(S*T)
     for an S x T matrix. Totals are compared as suffix sums, so of two
     chains whose exact totals tie, the one whose float suffix sum is an ulp
-    higher wins.
+    higher wins. Per cell the table takes the smaller of two neighbours
+    with one ``<``, and a qualifying cell builds its key tuple only when its
+    total is at most that neighbour's, the one case where the key can win.
     """
     check_min_score(min_score)
     rows, cols = m.rows, m.cols
     best = [[(0.0, 0)] * (cols + 1) for _ in range(rows + 1)]
     for i in range(rows - 1, -1, -1):
         scores, here, below = m.entries[i], best[i], best[i + 1]
+        # right = here[j + 1] and cont = below[j + 1], carried along the row
+        right = cont = (0.0, 0)
         for j in range(cols - 1, -1, -1):
-            b = min(below[j], here[j + 1])
-            if scores[j] > min_score:
-                cont = below[j + 1]
-                b = min(b, (cont[0] - scores[j], cont[1] + abs(i - j), i, j))
-            here[j] = b
+            up = below[j]
+            b = right if right < up else up
+            s = scores[j]
+            # a key whose total exceeds b's cannot be smaller, so build none
+            if s > min_score and (total := cont[0] - s) <= b[0]:
+                key = (total, cont[1] + abs(i - j), i, j)
+                if key < b:
+                    b = key
+            here[j] = right = b
+            cont = up
     chain: list[tuple[int, int]] = []
     key = best[0][0]
     while len(key) == 4:

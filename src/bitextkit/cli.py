@@ -10,7 +10,8 @@ so the library's defaults are the only ones: ``_settings`` builds every
 highest n-gram order of that command's score (``scoring.N_MAX`` unless
 given). Only ``run`` reads ``--config``, and only ``run`` and ``align``
 read ``--jobs``, since only the align stage starts workers; either flag
-given to another command is a usage error.
+given to another command is a usage error. A command whose reader closes
+stdout early (``| head``) ends quietly with exit status 1.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -285,7 +287,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--{flag} is not read by {args.command}")
     _configure_logging(args.log_format)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): end quietly, and point stdout
+        # at devnull so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PipelineError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1

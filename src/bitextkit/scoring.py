@@ -42,7 +42,11 @@ def check_n_max(n_max: int) -> None:
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Count of each n-gram ``tuple(tokens[i : i + n])``, keyed in order of
+    first occurrence; empty when n > len(tokens). Raises ValueError unless
+    n is an integer >= 1."""
+    check_n_max(n)
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
 def _clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> int:

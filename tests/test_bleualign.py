@@ -198,6 +198,20 @@ class TestScoreMatrix:
         tgt = data.draw(documents(lang, shared))
         assert score_matrix(tokens(mt), tokens(tgt)).entries == dense_score_matrix(mt, tgt).entries
 
+    @pytest.mark.parametrize(
+        "hyps, refs",
+        [
+            ([[], ["a", "b"]], [["a"], ["a", "b"], []]),  # an empty hypothesis
+            ([["a"], ["c"]], [["a"], ["a", "b"], ["b", "a", "a"], []]),  # order 2 unpopulated
+            ([["a"], [], ["a", "b"]], []),  # no references
+            ([], [["a"], []]),  # no hypotheses
+        ],
+    )
+    def test_degenerate_shapes_equal_sentence_bleu(self, hyps, refs):
+        m = score_matrix(hyps, refs)
+        assert m.entries == tuple(tuple(sentence_bleu(h, r) for r in refs) for h in hyps)
+        assert all(row == (0.0,) * len(refs) for h, row in zip(hyps, m.entries) if not h)
+
 
 class TestFindAnchors:
     def test_matches_brute_force(self):
@@ -225,6 +239,13 @@ class TestFindAnchors:
         m = ScoreMatrix(((0.4, 0.0), (0.4, 0.0)))
         # both cells score the same; only one can anchor (same column)
         assert find_anchors(m) == [(0, 0)]
+
+    def test_a_total_equal_to_the_best_wins_on_diagonal_distance(self):
+        # (0, 1) and (0, 0) both start a chain of total 0.5; when (0, 0) is
+        # scored, its neighbour's key already holds that total, and (0, 0)
+        # must still be keyed, since it is nearer the diagonal
+        m = ScoreMatrix(((0.5, 0.5), (0.5, 0.0)))
+        assert find_anchors(m) == [(0, 0)] == brute_force_chain(m, 0.0)
 
     def test_threshold_is_strict(self):
         m = ScoreMatrix(((0.5, 0.0), (0.0, 0.5)))

@@ -642,6 +642,23 @@ class TestBleuCommand:
             main(["bleu", str(tmp_path / "hyp.txt"), str(tmp_path / "hyp.txt"), "--lang", "fr"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_reader_that_closes_stdout_ends_the_command_quietly(self, tmp_path, unbuffered):
+        # more output than a pipe holds, so the command still writes after the reader is gone
+        lines = tmp_path / "lines.txt"
+        lines.write_text("a b\n" * 30_000, encoding="utf-8")
+        src = Path(bitextkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        env["PYTHONUNBUFFERED"] = unbuffered
+        with subprocess.Popen(
+            [sys.executable, "-m", "bitextkit.cli", "bleu", str(lines), str(lines), "--sentence"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"1.000000\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+        assert proc.returncode == 1
+
     def test_zh_scores_per_character(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("甲乙丙丁\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("甲乙丙戊\n", encoding="utf-8")

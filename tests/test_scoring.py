@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.scoring import (
     corpus_bleu,
@@ -45,6 +47,21 @@ class TestNgramCounts:
 
     def test_order_longer_than_sequence(self):
         assert ngram_counts(["a"], 2) == {}
+
+    @pytest.mark.parametrize("n", [0, -1, True, 1.0])
+    def test_order_below_one_or_not_an_integer_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n_max must be an integer >= 1, got {n!r}"):
+            ngram_counts(["a", "b", "c"], n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(st.sampled_from("abc"), max_size=12), n=st.integers(1, 4))
+    def test_equals_the_slice_definition(self, tokens, n):
+        # one count per window tokens[i : i + n], keyed in order of first occurrence
+        expected: dict[tuple, int] = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tuple(tokens[i : i + n])
+            expected[gram] = expected.get(gram, 0) + 1
+        assert list(ngram_counts(tokens, n).items()) == list(expected.items())
 
 
 class TestSentenceBleu:
