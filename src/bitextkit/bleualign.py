@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
 from itertools import repeat
-from operator import mul, truediv
+from operator import add, mul, truediv
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList
 from bitextkit.gale_church import LengthParams, _align_block, path_beads
@@ -50,10 +50,9 @@ def score_matrix(hyps: list, refs: list) -> ScoreMatrix:
     matching (gram, reference) pair. An order's log precision is read from
     a list per n-gram total t, indexed by the match count (at most t), and
     the brevity penalties from a row per hypothesis length, each built once.
-    A row is then built by C-level ``map`` and ``zip``: per cell one list
-    lookup per order, a ``sum`` of the per-order logs in the order ``_bleu``
-    sums them (so the result is the same also where ``sum`` is
-    compensated), one ``exp`` and one product.
+    A row is then built by C-level ``map``: per cell one list lookup per
+    order, the per-order logs added left to right as ``_bleu`` adds them,
+    one ``exp`` and one product.
     """
     index: list[dict] = [{} for _ in range(N_MAX)]
     for j, tokens in enumerate(refs):
@@ -78,7 +77,7 @@ def score_matrix(hyps: list, refs: list) -> ScoreMatrix:
         rows.append(tuple(map(
             mul,
             penalties(hyp_len),
-            map(math.exp, map(truediv, map(sum, zip(*logs)), repeat(len(logs)))),
+            map(math.exp, map(truediv, reduce(partial(map, add), logs), repeat(len(logs)))),
         )) if logs else (0.0,) * len(refs))
     return ScoreMatrix(tuple(rows))
 

@@ -35,6 +35,7 @@ from bitextkit.core import (
     read_metadata,
     read_records,
     read_sentences,
+    validate_gold,
     write_documents,
     write_records,
 )
@@ -162,6 +163,9 @@ def _cmd_split(args) -> int:
 def _cmd_eval(args) -> int:
     pred = read_alignments(args.pred)
     gold = read_alignments(args.gold)
+    violations = validate_gold(gold)
+    if violations:
+        raise ValueError(f"{args.gold}: not a valid gold alignment: {violations[0]}")
     p, r, f1 = prf1(pred, gold, one_to_one_only=not args.all_types)
     print(f"precision={p:.4f} recall={r:.4f} f1={f1:.4f}")
     if args.distribution:

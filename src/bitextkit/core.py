@@ -335,7 +335,9 @@ def read_metadata(directory: str | Path) -> list[ArticleMeta]:
 
 def read_documents(directory: str | Path) -> list[Document]:
     """Read a document directory: ``metadata.tsv`` plus one ``<id>.txt`` per
-    record (one paragraph per line, blank lines skipped)."""
+    record (one paragraph per line, blank lines skipped). The documents come
+    sorted by pair_id, the SRC_LANG side first, so a corpus does not depend
+    on the order its metadata lists them in."""
     directory = Path(directory)
 
     def load(meta):
@@ -345,7 +347,8 @@ def read_documents(directory: str | Path) -> list[Document]:
         paragraphs = tuple(p for p in read_lines(text_path) if p.strip())
         return Document(meta, paragraphs)
 
-    return _read_metadata(directory / META_FILENAME, load)
+    docs = _read_metadata(directory / META_FILENAME, load)
+    return sorted(docs, key=lambda d: (d.meta.pair_id, d.meta.language != SRC_LANG))
 
 
 #: Rows that :func:`write_records` joins, checks and writes at a time.

@@ -10,9 +10,10 @@ to fill the inter-anchor gaps of the translation-based aligner.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
@@ -30,8 +31,11 @@ _RAW_PRIORS = {
     (1, 2): 0.0445,
     (2, 2): 0.011,
 }
-_RAW_SUM = sum(_RAW_PRIORS.values())
-DEFAULT_PRIORS = {k: v / _RAW_SUM for k, v in _RAW_PRIORS.items()}
+_RAW_SUM = reduce(add, _RAW_PRIORS.values())
+PRIORS = {k: v / _RAW_SUM for k, v in _RAW_PRIORS.items()}
+#: A bead's prior cost, -log PRIORS, per move, in the sorted order the
+#: lattice tries the moves in.
+_PRIOR_COSTS = {k: -math.log(PRIORS[k]) for k in sorted(GC_MOVES)}
 
 DEFAULT_C = 1.0
 DEFAULT_S2 = 6.8
@@ -39,25 +43,18 @@ DEFAULT_S2 = 6.8
 
 @dataclass(frozen=True)
 class LengthParams:
-    """Length-model parameters: expected target chars per source char (c),
-    per-char variance of the mismatch (s2), and bead-type priors."""
+    """The length model's fitted values: expected target chars per source
+    char (c) and per-char variance of the mismatch (s2). The bead priors are
+    the fixed PRIORS."""
 
     c: float = DEFAULT_C
     s2: float = DEFAULT_S2
-    priors: dict = field(default_factory=lambda: dict(DEFAULT_PRIORS))
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
             raise ValueError("c: must be finite and > 0")
         if not 0 < self.s2 < math.inf:
             raise ValueError("s2: must be finite and > 0")
-        missing = [m for m in GC_MOVES if m not in self.priors]
-        unknown = [m for m in self.priors if m not in GC_MOVES]
-        if missing or unknown:
-            raise ValueError(f"priors: missing moves {missing}, unknown moves {unknown}")
-        total = sum(self.priors.values())
-        if abs(total - 1.0) > 1e-6 or not all(0 < p < math.inf for p in self.priors.values()):
-            raise ValueError("priors: must be positive and sum to 1")
 
 
 #: The lattice's length terms, ``{(c, s2): {source chars: {target chars:
@@ -106,7 +103,7 @@ def estimate_length_params(length_pairs: list[tuple[int, int]]) -> LengthParams:
     ``(source chars, target chars)`` pair per block.
 
     c is the corpus character ratio; s2 the mean squared normalized residual
-    (tgt - c*src)^2 / src over the pairs, floored at 1.0.
+    (tgt - c*src)^2 / src over the pairs, added left to right, floored at 1.0.
     """
     src_total = sum(s for s, _ in length_pairs)
     tgt_total = sum(t for _, t in length_pairs)
@@ -114,7 +111,7 @@ def estimate_length_params(length_pairs: list[tuple[int, int]]) -> LengthParams:
         raise ValueError("zero total source length")
     c = tgt_total / src_total
     residuals = [(t - c * s) ** 2 / s for s, t in length_pairs if s > 0]
-    s2 = max(sum(residuals) / len(residuals), 1.0) if residuals else 1.0
+    s2 = max(reduce(add, residuals) / len(residuals), 1.0) if residuals else 1.0
     return LengthParams(c, s2)
 
 
@@ -140,10 +137,7 @@ def _align_block(
     tpre = list(accumulate(tgt_lens, initial=0))
     c, s2 = params.c, params.s2
     memo = _LOG_MATCH_MEMO.setdefault((c, s2), {})
-    moves = [
-        ((m, n), m, n, -math.log(params.priors[m, n]), int((m, n) == (1, 1)))
-        for m, n in sorted(GC_MOVES)
-    ]
+    moves = [((m, n), m, n, cost, int((m, n) == (1, 1))) for (m, n), cost in _PRIOR_COSTS.items()]
     cost = [[0.0] * (T + 1) for _ in range(S + 1)]
     neg_ones = [[0] * (T + 1) for _ in range(S + 1)]
     beads = [[0] * (T + 1) for _ in range(S + 1)]
@@ -241,9 +235,8 @@ def gc_align(
 
 
 def load_length_params(path: str | Path) -> LengthParams:
-    """Read a key-value parameter file: ``c=``, ``s2=``, ``priors.M-N=``."""
+    """Read a key-value parameter file: ``c=`` and ``s2=``."""
     values = {"c": DEFAULT_C, "s2": DEFAULT_S2}
-    priors = dict(DEFAULT_PRIORS)
 
     def parse(fields, lineno):
         key, sep, value = "\t".join(fields).partition("=")
@@ -252,20 +245,15 @@ def load_length_params(path: str | Path) -> LengthParams:
             raise ValueError("expected key=value")
         if key in values:
             values[key] = float(value)
-        elif re.fullmatch(r"priors\.\d-\d", key):
-            m, n = key.split(".")[1].split("-")
-            priors[(int(m), int(n))] = float(value)
         else:
             raise ValueError(f"unknown key {key!r}")
 
     read_records(path, parse, comments=True)
     try:
-        return LengthParams(values["c"], values["s2"], priors)
+        return LengthParams(values["c"], values["s2"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_length_params(params: LengthParams, path: str | Path) -> None:
-    rows = [(f"c={params.c!r}",), (f"s2={params.s2!r}",)]
-    rows += [(f"priors.{m}-{n}={p!r}",) for (m, n), p in sorted(params.priors.items())]
-    write_records(path, rows)
+    write_records(path, [(f"c={params.c!r}",), (f"s2={params.s2!r}",)])

@@ -14,8 +14,9 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, repeat
+from operator import add
 from pathlib import Path
 
 from bitextkit.core import AlignmentSet, Bead, SentenceList, read_records, write_records
@@ -28,7 +29,7 @@ log = logging.getLogger(__name__)
 MOORE_MOVES = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2))
 
 _RAW_PRIORS = {k: _GC_RAW_PRIORS[k] for k in MOORE_MOVES}
-_RAW_SUM = sum(_RAW_PRIORS.values())
+_RAW_SUM = reduce(add, _RAW_PRIORS.values())
 PRIORS = {k: v / _RAW_SUM for k, v in _RAW_PRIORS.items()}
 _LOG_PRIORS = {k: math.log(v) for k, v in PRIORS.items()}
 
@@ -59,9 +60,8 @@ def _sweep(S: int, T: int, grids: list) -> list[list[float]]:
     ``alpha`` and of each grid ends in two -inf cells, and each table in two
     -inf rows, so index -1 or -2 reads -inf and every cell takes the same
     update: a move from off the lattice adds ``exp(-inf) = 0.0``, which
-    changes no bit. The ``exp`` terms are added by one ``sum()`` in
-    MOORE_MOVES order: ``sum`` is compensated from Python 3.12 on, so another
-    order, or a ``+=`` loop, could change the last bit.
+    changes no bit. The five ``exp`` terms are added left to right in
+    MOORE_MOVES order; another order could change the last bit.
     """
     g11, g10, g01, g21, g12 = grids
     NEG, exp, log = -math.inf, math.exp, math.log
@@ -71,15 +71,15 @@ def _sweep(S: int, T: int, grids: list) -> list[list[float]]:
         a0, a1, a2 = alpha[i], alpha[i - 1], alpha[i - 2]
         r11, r10, r01, r21, r12 = g11[i - 1], g10[i - 1], g01[i], g21[i - 2], g12[i - 1]
         for j in range(0 if i else 1, T + 1):
-            terms = [
-                a1[j - 1] + r11[j - 1],
-                a1[j] + r10[j],
-                a0[j - 1] + r01[j - 1],
-                a2[j - 1] + r21[j - 1],
-                a1[j - 2] + r12[j - 2],
-            ]
-            top = max(terms)
-            a0[j] = top if top == NEG else top + log(sum([exp(v - top) for v in terms]))
+            t11 = a1[j - 1] + r11[j - 1]
+            t10 = a1[j] + r10[j]
+            t01 = a0[j - 1] + r01[j - 1]
+            t21 = a2[j - 1] + r21[j - 1]
+            t12 = a1[j - 2] + r12[j - 2]
+            top = max(t11, t10, t01, t21, t12)
+            a0[j] = top if top == NEG else top + log(
+                exp(t11 - top) + exp(t10 - top) + exp(t01 - top) + exp(t21 - top) + exp(t12 - top)
+            )
     return alpha
 
 
@@ -222,7 +222,9 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
             count_rows = [counts[s] for s in context]
             for w in tgt_toks:
                 ps = [row.get(w, 0.0) for row in rows]
-                denom = sum(ps)
+                denom = 0.0
+                for p in ps:  # left to right: ``sum`` is compensated from Python 3.12 on
+                    denom += p
                 ll += math.log(denom / len(context)) if denom > 0 else -math.inf
                 if denom <= 0:
                     continue
@@ -233,7 +235,7 @@ def train_ibm1(pairs: list, iterations: int = EM_ITERATIONS) -> TranslationTable
         t = {
             s: {w: c / total for w, c in ws.items()}
             for s, ws in counts.items()
-            if (total := sum(ws.values())) > 0
+            if (total := reduce(add, ws.values(), 0)) > 0
         }
     return TranslationTable(t, tgt_counts, tuple(history))
 
@@ -277,14 +279,15 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
     order, s running over ``[NULL]`` and the source tokens. Each document
     source word's table row is read once per document target type into a
     dense row. The masses of sentence i under the 1-x context
-    ``[NULL] + src[i]`` and the 2-1 context ``[NULL] + src[i] + src[i + 1]``
-    are one ``sum()`` per type down the context's rows: the same lookups,
-    zeros included, in the same order, so even a compensated ``sum`` (Python
-    3.12+) gives the same bits. Setup costs (context tokens × document types)
-    additions in C and two ``log`` calls per (sentence, type); a bead then
-    costs one memoized length term and one addition per target token. A
-    table that shares no vocabulary with the document leaves the length
-    model alone.
+    ``[NULL] + src[i]`` are added left to right down the context's rows, one
+    ``map(add, …)`` per context token, and those of the 2-1 context
+    ``[NULL] + src[i] + src[i + 1]`` go on from them with the rows of
+    src[i + 1]: the lookups, zeros included, and the order of a plain sum
+    down each context, so every Python gives the same bits. Setup costs
+    (context tokens × document types) additions in C and two ``log`` calls
+    per (sentence, type); a bead then costs one memoized length term and one
+    addition per target token. A table that shares no vocabulary with the
+    document leaves the length model alone.
     """
     S, T = len(src_tokens), len(tgt_tokens)
     slen = [len(ts) for ts in src_tokens]
@@ -305,16 +308,20 @@ def _bead_scorer(src_tokens: list, tgt_tokens: list, table: TranslationTable):
         doc_words = {NULL_TOKEN}.union(*src_tokens)
         rows = {s: list(map(table.t.get(s, {}).get, log_unigram, repeat(0.0))) for s in doc_words}
 
-        def lexical_terms(context: list) -> dict:
-            masses = map(sum, zip(*(rows[s] for s in context)))
+        def add_rows(masses: list, words: list) -> list:
+            for s in words:
+                masses = list(map(add, masses, rows[s]))
+            return masses
+
+        def lexical_terms(masses: list) -> dict:
             return {
                 w: math.log(max(mass, _LEX_FLOOR)) - lu for (w, lu), mass in zip(log_unigram.items(), masses)
             }
 
         for i, toks in enumerate(src_tokens):
-            context = [NULL_TOKEN] + [s for ts in src_tokens[i : i + 2] for s in ts]
-            one.append(lexical_terms(context[: len(toks) + 1]))
-            two.append(lexical_terms(context))
+            masses = add_rows(rows[NULL_TOKEN], toks)
+            one.append(lexical_terms(masses))
+            two.append(lexical_terms(add_rows(masses, src_tokens[i + 1])) if i + 1 < S else one[-1])
         # merged[n][j]: the tokens of tgt[j:j+n]; log_src[m][i]: log(1 + the tokens of src[i:i+m])
         merged = [[], *([[w for ts in tgt_tokens[j : j + n] for w in ts] for j in range(T)] for n in (1, 2))]
         log_src = [[], *([math.log(1 + sum(slen[i : i + m])) for i in range(S)] for m in (1, 2))]

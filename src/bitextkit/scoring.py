@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 #: The highest n-gram order scored unless a caller passes ``n_max``.
@@ -66,11 +68,13 @@ def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
 
 def _bleu(matches: Sequence[int], totals: Sequence[int], hyp_len: int, ref_len: int) -> float:
     """Smoothed precisions of the orders with n-grams, times the brevity
-    penalty. ``bleualign.score_matrix`` repeats this arithmetic in this order."""
+    penalty. The per-order logs are added left to right, so every Python
+    gives the same bits. ``bleualign.score_matrix`` repeats this arithmetic
+    in this order."""
     logs = [_log_precision(m, t) for m, t in zip(matches, totals) if t > 0]
     if not logs:
         return 0.0
-    return _brevity_penalty(hyp_len, ref_len) * math.exp(sum(logs) / len(logs))
+    return _brevity_penalty(hyp_len, ref_len) * math.exp(reduce(add, logs) / len(logs))
 
 
 def sentence_bleu(hyp_tokens: Sequence[str], ref_tokens: Sequence[str], n_max: int = N_MAX) -> float:

@@ -37,7 +37,7 @@ from bitextkit.core import (
     write_sentences,
     write_text,
 )
-from bitextkit.gale_church import GC_MOVES, LengthParams, gc_align, load_length_params, save_length_params
+from bitextkit.gale_church import LengthParams, gc_align, load_length_params, save_length_params
 from bitextkit.moore import TranslationTable, length_pass, load_table, moore_align, save_table, train_lexicon
 from bitextkit.preprocess import load_filter_rules
 from bitextkit.sbd import PunktModel, load_abbrevs, load_punkt, save_punkt
@@ -221,6 +221,17 @@ class TestDocumentFiles:
         doc = Document(meta("A01", "en"), (f"One{LINE_BREAKS_INSIDE_A_FIELD}two.", "Three."))
         write_documents([doc], tmp_path)
         assert read_documents(tmp_path) == [doc]
+
+    def test_documents_come_by_pair_id_zh_first_and_metadata_as_listed(self, tmp_path):
+        docs = [
+            Document(meta("B02", "en"), ("Two.",)),
+            Document(meta("A01", "en"), ("One.",)),
+            Document(meta("B02", "zh"), ("二。",)),
+            Document(meta("A01", "zh"), ("一。",)),
+        ]
+        write_documents(docs, tmp_path)
+        assert read_documents(tmp_path) == [docs[3], docs[1], docs[2], docs[0]]
+        assert read_metadata(tmp_path) == [d.meta for d in docs]
 
     def test_read_metadata_only(self, tmp_path):
         docs = [Document(meta("A07", "en", "2019-12-31"), ("p.",))]
@@ -462,12 +473,8 @@ def metadata(draw):
     return docs
 
 
-@st.composite
-def length_params(draw):
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(GC_MOVES), max_size=len(GC_MOVES)))
-    priors = {m: w / sum(weights) for m, w in zip(GC_MOVES, weights)}
-    positive = st.floats(min_value=1e-300, max_value=1e300)
-    return LengthParams(draw(positive), draw(positive), priors)
+positive_floats = st.floats(min_value=1e-300, max_value=1e300)
+length_params = st.builds(LengthParams, positive_floats, positive_floats)
 
 
 tokens = fields.filter(lambda t: t != "#count")
@@ -507,7 +514,7 @@ class TestWriteRecords:
         assert read_metadata(workdir) == [d.meta for d in docs]
 
     @settings(max_examples=60, deadline=None)
-    @given(params=length_params())
+    @given(params=length_params)
     def test_length_params_round_trip(self, workdir, params):
         save_length_params(params, workdir / "params.txt")
         assert load_length_params(workdir / "params.txt") == params

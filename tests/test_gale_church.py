@@ -4,6 +4,7 @@ the lattice search checked against exhaustive enumeration."""
 import math
 import pickle
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from bitextkit import gale_church
 from bitextkit.core import AlignmentSet, SentenceList, validate_alignment
 from bitextkit.gale_church import (
-    DEFAULT_PRIORS,
     GC_MOVES,
+    PRIORS,
     LengthParams,
     _align_block,
     _log_match,
@@ -32,12 +33,22 @@ def gc_cost(
     bead_type: tuple[int, int], src_chars: int, tgt_chars: int, params: LengthParams
 ) -> float:
     """Negative log probability of one bead given block character lengths:
-    the step cost the lattice search must add up."""
-    if bead_type not in params.priors:
+    the step cost the lattice search must add up, under the module's priors
+    (see :func:`priors_patched`)."""
+    if bead_type not in gale_church.PRIORS:
         raise ValueError(f"unknown bead type {bead_type!r}")
-    return -math.log(params.priors[bead_type]) - _log_match(
+    return -math.log(gale_church.PRIORS[bead_type]) - _log_match(
         src_chars, tgt_chars, params.c, params.s2
     )
+
+
+@contextmanager
+def priors_patched(priors):
+    """gc with ``priors`` in place of the published ones: the module's prior
+    table and the per-move costs the lattice reads from it."""
+    costs = {move: -math.log(p) for move, p in priors.items()}
+    with mock.patch.dict(gale_church.PRIORS, priors), mock.patch.dict(gale_church._PRIOR_COSTS, costs):
+        yield
 
 
 def phi(x: float) -> float:
@@ -147,12 +158,8 @@ SPLIT_PRIORS = {
     **dict.fromkeys(((2, 1), (2, 2)), 1 / 16),
     (0, 1): 1 / 8,
 }
-lattice_params = st.builds(
-    LengthParams,
-    c=st.sampled_from((1.0, 1.3)),
-    s2=st.sampled_from((6.8, 1.0)),
-    priors=st.sampled_from((DEFAULT_PRIORS, UNIFORM_PRIORS, HALVING_PRIORS)),
-)
+lattice_params = st.builds(LengthParams, c=st.sampled_from((1.0, 1.3)), s2=st.sampled_from((6.8, 1.0)))
+prior_tables = st.sampled_from((PRIORS, UNIFORM_PRIORS, HALVING_PRIORS))
 
 
 def sentence_lengths(max_size):
@@ -199,13 +206,13 @@ class TestBeadCost:
     def test_balanced_one_one_costs_only_its_prior(self):
         params = LengthParams(c=1.0, s2=6.8)
         cost = gc_cost((1, 1), 24, 24, params)
-        assert cost == pytest.approx(-math.log(params.priors[(1, 1)]), abs=1e-12)
+        assert cost == pytest.approx(-math.log(PRIORS[(1, 1)]), abs=1e-12)
 
     def test_cost_matches_two_tail_formula(self):
         params = LengthParams(c=1.0, s2=6.8)
         src, tgt = 20, 30
         delta = (tgt - src * params.c) / math.sqrt(src * params.s2)
-        expected = -math.log(params.priors[(1, 1)]) - math.log(
+        expected = -math.log(PRIORS[(1, 1)]) - math.log(
             2.0 * (1.0 - phi(abs(delta)))
         )
         assert gc_cost((1, 1), src, tgt, params) == pytest.approx(expected, abs=1e-4)
@@ -222,30 +229,20 @@ class TestBeadCost:
         assert math.isfinite(gc_cost((0, 1), 0, 15, params))
 
     def test_default_priors_are_normalized(self):
-        assert sum(DEFAULT_PRIORS.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(PRIORS.values()) == pytest.approx(1.0, abs=1e-12)
         # the dominant substitution probability before normalization
-        assert DEFAULT_PRIORS[(1, 1)] == pytest.approx(0.89 / 1.0098, abs=1e-9)
-        assert DEFAULT_PRIORS[(2, 1)] == DEFAULT_PRIORS[(1, 2)]
-        assert DEFAULT_PRIORS[(1, 0)] == DEFAULT_PRIORS[(0, 1)]
+        assert PRIORS[(1, 1)] == pytest.approx(0.89 / 1.0098, abs=1e-9)
+        assert PRIORS[(2, 1)] == PRIORS[(1, 2)]
+        assert PRIORS[(1, 0)] == PRIORS[(0, 1)]
+        assert list(gale_church._PRIOR_COSTS) == sorted(GC_MOVES)
+        assert all(cost == -math.log(PRIORS[move]) for move, cost in gale_church._PRIOR_COSTS.items())
 
 
 class TestLengthParams:
-    def test_missing_move_prior_rejected(self):
-        priors = {k: v for k, v in DEFAULT_PRIORS.items() if k != (2, 2)}
-        total = sum(priors.values())
-        with pytest.raises(ValueError, match=r"missing moves \[\(2, 2\)\]"):
-            LengthParams(priors={k: v / total for k, v in priors.items()})
-
-    def test_unknown_move_prior_rejected(self):
-        priors = {k: v * 0.99 for k, v in DEFAULT_PRIORS.items()}
-        priors[(3, 1)] = 0.01
-        with pytest.raises(ValueError, match=r"unknown moves \[\(3, 1\)\]"):
-            LengthParams(priors=priors)
-
     def test_unknown_move_in_params_file_rejected(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("priors.3-1=0.01\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"unknown moves \[\(3, 1\)\]"):
+        with pytest.raises(ValueError, match=r"params\.txt line 1: unknown key 'priors\.3-1'"):
             load_length_params(path)
 
     @pytest.mark.parametrize(
@@ -255,12 +252,6 @@ class TestLengthParams:
             {"c": math.inf},
             {"s2": math.nan},
             {"s2": 0.0},
-            # NaN compares false both to the sum's tolerance and to 0
-            {"priors": {**DEFAULT_PRIORS, (1, 1): math.nan}},
-            {"priors": {**DEFAULT_PRIORS, (1, 1): math.inf}},
-            # these two sum to 1, so only the sign check stops them
-            {"priors": {**DEFAULT_PRIORS, (1, 1): DEFAULT_PRIORS[1, 1] + DEFAULT_PRIORS[1, 0], (1, 0): 0.0}},
-            {"priors": {**DEFAULT_PRIORS, (1, 1): DEFAULT_PRIORS[1, 1] + 0.01, (1, 0): DEFAULT_PRIORS[1, 0] - 0.01}},
         ],
     )
     def test_non_finite_or_non_positive_scale_rejected(self, kwargs):
@@ -283,11 +274,12 @@ class TestLengthTermMemo:
     @given(
         blocks=st.lists(st.tuples(sentence_lengths(8), sentence_lengths(8)), max_size=6),
         params=lattice_params,
+        priors=prior_tables,
     )
-    def test_one_instance_over_many_blocks_equals_a_fresh_one_per_block(self, blocks, params):
+    def test_one_instance_over_many_blocks_equals_a_fresh_one_per_block(self, blocks, params, priors):
         # hypothesis runs many examples in one test call, so each memo is
         # patched in by a context manager, not the function-scoped monkeypatch
-        with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
+        with priors_patched(priors), mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
             for slen, tlen in blocks:
                 warm = _align_block(slen, tlen, params)
                 with mock.patch.object(gale_church, "_LOG_MATCH_MEMO", {}):
@@ -322,7 +314,7 @@ class TestLengthTermMemo:
         src, tgt = [12, 30], [10, 35]
         path = _align_block(src, tgt, params)
         assert gale_church._LOG_MATCH_MEMO[1.1, 5.0]
-        assert vars(params).keys() == {"c", "s2", "priors"}
+        assert vars(params).keys() == {"c", "s2"}
         assert params == LengthParams(c=1.1, s2=5.0)
         assert repr(params) == before_repr
         save_length_params(params, tmp_path / "filled.txt")
@@ -332,22 +324,6 @@ class TestLengthTermMemo:
         assert back == params
         assert repr(back) == before_repr
         assert _align_block(src, tgt, back) == path
-
-    def test_params_that_differ_only_in_priors_share_entries(self, monkeypatch):
-        src = [12, 30, 7, 44]
-        tgt = [10, 35, 9, 20, 40]
-        priors = dict(DEFAULT_PRIORS)
-        priors[1, 1] -= 0.2
-        priors[2, 1] += 0.1
-        priors[1, 2] += 0.1
-        pair = [LengthParams(c=1.7, s2=3.3), LengthParams(c=1.7, s2=3.3, priors=priors)]
-        fresh = [path_from_empty_memo(monkeypatch, src, tgt, p) for p in pair]
-        assert fresh[0] != fresh[1]
-        for order in (pair, pair[::-1]):
-            monkeypatch.setattr(gale_church, "_LOG_MATCH_MEMO", {})
-            paths = [_align_block(src, tgt, p) for p in order]
-            assert list(gale_church._LOG_MATCH_MEMO) == [(1.7, 3.3)]
-            assert paths == (fresh if order is pair else fresh[::-1])
 
 
 class TestEqualScalesShareOneMemo:
@@ -411,8 +387,8 @@ class TestEstimateParams:
         path = tmp_path / "params.json"
         save_length_params(params, path)
         back = load_length_params(path)
-        assert back.c == params.c and back.s2 == params.s2
-        assert back.priors == params.priors
+        assert back == params
+        assert path.read_text(encoding="utf-8") == f"c={params.c!r}\ns2={params.s2!r}\n"
 
     def test_malformed_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "params.txt"
@@ -422,7 +398,7 @@ class TestEstimateParams:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("c=nan", "c: must be finite and > 0"), ("priors.1-1=nan", "priors: must be positive and sum to 1")],
+        [("c=nan", "c: must be finite and > 0"), ("s2=0", "s2: must be finite and > 0")],
     )
     def test_rejected_value_names_file(self, tmp_path, line, message):
         path = tmp_path / "params.txt"
@@ -451,32 +427,40 @@ class TestLatticeSearch:
             assert moves == best_moves, (slen, tlen)
 
     @settings(max_examples=100, deadline=None)
-    @given(slen=sentence_lengths(5), tlen=sentence_lengths(5), params=lattice_params)
+    @given(slen=sentence_lengths(5), tlen=sentence_lengths(5), params=lattice_params, priors=prior_tables)
     # 1-0 then 0-1 ties 0-1 then 1-0 exactly; the smaller move sequence wins
-    @example(slen=[1], tlen=[20], params=LengthParams())
+    @example(slen=[1], tlen=[20], params=LengthParams(), priors=PRIORS)
     # four paths tie on cost; the two with a 1-1 bead win, then the move order
-    @example(slen=[1, 1], tlen=[1, 1, 1], params=LengthParams(priors=UNIFORM_PRIORS))
-    @example(slen=[20, 20], tlen=[20, 20], params=LengthParams(priors=HALVING_PRIORS))
+    @example(slen=[1, 1], tlen=[1, 1, 1], params=LengthParams(), priors=UNIFORM_PRIORS)
+    @example(slen=[20, 20], tlen=[20, 20], params=LengthParams(), priors=HALVING_PRIORS)
     # the same five steps in two orders: from (0, 2) one suffix costs less
     # after rounding, and only the prefix makes the totals equal
-    @example(slen=[3], tlen=[20, 20, 20, 40], params=LengthParams(c=1.3, s2=1.0))
-    @example(slen=[0, 2], tlen=[1, 1], params=LengthParams(priors=SPLIT_PRIORS))
-    def test_block_matches_exhaustive_enumeration(self, slen, tlen, params):
-        path = _align_block(slen, tlen, params)
-        total, i, j = 0.0, 0, 0
-        for (m, n), step in path:
-            assert step == gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
-            i, j = i + m, j + n
-        for _move, step in reversed(path):
-            total = step + total
-        cost, _ones, _beads, best_moves = exhaustive_best(slen, tlen, params)
+    @example(slen=[3], tlen=[20, 20, 20, 40], params=LengthParams(c=1.3, s2=1.0), priors=PRIORS)
+    @example(slen=[0, 2], tlen=[1, 1], params=LengthParams(), priors=SPLIT_PRIORS)
+    def test_block_matches_exhaustive_enumeration(self, slen, tlen, params, priors):
+        with priors_patched(priors):
+            path = _align_block(slen, tlen, params)
+            total, i, j = 0.0, 0, 0
+            for (m, n), step in path:
+                assert step == gc_cost((m, n), sum(slen[i : i + m]), sum(tlen[j : j + n]), params)
+                i, j = i + m, j + n
+            for _move, step in reversed(path):
+                total = step + total
+            cost, _ones, _beads, best_moves = exhaustive_best(slen, tlen, params)
         assert tuple(move for move, _ in path) == best_moves
         assert total == cost
 
+    def test_patched_priors_reach_the_lattice(self):
+        # the tie cases run under patched priors, so the patch must move the path
+        assert [move for move, _ in _align_block([0, 2], [1, 1], LengthParams())] == [(1, 1), (1, 1)]
+        with priors_patched(SPLIT_PRIORS):
+            assert [move for move, _ in _align_block([0, 2], [1, 1], LengthParams())] == [(2, 2)]
+
     @settings(max_examples=200, deadline=None)
-    @given(slen=sentence_lengths(25), tlen=sentence_lengths(25), params=lattice_params)
-    def test_block_equals_the_reference_search(self, slen, tlen, params):
-        assert _align_block(slen, tlen, params) == reference_align_block(slen, tlen, params)
+    @given(slen=sentence_lengths(25), tlen=sentence_lengths(25), params=lattice_params, priors=prior_tables)
+    def test_block_equals_the_reference_search(self, slen, tlen, params, priors):
+        with priors_patched(priors):
+            assert _align_block(slen, tlen, params) == reference_align_block(slen, tlen, params)
 
     def test_balanced_documents_align_one_to_one(self):
         params = LengthParams(c=1.0, s2=6.8)
@@ -619,13 +603,14 @@ class TestParagraphBlocks:
             assert [b.key for b in gc_align(src, tgt, params).beads] == want, trial
 
     @settings(max_examples=200, deadline=None)
-    @given(src_paras=paragraph_lengths(), tgt_paras=paragraph_lengths(), params=lattice_params)
-    def test_blocks_partition_both_sides_and_confine_every_bead(self, src_paras, tgt_paras, params):
+    @given(src_paras=paragraph_lengths(), tgt_paras=paragraph_lengths(), params=lattice_params, priors=prior_tables)
+    def test_blocks_partition_both_sides_and_confine_every_bead(self, src_paras, tgt_paras, params, priors):
         src, tgt = paragraphed(src_paras, "zh"), paragraphed(tgt_paras, "en")
-        blocks = paragraph_blocks(src, tgt, params)
+        with priors_patched(priors):
+            blocks = paragraph_blocks(src, tgt, params)
+            aset = gc_align(src, tgt, params)
         assert [a for (a, _), _ in blocks] + [len(src)] == [0] + [b for (_, b), _ in blocks]
         assert [a for _, (a, _) in blocks] + [len(tgt)] == [0] + [b for _, (_, b) in blocks]
-        aset = gc_align(src, tgt, params)
         assert validate_alignment(aset) == []
         assert sorted(i for b in aset.beads for i in b.src) == list(range(len(src)))
         assert sorted(j for b in aset.beads for j in b.tgt) == list(range(len(tgt)))
@@ -636,8 +621,9 @@ class TestParagraphBlocks:
             ), (bead, blocks)
 
     @settings(max_examples=200, deadline=None)
-    @given(paras=equal_paragraph_counts, params=lattice_params)
-    def test_equal_paragraph_counts_give_the_old_output(self, paras, params):
+    @given(paras=equal_paragraph_counts, params=lattice_params, priors=prior_tables)
+    def test_equal_paragraph_counts_give_the_old_output(self, paras, params, priors):
         src, tgt = paragraphed(paras[0], "zh"), paragraphed(paras[1], "en")
-        assert gc_align(src, tgt, params) == whole_document_gc_align(src, tgt, params)
-        assert gc_align(tgt, src, params) == whole_document_gc_align(tgt, src, params)
+        with priors_patched(priors):
+            assert gc_align(src, tgt, params) == whole_document_gc_align(src, tgt, params)
+            assert gc_align(tgt, src, params) == whole_document_gc_align(tgt, src, params)

@@ -35,18 +35,20 @@ from bitextkit.moore import (
     train_ibm1,
     train_lexicon,
 )
+from test_scoring import left_to_right_sum
 
 
 # The four functions below are the package's earlier, unoptimized code, kept
 # as references: the optimized lattice, length term and EM must equal them
-# bit for bit (``==``, not approx).
+# bit for bit (``==``, not approx). They add floats left to right, as the
+# package does on every Python.
 
 
 def reference_logsumexp(values):
     top = max(values)
     if top == -math.inf:
         return top
-    return top + math.log(sum(math.exp(v - top) for v in values))
+    return top + math.log(left_to_right_sum(math.exp(v - top) for v in values))
 
 
 def reference_forward_backward(S, T, log_bead):
@@ -123,7 +125,7 @@ def reference_train_ibm1(pairs, iterations):
         for src_toks, tgt_toks in pairs:
             context = [NULL_TOKEN] + src_toks
             for w in tgt_toks:
-                denom = sum(t[s].get(w, 0.0) for s in context)
+                denom = left_to_right_sum(t[s].get(w, 0.0) for s in context)
                 ll += math.log(denom / len(context)) if denom > 0 else -math.inf
                 if denom <= 0:
                     continue
@@ -135,7 +137,7 @@ def reference_train_ibm1(pairs, iterations):
         t = {
             s: {w: c / total for w, c in ws.items()}
             for s, ws in counts.items()
-            if (total := sum(ws.values())) > 0
+            if (total := left_to_right_sum(ws.values())) > 0
         }
     return TranslationTable(t, tgt_counts, tuple(history))
 
@@ -148,7 +150,7 @@ def reference_lexical_log_ratio(table, src_toks, tgt_toks):
     context = [NULL_TOKEN] + src_toks
     total = -len(tgt_toks) * math.log(len(context))
     for w in tgt_toks:
-        mass = sum(table.t.get(s, {}).get(w, 0.0) for s in context)
+        mass = left_to_right_sum(table.t.get(s, {}).get(w, 0.0) for s in context)
         total += math.log(max(mass, _LEX_FLOOR)) - math.log(table.unigram(w))
     return total
 

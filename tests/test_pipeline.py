@@ -785,6 +785,49 @@ class TestPairArticles:
         assert not (tmp_path / "out" / "01_preprocess").exists()
 
 
+#: The fixture's metadata rows: by pair_id, the zh row of each article first.
+FIXTURE_META_ROWS = (CORPUS / "raw" / "metadata.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+_ROWS = range(len(FIXTURE_META_ROWS))
+
+
+class TestMetadataOrder:
+    """A run reads its articles by pair_id, the zh side first, so the order
+    of the rows of ``metadata.tsv`` changes no byte that the run writes."""
+
+    METHODS = ("gc", "moore", "bleualign")
+
+    @staticmethod
+    def run(root, method, order):
+        """The artifacts, but the run log, of a truecased run of the fixture
+        with ``method``, its metadata rows in ``order``."""
+        raw = root / "raw"
+        shutil.copytree(CORPUS / "raw", raw)
+        (raw / "metadata.tsv").write_text("".join(FIXTURE_META_ROWS[k] for k in order), encoding="utf-8")
+        config = dataclasses.replace(
+            load_config(CORPUS / "config.json"), input=raw, output=root / "out", method=method, truecase=True
+        )
+        assert run_pipeline(config) == 0
+        artifacts = tree(root / "out")
+        del artifacts["run_log.jsonl"]
+        return {rel: path.read_bytes() for rel, path in artifacts.items()}
+
+    @pytest.fixture(scope="class")
+    def listed(self, tmp_path_factory):
+        return {m: self.run(tmp_path_factory.mktemp(m), m, _ROWS) for m in self.METHODS}
+
+    @settings(max_examples=20, deadline=None)
+    @given(method=st.sampled_from(METHODS), order=st.permutations(_ROWS))
+    # every row reversed; the articles reversed; each article's two rows swapped
+    @example(method="gc", order=_ROWS[::-1])
+    @example(method="moore", order=[2 * a + r for a in reversed(range(len(_ROWS) // 2)) for r in (0, 1)])
+    @example(method="bleualign", order=[k ^ 1 for k in _ROWS])
+    def test_any_row_order_writes_the_same_bytes(self, tmp_path_factory, listed, method, order):
+        permuted = self.run(tmp_path_factory.mktemp("permuted"), method, order)
+        assert permuted.keys() == listed[method].keys()
+        for rel, data in permuted.items():
+            assert data == listed[method][rel], rel
+
+
 def test_a_run_loads_no_openssl(tmp_path):
     """A whole run hashes its dedup keys without `_hashlib`, the module that
     maps OpenSSL; `import hashlib` anywhere in the package would load it."""

@@ -3,6 +3,9 @@
 import math
 import random
 import re
+from functools import reduce
+from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,28 @@ from bitextkit.scoring import (
     sentence_bleu,
     tokenize,
 )
+
+
+def neumaier_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 and later compute it: a float total carries
+    Neumaier's compensation term, added at the end when finite."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if not isinstance(total, float) and not isinstance(x, float):
+            total = total + x
+            continue
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def left_to_right_sum(iterable, /, start=0):
+    """``sum`` as Python 3.11 and earlier compute it: one addition after another."""
+    return reduce(add, iterable, start)
 
 
 class TestTokenize:
@@ -151,3 +176,24 @@ class TestCorpusBleu:
         for score in (lambda: corpus_bleu([["a"]], [["a"]], n_max), lambda: sentence_bleu(["a"], ["a"], n_max)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 score()
+
+
+class TestAdditionOrder:
+    def test_the_compensated_sum_differs_from_left_to_right(self):
+        tenths = [0.1] * 10
+        assert neumaier_sum(tenths) == 1.0 != left_to_right_sum(tenths)
+        assert neumaier_sum([1, 2, 3]) == 6 and neumaier_sum([], 5) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hyp=st.lists(st.sampled_from("abcde"), max_size=14),
+        ref=st.lists(st.sampled_from("abcde"), max_size=14),
+        n_max=st.integers(1, 4),
+    )
+    def test_a_score_does_not_depend_on_how_sum_adds(self, hyp, ref, n_max):
+        """The per-order logs are added left to right, so a compensated
+        ``sum`` (Python 3.12 on) gives the bits a plain one gives."""
+        with mock.patch("builtins.sum", left_to_right_sum):
+            plain = sentence_bleu(hyp, ref, n_max)
+        with mock.patch("builtins.sum", neumaier_sum):
+            assert sentence_bleu(hyp, ref, n_max) == plain
