@@ -18,11 +18,16 @@ diffable and trivially parseable:
 from __future__ import annotations
 
 import datetime
+import marshal
+import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+
+from bitextkit import _writer
 
 #: Bead shapes that may appear in alignments (the types observed in the
 #: hand-aligned reference data).
@@ -353,29 +358,179 @@ def read_documents(directory: str | Path) -> list[Document]:
 
 #: Rows that :func:`write_records` joins, checks and writes at a time.
 _CHUNK_ROWS = 256
+#: Queued frame bytes at which :meth:`_Writer.write` sends them before the file is complete.
+_SEND_BYTES = 1 << 16
+#: The capacity asked for the writer process's pipe, so that it can fall well behind.
+_PIPE_BYTES = 1 << 20
+_WRITER_SCRIPT = os.path.abspath(_writer.__file__)
+
+
+class _Writer:
+    """This process's end of a writer process (see :mod:`bitextkit._writer`
+    for the frames): each request is queued, and the queue is sent down the
+    pipe when a file is complete or passes ``_SEND_BYTES``. Once the process
+    has failed, :meth:`write` raises its failure (see :meth:`close`)."""
+
+    def __init__(self):
+        import fcntl
+
+        read_end, self._fd = os.pipe()
+        self._report, report_end = os.pipe()
+        try:
+            fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or above the system's limit
+            pass
+        try:
+            # in a process group of its own, so that a ^C reaches only this
+            # process, which then ends the stream as after any exception
+            self._pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-I", "-S", _WRITER_SCRIPT], os.environ,
+                file_actions=[(os.POSIX_SPAWN_DUP2, read_end, 0), (os.POSIX_SPAWN_DUP2, report_end, 1)],
+                setpgroup=0,
+            )
+        except BaseException:
+            os.close(self._fd)
+            os.close(self._report)
+            raise
+        finally:
+            os.close(read_end)
+            os.close(report_end)
+        self._frames: list[bytes] = []
+        self._size = 0
+        self._torn = False
+        self.failure: OSError | None = None
+
+    def _frame(self, kind: bytes, payload: bytes = b"") -> None:
+        self._frames += (kind + len(payload).to_bytes(4, "little"), payload)
+        self._size += len(payload)
+
+    def _send(self) -> None:
+        frames = self._frames
+        try:
+            # raises having sent nothing, so the frames stay queued for close()
+            sent = os.writev(self._fd, frames)
+        except BrokenPipeError:  # the process exited: it failed
+            raise self.close() from None
+        self._frames, self._size = [], 0
+        if sent < sum(map(len, frames)):  # a signal cut the write short
+            self._torn = True  # until the rest is sent
+            rest = memoryview(b"".join(frames))[sent:]
+            while rest:
+                rest = rest[os.write(self._fd, rest):]
+            self._torn = False
+
+    def label(self, text: str) -> None:
+        """Label the requests that follow; a failure reports its label."""
+        self._frame(b"L", text.encode())
+
+    def make_dirs(self, path: str) -> None:
+        self._frame(b"M", os.fsencode(path))
+
+    def write(self, path: str, chunks) -> None:
+        """Hand over the file ``path`` with the text ``chunks``. An exception
+        from ``chunks`` or their encoding aborts the file and is raised here."""
+        if self.failure is not None:
+            raise self.failure
+        self._frame(b"O", os.fsencode(path))
+        try:
+            for chunk in chunks:
+                self._frame(b"D", chunk.encode())
+                if self._size >= _SEND_BYTES:
+                    self._send()
+        except BaseException:
+            if self.failure is None:
+                self._frame(b"A")
+            raise
+        self._frame(b"C")
+        self._send()
+
+    def close(self) -> OSError | None:
+        """End the stream, wait until the process has carried out what it
+        was handed and exited, and return its failure: the ``OSError`` it
+        raised, with a ``label`` attribute, the label its request came
+        under, or one naming its exit status if it exited without a report."""
+        if self._fd < 0:
+            return self.failure
+        try:
+            if not self._torn:
+                self._frame(b"E")
+                rest = b"".join(self._frames)
+                while rest:
+                    rest = rest[os.write(self._fd, rest):]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(self._fd)
+            self._fd = -1
+            if self._torn:  # a frame was cut short: end the process before it reads on
+                import signal
+
+                os.kill(self._pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            report = b""
+            while chunk := os.read(self._report, 1 << 16):
+                report += chunk
+            os.close(self._report)
+        if report:
+            label, *args = marshal.loads(report)
+            self.failure = OSError(*args)
+        elif status:
+            label, self.failure = "", OSError(f"the file writer exited with status {status}")
+        else:
+            return None
+        self.failure.label = label
+        return self.failure
+
+
+_open_writer: _Writer | None = None
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A UTF-8 text file with LF line endings open under a ``.partial`` name,
-    renamed over ``path`` once the block succeeds; if it fails, ``path`` is
-    untouched and the ``.partial`` file removed."""
-    partial = path.with_name(path.name + ".partial")
+def write_behind():
+    """Hand the block's file writes (:func:`write_text`, :func:`write_records`
+    and :func:`make_dirs`) to a writer process, which carries them out in
+    order while this process goes on; yields its :class:`_Writer`. When the
+    block ends, however it ends, the process finishes and is reaped. Its
+    failure is then raised in place of any exception of the block, since it
+    came from an earlier request. A block inside an open one joins it."""
+    global _open_writer
+    if _open_writer is not None:
+        yield _open_writer
+        return
+    writer = _open_writer = _Writer()
     try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as f:
-            yield f
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+        yield writer
+    finally:
+        _open_writer = None
+        failure = writer.close()
+        if failure is not None:
+            raise failure
+
+
+def _write(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` as UTF-8 with LF line endings,
+    by :func:`~bitextkit._writer.write_file` here or in the open writer process."""
+    if _open_writer is None:
+        _writer.write_file(os.fspath(path), (chunk.encode() for chunk in chunks))
+    else:
+        _open_writer.write(os.fspath(path), chunks)
+
+
+def make_dirs(path: str | Path) -> None:
+    """Create the directory ``path`` and its parents, if missing: here, or in
+    the open writer process, in order with the file writes."""
+    if _open_writer is None:
+        os.makedirs(path, exist_ok=True)
+    else:
+        _open_writer.make_dirs(os.fspath(path))
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text with LF line endings to a ``.partial`` name, then
     rename it over ``path``; a failed write leaves ``path`` untouched and
-    removes the ``.partial`` file."""
-    with _replacing(Path(path)) as f:
-        f.write(text)
+    removes the ``.partial`` file. Inside :func:`write_behind` the writer
+    process does this, in order, and the text is encoded here."""
+    _write(path, (text,))
 
 
 def write_records(path: str | Path, rows, sep: str = "\t") -> None:
@@ -386,23 +541,26 @@ def write_records(path: str | Path, rows, sep: str = "\t") -> None:
     ``.partial`` file of :func:`write_text` in chunks of ``_CHUNK_ROWS``
     lines, so no more than one chunk is held as text. Each chunk's check
     counts separators once (a line holds at least ``len(row) - 1``); only a
-    chunk that fails is rescanned to name its first bad line."""
-    rows = iter(rows)
-    with _replacing(Path(path)) as f:
-        for k, chunk in enumerate(iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])):
-            lines = []
-            for row in chunk:
-                try:
-                    lines.append(sep.join(row))
-                except TypeError:  # not every field is a str
-                    lines.append(sep.join(map(str, row)))
-            text = "\n".join([*lines, ""])  # joined once; a trailing `+ "\n"` would copy the text
-            width = sum(map(len, chunk))
-            if text.count(sep) != width - len(lines) or text.count("\n") != len(lines) or "\r" in text:
-                for lineno, (line, row) in enumerate(zip(lines, chunk), k * _CHUNK_ROWS + 1):
-                    if line.count(sep) != len(row) - 1 or "\n" in line or "\r" in line:
-                        raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
-            f.write(text)
+    chunk that fails is rescanned to name its first bad line. A bad row
+    raises here, and its file is not written, inside :func:`write_behind` too."""
+    _write(path, _record_chunks(path, iter(rows), sep))
+
+
+def _record_chunks(path, rows, sep: str):
+    for k, chunk in enumerate(iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])):
+        lines = []
+        for row in chunk:
+            try:
+                lines.append(sep.join(row))
+            except TypeError:  # not every field is a str
+                lines.append(sep.join(map(str, row)))
+        text = "\n".join([*lines, ""])  # joined once; a trailing `+ "\n"` would copy the text
+        width = sum(map(len, chunk))
+        if text.count(sep) != width - len(lines) or text.count("\n") != len(lines) or "\r" in text:
+            for lineno, (line, row) in enumerate(zip(lines, chunk), k * _CHUNK_ROWS + 1):
+                if line.count(sep) != len(row) - 1 or "\n" in line or "\r" in line:
+                    raise ValueError(f"{path} line {lineno}: a field holds {sep!r}, '\\n' or '\\r'")
+        yield text
 
 
 def write_metadata(docs: list[Document], path: str | Path) -> None:
@@ -413,7 +571,7 @@ def write_metadata(docs: list[Document], path: str | Path) -> None:
 def write_documents(docs: list[Document], directory: str | Path) -> None:
     """Write documents plus their metadata sidecar, preserving order."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    make_dirs(directory)
     for doc in docs:
         write_text(directory / f"{doc.meta.doc_id}.txt", "\n".join(doc.paragraphs) + "\n")
     write_metadata(docs, directory / META_FILENAME)

@@ -1,10 +1,14 @@
 """End-to-end corpus construction: preprocess, segment, align, dedup, split.
 
 Every stage leaves its artifacts under the output directory (numbered
-subdirectories, TSV throughout) plus a machine-readable run log. Files are
-written to a ``.partial`` name and renamed on completion, so an aborted run
-never leaves a truncated file under a final name. Article-level work is
-ordered, so worker count never changes the output bytes.
+subdirectories, TSV throughout) plus a machine-readable run log. A run and
+each stage function hand their directories and files to one writer process
+(:func:`~bitextkit.core.write_behind`), which creates them in the order they
+were handed over while the stages go on. Files are written to a ``.partial``
+name and renamed on completion, so an aborted run never leaves a truncated
+file under a final name, and a file that fails to write stops the writer,
+so that no later file is created. Article-level work is ordered, so worker
+count never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from bitextkit.core import (
     ArticleMeta,
     Document,
     SentenceList,
+    make_dirs,
     read_documents,
     read_lines,
     write_alignments,
+    write_behind,
     write_documents,
     write_metadata,
     write_records,
@@ -283,8 +289,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 # stage helpers
 
 def pair_articles(metas: list[ArticleMeta]) -> Pairs:
-    """(source, target) metadata of each article, in order of first
-    appearance; an article without exactly one side per language is an error."""
+    """(source, target) metadata of each article, by pair_id, so that the
+    order of the metadata rows changes nothing a stage writes; an article
+    without exactly one side per language is an error."""
     by_pair: dict[str, dict[str, ArticleMeta]] = {}
     for m in metas:
         sides = by_pair.setdefault(m.pair_id, {})
@@ -295,7 +302,7 @@ def pair_articles(metas: list[ArticleMeta]) -> Pairs:
             )
         sides[m.language] = m
     pairs = []
-    for pair_id, sides in by_pair.items():
+    for pair_id, sides in sorted(by_pair.items()):
         if set(sides) != {SRC_LANG, TGT_LANG}:
             raise ValueError(f"article {pair_id} lacks a {SRC_LANG}/{TGT_LANG} pair")
         pairs.append((sides[SRC_LANG], sides[TGT_LANG]))
@@ -341,7 +348,11 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     ``config.jobs`` bounds the worker processes, which only the align stage
     starts (see :func:`stage_align`). Preprocess, sbd, the corpus models,
-    dedup, split, stats and every file write run in this process.
+    dedup, split and stats run in this process. Their directories and files
+    go to one writer process, started when the run starts and reaped before
+    it returns or raises, which creates them in order while the run goes on.
+    A file that fails to write fails the stage that handed it over, and
+    nothing after it is created, as if the stage had written it itself.
 
     Each stage's data is dropped once no later stage reads it: the documents
     after sbd, and each article's sentence lists and alignment as dedup
@@ -349,9 +360,24 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
     memory follows one stage's data, not the whole run's."""
     if jobs is not None:
         config = replace(config, jobs=jobs)
+    try:
+        with write_behind() as writer:
+            _run(config, writer)
+    except OSError as exc:
+        label = getattr(exc, "label", "")  # the writer's failure names the stage
+        if label:
+            raise PipelineError(f"{label} stage failed: {exc}") from exc
+        raise
+    return 0
+
+
+def _run(config: PipelineConfig, writer) -> None:
+    """The stages of :func:`run_pipeline`, then the run log; ``writer`` is the
+    run's open writer, and each stage's requests go to it under its name."""
     durations: dict[str, float] = {}
 
     def stage(name: str, fn, *args):
+        writer.label(name)
         t0 = time.monotonic()
         try:
             result = fn(*args)
@@ -378,12 +404,13 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
         entries.append(
             {"stage": name, "inputs": n_in, "outputs": n_out, "duration_s": durations[name]}
         )
+    writer.label("")
     write_records(
         Path(config.output) / "run_log.jsonl", [(json.dumps(e, sort_keys=True),) for e in entries]
     )
-    return 0
 
 
+@write_behind()
 def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
     """Read, pair and clean the documents; returns them and the article pairs."""
     out = Path(config.output)
@@ -412,6 +439,7 @@ def stage_preprocess(config: PipelineConfig) -> tuple[list[Document], Pairs]:
     return post, pairs
 
 
+@write_behind()
 def stage_sbd(config: PipelineConfig, pairs: Pairs, docs: list[Document]) -> dict[str, SentenceList]:
     """Segment ``docs``, the documents of ``pairs``, in this process at any
     ``config.jobs``; returns the sentences keyed by doc_id. The corpus
@@ -423,7 +451,7 @@ def stage_sbd(config: PipelineConfig, pairs: Pairs, docs: list[Document]) -> dic
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
     stage_dir = out / "02_sbd"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(stage_dir)
     if config.en_sbd == "punkt":
         punkt_model = train_punkt(docs)
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
@@ -440,15 +468,10 @@ def stage_sbd(config: PipelineConfig, pairs: Pairs, docs: list[Document]) -> dic
     return sentence_lists
 
 
-def _corpus_length_params(
-    config: PipelineConfig, doc_pairs: list[tuple[SentenceList, SentenceList]]
-) -> LengthParams:
-    """Length-model parameters for gc/bleualign: loaded from
-    ``config.params_file`` when it is set, otherwise fitted on the character
+def _corpus_length_params(doc_pairs: list[tuple[SentenceList, SentenceList]]) -> LengthParams:
+    """Length-model parameters for gc/bleualign fitted on the character
     counts of the paragraph pairs (a document whose paragraph counts differ
     counts as one pair, a newline between two paragraphs)."""
-    if config.params_file:
-        return load_length_params(config.params_file)
     length_pairs: list[tuple[int, int]] = []
     for src, tgt in doc_pairs:
         sides = src.paragraph_lengths(), tgt.paragraph_lengths()
@@ -520,20 +543,26 @@ def _article_map(config: PipelineConfig, pairs: Pairs):
         yield pool_map
 
 
+@write_behind()
 def stage_align(
     config: PipelineConfig, pairs: Pairs, sentences: dict[str, SentenceList]
 ) -> dict[str, AlignmentSet]:
     """Align every article pair; returns the alignments keyed by pair_id.
 
     The corpus model (moore's translation table, trained between its two
-    passes, or the length params) is fitted and saved under ``03_align`` in
-    this process, then bound to one per-article aligner. Both moore passes,
-    gc and bleualign run through the one :func:`_article_map` the stage
-    opens, and each article's file is written as its alignment arrives. The
-    length terms this process memoized are dropped when the stage ends."""
+    passes, or the length params, loaded from ``config.params_file`` before
+    the stage creates anything, or else fitted) is saved under ``03_align``
+    in this process, then bound to one per-article aligner. Both moore
+    passes, gc and bleualign run through the one :func:`_article_map` the
+    stage opens, and each article's file is written as its alignment
+    arrives. The length terms this process memoized are dropped when the
+    stage ends."""
+    params = None
+    if config.method != "moore" and config.params_file:
+        params = load_length_params(config.params_file)  # before the stage creates anything
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(stage_dir)
     try:
         with _article_map(config, pairs) as pmap:
             if config.method == "moore":
@@ -547,7 +576,8 @@ def stage_align(
                 save_table(table, stage_dir / "translation_table.tsv")
                 align = partial(moore_align, table=table)
             else:
-                params = _corpus_length_params(config, list(zip(*columns)))
+                if params is None:
+                    params = _corpus_length_params(list(zip(*columns)))
                 save_length_params(params, stage_dir / "length_params.txt")
                 align = partial(gc_align, params=params)
             if config.method == "bleualign":
@@ -594,12 +624,13 @@ def _stage_dedup(
 
     kept, removed = dedup_pairs(rows())
     stage_dir = Path(config.output) / "04_dedup"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(stage_dir)
     write_records(stage_dir / "pairs.tsv", kept)
     write_records(stage_dir / "bitext.tsv", ((s, t) for _, s, t in kept))
     return kept, removed
 
 
+@write_behind()
 def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[str, str]:
     """Assign articles to splits; returns the split of each pair_id. Rows of
     an article not in ``pairs`` fail before anything is written."""
@@ -612,7 +643,7 @@ def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[st
     articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
     stage_dir = Path(config.output) / "05_split"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(stage_dir)
     write_records(
         stage_dir / "manifest.tsv",
         [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],

@@ -18,6 +18,7 @@ from bitextkit.cli import main
 from bitextkit.core import META_FILENAME, SentenceList, write_records, write_sentences
 from bitextkit.pipeline import PipelineConfig, SplitSpec
 from bitextkit.scoring import N_MAX
+from test_core import assert_reaped, writer_pids  # noqa: F401 (a fixture)
 from test_scoring import neumaier_sum
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
@@ -303,6 +304,33 @@ class TestRun:
         assert f"{config}: {excinfo.value}" in capsys.readouterr().err
 
 
+class TestWriteFailure:
+    """Files are written by one writer process, in the order the stages hand
+    them over. A file that fails to write fails the stage that handed it
+    over, and the disk is left as a failed write in that stage leaves it."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_directory_in_the_way_of_a_sentence_file_fails_sbd(self, tmp_path, capsys, writer_pids, jobs):
+        corpus = tmp_path / "c"
+        shutil.copytree(CORPUS, corpus, ignore=shutil.ignore_patterns("out", "gold", "golden"))
+        out = corpus / "out"
+        planted = out / "02_sbd" / "A01-en.tsv"
+        planted.mkdir(parents=True)
+        assert main(["--config", str(corpus / "config.json"), "--jobs", jobs, "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"sbd stage failed: [Errno 21] Is a directory: '{planted}.partial' -> '{planted}'" in err
+        golden = CORPUS / "out"
+        want = {"01_preprocess", "removal_log.tsv", "paragraph_report.csv", "02_sbd", "02_sbd/A01-zh.tsv"}
+        want |= {f"01_preprocess/{p.name}" for p in (golden / "01_preprocess").iterdir()}
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*")} - {"02_sbd/A01-en.tsv"}
+        assert written == want  # nothing later, and no .partial file
+        for rel in want:
+            if (out / rel).is_file():
+                assert (out / rel).read_bytes() == (golden / rel).read_bytes(), rel
+        assert len(writer_pids) == 1
+        assert_reaped(writer_pids)
+
+
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
     """preprocess -> sbd -> align run once; later tests read the artifacts."""
@@ -469,6 +497,21 @@ class TestStageCommands:
         sbd = str(CORPUS / "out" / "02_sbd")
         assert main(["align", sbd, str(tmp_path / "a"), "--method", "gc", "--params", str(params)]) == 1
         assert f"{params} line 3: unknown key 'priors.1-1'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()  # the file loads before the stage creates anything
+
+    @pytest.mark.parametrize(
+        "method, golden", [("gc", CORPUS / "golden" / "gc" / "03_align"), ("moore", CORPUS / "out" / "03_align")]
+    )
+    def test_align_pairs_articles_by_pair_id_whatever_the_metadata_order(self, tmp_path, method, golden):
+        sbd = tmp_path / "02_sbd"
+        shutil.copytree(CORPUS / "out" / "02_sbd", sbd)
+        rows = (sbd / META_FILENAME).read_text(encoding="utf-8").splitlines(keepends=True)
+        (sbd / META_FILENAME).write_text("".join(reversed(rows)), encoding="utf-8")
+        assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method]) == 0
+        aligned = tmp_path / "a" / "03_align"
+        assert sorted(p.name for p in aligned.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (aligned / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_eval_rejects_an_invalid_gold(self, tmp_path, capsys):
         # source 0 in two beads, source 2 and target 2 in none

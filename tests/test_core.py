@@ -16,6 +16,7 @@ from bitextkit.bleualign import bleualign
 from bitextkit.cli import _read_tsv
 from bitextkit.core import (
     _CHUNK_ROWS,
+    _SEND_BYTES,
     AlignmentSet,
     ArticleMeta,
     Bead,
@@ -31,6 +32,7 @@ from bitextkit.core import (
     validate_alignment,
     validate_gold,
     write_alignments,
+    write_behind,
     write_documents,
     write_metadata,
     write_records,
@@ -305,6 +307,128 @@ class TestAtomicWrite:
         write_text(path, "new\n")
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+@pytest.fixture
+def writer_pids(monkeypatch):
+    """The pids of the writer processes started while the test runs."""
+    pids = []
+    spawn = os.posix_spawn
+
+    def spy(*args, **kwargs):
+        pids.append(spawn(*args, **kwargs))
+        return pids[-1]
+
+    monkeypatch.setattr(os, "posix_spawn", spy)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie: reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestWriteBehind:
+    """Inside ``write_behind`` one writer process writes the files, in the
+    order they were handed over, as this process would have."""
+
+    def test_writes_the_bytes_an_in_process_write_does(self, tmp_path, writer_pids):
+        def write_all(root):
+            core.make_dirs(root / "d")
+            write_text(root / "t.txt", "zh 甲乙\nen\n")
+            write_records(root / "r.tsv", [("患者", 1), ("a,b", 2.5)] * (3 * _CHUNK_ROWS))
+            write_records(root / "d" / "r.csv", [("a", "b")], ",")
+
+        write_all(tmp_path / "here")
+        with write_behind():
+            write_all(tmp_path / "behind")
+        assert len(writer_pids) == 1
+        assert_reaped(writer_pids)
+        here, behind = (
+            {p.relative_to(tmp_path / d): p.read_bytes() for p in (tmp_path / d).rglob("*.*")}
+            for d in ("here", "behind")
+        )
+        assert len(here) == 3
+        assert behind == here
+
+    def test_a_nested_block_joins_the_open_writer(self, writer_pids):
+        with write_behind() as outer:
+            with write_behind() as inner:
+                assert inner is outer
+        assert len(writer_pids) == 1
+        assert_reaped(writer_pids)
+
+    def test_rows_that_raise_leave_no_file_and_the_next_file_writes(self, tmp_path, writer_pids):
+        def rows():
+            # more than one send's worth, so the writer has the file open
+            for i in range(2 * _SEND_BYTES // 100):
+                yield str(i), "x" * 100
+            raise ValueError("row source failed")
+
+        with write_behind():
+            with pytest.raises(ValueError, match="row source failed"):
+                write_records(tmp_path / "bad.tsv", rows())
+            with pytest.raises(ValueError, match="bad2.tsv line 2: a field holds"):
+                write_records(tmp_path / "bad2.tsv", [("a",), ("b\tc",)])
+            write_records(tmp_path / "next.tsv", [("a", "b")])
+        assert [p.name for p in tmp_path.iterdir()] == ["next.tsv"]
+        assert (tmp_path / "next.tsv").read_bytes() == b"a\tb\n"
+        assert_reaped(writer_pids)
+
+    def test_text_that_cannot_be_encoded_fails_here_and_writes_nothing(self, tmp_path, writer_pids):
+        with write_behind():
+            with pytest.raises(UnicodeEncodeError):
+                write_text(tmp_path / "x.txt", "bad \ud800\n")
+        assert list(tmp_path.iterdir()) == []
+        assert_reaped(writer_pids)
+
+    def test_a_failed_write_stops_the_writer_and_is_raised_as_it_would_be_here(self, tmp_path, writer_pids):
+        missing = tmp_path / "missing" / "a.txt"
+        with pytest.raises(FileNotFoundError) as here:
+            write_text(missing, "a\n")
+        with pytest.raises(FileNotFoundError) as behind:
+            with write_behind() as writer:
+                writer.label("first")
+                write_text(missing, "a\n")
+                writer.label("second")
+                core.make_dirs(tmp_path / "later")
+                write_text(tmp_path / "b.txt", "b\n")
+        assert str(behind.value) == str(here.value)
+        assert behind.value.label == "first"
+        assert list(tmp_path.iterdir()) == []
+        assert_reaped(writer_pids)
+
+    def test_the_writers_failure_replaces_the_blocks_own_error(self, tmp_path, writer_pids):
+        with pytest.raises(FileNotFoundError):
+            with write_behind():
+                write_text(tmp_path / "missing" / "a.txt", "a\n")
+                raise KeyError("later")
+        assert_reaped(writer_pids)
+
+    def test_a_send_interrupted_before_any_byte_keeps_the_stream_whole(self, tmp_path, monkeypatch, writer_pids):
+        writev = os.writev
+
+        def interrupted(fd, buffers):  # as a ^C while the pipe is full
+            monkeypatch.setattr(os, "writev", writev)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            with write_behind():
+                write_text(tmp_path / "a.txt", "a\n")
+                monkeypatch.setattr(os, "writev", interrupted)
+                write_records(tmp_path / "b.tsv", [(str(i), "x" * 100) for i in range(2 * _SEND_BYTES // 100)])
+        # the unsent frames went out with the end of the stream: b.tsv was aborted whole
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert_reaped(writer_pids)
+
+    def test_the_blocks_error_is_raised_after_the_writer_has_finished(self, tmp_path, writer_pids):
+        with pytest.raises(KeyError):
+            with write_behind():
+                write_text(tmp_path / "a.txt", "a\n")
+                raise KeyError("later")
+        assert (tmp_path / "a.txt").read_bytes() == b"a\n"
+        assert_reaped(writer_pids)
 
 
 class TestSentenceFiles:

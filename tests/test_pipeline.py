@@ -428,12 +428,11 @@ class TestCorpusLengthParams:
             zh, en = paragraphs[src.doc_id], paragraphs[tgt.doc_id]
             want.extend(zip(zh, en) if len(zh) == len(en) else [("\n".join(zh), "\n".join(en))])
         doc_pairs = [(sentences[s.doc_id], sentences[t.doc_id]) for s, t in pairs]
-        assert _corpus_length_params(config, doc_pairs) == estimate_length_params(
+        assert _corpus_length_params(doc_pairs) == estimate_length_params(
             [(len(s), len(t)) for s, t in want]
         )
 
     def test_mismatched_paragraph_counts_make_one_pair(self, tmp_path):
-        config = load_config(CORPUS / "config.json")
         mismatched = (
             SentenceList("A-zh", "zh", ("甲乙。", "丙。", "丁戊己。"), (0, 0, 2)),
             SentenceList("A-en", "en", ("One two.", "Three.", "Four five six."), (0, 0, 0)),
@@ -447,7 +446,7 @@ class TestCorpusLengthParams:
             ("庚。", "Seven."),
             ("辛壬。", "Eight nine."),
         ]
-        got = _corpus_length_params(config, [mismatched, matched])
+        got = _corpus_length_params([mismatched, matched])
         assert got == estimate_length_params([(len(s), len(t)) for s, t in want])
 
 
