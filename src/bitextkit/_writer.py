@@ -8,9 +8,9 @@ reads frames from stdin until an end frame. A frame is a kind byte, a
 
 * ``L`` text: a label for the requests that follow (the pipeline sends the
   stage's name);
-* ``M`` path: create the directory and its parents;
-* ``O`` path: open a file; ``D`` frames with its bytes follow, then ``C``
-  (commit: rename it over the path) or ``A`` (abort: remove it);
+* ``O`` path: open a file (and create its missing directories); ``D``
+  frames with its bytes follow, then ``C`` (commit: rename it over the
+  path) or ``A`` (abort: remove it);
 * ``E``: the end of the stream. A process forked while the stream is open
   inherits its pipe, so the end cannot be EOF.
 
@@ -28,10 +28,17 @@ import os
 def write_file(path: str, chunks) -> None:
     """Write the byte strings ``chunks`` to ``path + ".partial"``, then
     rename it over ``path``; if taking a chunk or writing fails, ``path``
-    is untouched and the ``.partial`` file removed."""
+    is untouched and the ``.partial`` file removed. A missing directory of
+    ``path`` is created when the open finds it missing, so a file whose
+    directory exists costs no extra call."""
     partial = path + ".partial"
     try:
-        with open(partial, "wb") as f:
+        try:
+            f = open(partial, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(partial), exist_ok=True)
+            f = open(partial, "wb")
+        with f:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(partial, path)
@@ -77,8 +84,6 @@ def serve(stream, report_fd: int) -> int:
                 return 0
             if kind == b"L":
                 label = payload.decode()
-            elif kind == b"M":
-                os.makedirs(os.fsdecode(payload), exist_ok=True)
             elif kind == b"O":
                 try:
                     write_file(os.fsdecode(payload), data())

@@ -423,9 +423,6 @@ class _Writer:
         """Label the requests that follow; a failure reports its label."""
         self._frame(b"L", text.encode())
 
-    def make_dirs(self, path: str) -> None:
-        self._frame(b"M", os.fsencode(path))
-
     def write(self, path: str, chunks) -> None:
         """Hand over the file ``path`` with the text ``chunks``. An exception
         from ``chunks`` or their encoding aborts the file and is raised here."""
@@ -487,8 +484,8 @@ _open_writer: _Writer | None = None
 
 @contextmanager
 def write_behind():
-    """Hand the block's file writes (:func:`write_text`, :func:`write_records`
-    and :func:`make_dirs`) to a writer process, which carries them out in
+    """Hand the block's file writes (:func:`write_text` and
+    :func:`write_records`) to a writer process, which carries them out in
     order while this process goes on; yields its :class:`_Writer`. When the
     block ends, however it ends, the process finishes and is reaped. Its
     failure is then raised in place of any exception of the block, since it
@@ -516,20 +513,12 @@ def _write(path, chunks) -> None:
         _open_writer.write(os.fspath(path), chunks)
 
 
-def make_dirs(path: str | Path) -> None:
-    """Create the directory ``path`` and its parents, if missing: here, or in
-    the open writer process, in order with the file writes."""
-    if _open_writer is None:
-        os.makedirs(path, exist_ok=True)
-    else:
-        _open_writer.make_dirs(os.fspath(path))
-
-
 def write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text with LF line endings to a ``.partial`` name, then
-    rename it over ``path``; a failed write leaves ``path`` untouched and
-    removes the ``.partial`` file. Inside :func:`write_behind` the writer
-    process does this, in order, and the text is encoded here."""
+    rename it over ``path``, creating the missing directories of ``path``
+    with the file; a failed write leaves ``path`` untouched and removes the
+    ``.partial`` file. Inside :func:`write_behind` the writer process does
+    this, in order, and the text is encoded here."""
     _write(path, (text,))
 
 
@@ -571,7 +560,6 @@ def write_metadata(docs: list[Document], path: str | Path) -> None:
 def write_documents(docs: list[Document], directory: str | Path) -> None:
     """Write documents plus their metadata sidecar, preserving order."""
     directory = Path(directory)
-    make_dirs(directory)
     for doc in docs:
         write_text(directory / f"{doc.meta.doc_id}.txt", "\n".join(doc.paragraphs) + "\n")
     write_metadata(docs, directory / META_FILENAME)

@@ -235,22 +235,27 @@ def gc_align(
 
 
 def load_length_params(path: str | Path) -> LengthParams:
-    """Read a key-value parameter file: ``c=`` and ``s2=``."""
-    values = {"c": DEFAULT_C, "s2": DEFAULT_S2}
+    """Read a key-value parameter file: one ``c=`` and one ``s2=`` line."""
+    keys = ("c", "s2")
+    values: dict[str, float] = {}
 
     def parse(fields, lineno):
         key, sep, value = "\t".join(fields).partition("=")
         key = key.strip()
         if not sep:
             raise ValueError("expected key=value")
-        if key in values:
-            values[key] = float(value)
-        else:
+        if key not in keys:
             raise ValueError(f"unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"repeated key {key!r}")
+        values[key] = float(value)
 
     read_records(path, parse, comments=True)
     try:
-        return LengthParams(values["c"], values["s2"])
+        for key in keys:
+            if key not in values:
+                raise ValueError(f"missing key {key!r}")
+        return LengthParams(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -2,13 +2,15 @@
 
 Every stage leaves its artifacts under the output directory (numbered
 subdirectories, TSV throughout) plus a machine-readable run log. A run and
-each stage function hand their directories and files to one writer process
-(:func:`~bitextkit.core.write_behind`), which creates them in the order they
-were handed over while the stages go on. Files are written to a ``.partial``
-name and renamed on completion, so an aborted run never leaves a truncated
-file under a final name, and a file that fails to write stops the writer,
-so that no later file is created. Article-level work is ordered, so worker
-count never changes the output bytes.
+each stage function hand their files to one writer process
+(:func:`~bitextkit.core.write_behind`), which creates them, each with its
+directory, in the order they were handed over while the stages go on, so
+a stage that fails before it hands over a file leaves nothing. Files are
+written to a ``.partial`` name and renamed on completion, so an aborted
+run never leaves a truncated file under a final name, and a file that
+fails to write stops the writer, so that no later file is created.
+Article-level work is ordered, so worker count never changes the output
+bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from bitextkit.core import (
     ArticleMeta,
     Document,
     SentenceList,
-    make_dirs,
     read_documents,
     read_lines,
     write_alignments,
@@ -348,9 +349,9 @@ def run_pipeline(config: PipelineConfig, jobs: int | None = None) -> int:
 
     ``config.jobs`` bounds the worker processes, which only the align stage
     starts (see :func:`stage_align`). Preprocess, sbd, the corpus models,
-    dedup, split and stats run in this process. Their directories and files
-    go to one writer process, started when the run starts and reaped before
-    it returns or raises, which creates them in order while the run goes on.
+    dedup, split and stats run in this process. Their files go to one writer
+    process, started when the run starts and reaped before it returns or
+    raises, which creates them in order while the run goes on.
     A file that fails to write fails the stage that handed it over, and
     nothing after it is created, as if the stage had written it itself.
 
@@ -451,7 +452,6 @@ def stage_sbd(config: PipelineConfig, pairs: Pairs, docs: list[Document]) -> dic
     abbrevs = load_abbrevs(config.abbreviations) if config.abbreviations else default_abbrevs()
     punkt_model = None
     stage_dir = out / "02_sbd"
-    make_dirs(stage_dir)
     if config.en_sbd == "punkt":
         punkt_model = train_punkt(docs)
         save_punkt(punkt_model, stage_dir / "punkt_model.txt")
@@ -550,19 +550,16 @@ def stage_align(
     """Align every article pair; returns the alignments keyed by pair_id.
 
     The corpus model (moore's translation table, trained between its two
-    passes, or the length params, loaded from ``config.params_file`` before
-    the stage creates anything, or else fitted) is saved under ``03_align``
-    in this process, then bound to one per-article aligner. Both moore
-    passes, gc and bleualign run through the one :func:`_article_map` the
-    stage opens, and each article's file is written as its alignment
-    arrives. The length terms this process memoized are dropped when the
-    stage ends."""
-    params = None
-    if config.method != "moore" and config.params_file:
-        params = load_length_params(config.params_file)  # before the stage creates anything
+    passes, or the length params, loaded from ``config.params_file`` or
+    else fitted) is saved under ``03_align`` in this process, then bound to
+    one per-article aligner; bleualign reads every translation file before
+    the params are saved, so a stage that fails on its inputs or its model
+    writes nothing. Both moore passes, gc and bleualign run through the one
+    :func:`_article_map` the stage opens, and each article's file is
+    written as its alignment arrives. The length terms this process
+    memoized are dropped when the stage ends."""
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
-    make_dirs(stage_dir)
     try:
         with _article_map(config, pairs) as pmap:
             if config.method == "moore":
@@ -576,24 +573,27 @@ def stage_align(
                 save_table(table, stage_dir / "translation_table.tsv")
                 align = partial(moore_align, table=table)
             else:
-                if params is None:
+                if config.params_file:
+                    params = load_length_params(config.params_file)
+                else:
                     params = _corpus_length_params(list(zip(*columns)))
-                save_length_params(params, stage_dir / "length_params.txt")
-                align = partial(gc_align, params=params)
-            if config.method == "bleualign":
-                mt_srcs, mt_tgts = [], []
-                for (meta, _), src, tgt in zip(pairs, *columns):
-                    pair_id = meta.pair_id
-                    mt_srcs.append(
-                        _read_mt(Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src)
-                    )
-                    mt_tgts.append(
-                        None if config.mt_tgt is None else _read_mt(
-                            Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
+                if config.method == "gc":
+                    align = partial(gc_align, params=params)
+                else:
+                    mt_srcs, mt_tgts = [], []
+                    for (meta, _), src, tgt in zip(pairs, *columns):
+                        pair_id = meta.pair_id
+                        mt_srcs.append(
+                            _read_mt(Path(config.mt_src) / f"{pair_id}.txt", f"{pair_id}-mt", TGT_LANG, src)
                         )
-                    )
-                columns += [mt_srcs, mt_tgts]
-                align = partial(bleualign, min_score=config.min_score, params=params)
+                        mt_tgts.append(
+                            None if config.mt_tgt is None else _read_mt(
+                                Path(config.mt_tgt) / f"{pair_id}.txt", f"{pair_id}-mt-rev", SRC_LANG, tgt
+                            )
+                        )
+                    columns += [mt_srcs, mt_tgts]
+                    align = partial(bleualign, min_score=config.min_score, params=params)
+                save_length_params(params, stage_dir / "length_params.txt")
             alignments: dict[str, AlignmentSet] = {}
             for (meta, _), aset in zip(pairs, pmap(align, *columns)):
                 alignments[meta.pair_id] = aset
@@ -624,7 +624,6 @@ def _stage_dedup(
 
     kept, removed = dedup_pairs(rows())
     stage_dir = Path(config.output) / "04_dedup"
-    make_dirs(stage_dir)
     write_records(stage_dir / "pairs.tsv", kept)
     write_records(stage_dir / "bitext.tsv", ((s, t) for _, s, t in kept))
     return kept, removed
@@ -643,7 +642,6 @@ def stage_split(config: PipelineConfig, pairs: Pairs, bitext: Bitext) -> dict[st
     articles = [(src_meta, per_article.get(src_meta.pair_id, 0)) for src_meta, _ in pairs]
     assignment = split_corpus(articles, config.split)
     stage_dir = Path(config.output) / "05_split"
-    make_dirs(stage_dir)
     write_records(
         stage_dir / "manifest.tsv",
         [(pair_id, split, per_article.get(pair_id, 0)) for pair_id, split in assignment.items()],

@@ -415,13 +415,13 @@ def save_punkt(model: PunktModel, path: str | Path) -> None:
 
 
 def load_punkt(path: str | Path) -> PunktModel:
-    """Read a model written by :func:`save_punkt`; records of any other
-    kind (the ``param`` and ``colloc`` lines of older files) are skipped."""
+    """Read a model written by :func:`save_punkt`: ``abbrev`` and
+    ``starter`` records only."""
     scores: dict[str, dict] = {"abbrev": {}, "starter": {}}
 
     def parse(fields, lineno):
         if fields[0] not in scores:
-            return
+            raise ValueError(f"unknown record kind {fields[0]!r}")
         if len(fields) != 3:
             raise ValueError("expected 3 tab-separated fields")
         scores[fields[0]][fields[1]] = float(fields[2])

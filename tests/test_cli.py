@@ -438,7 +438,7 @@ class TestStageCommands:
         rc = main(["align", sbd, str(tmp_path / "a"), "--method", "bleualign", "--src-mt", str(mt)])
         assert rc == 1
         assert f"{mt / 'A01.txt'}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
-        assert not (tmp_path / "a" / "03_align" / "A01.tsv").exists()
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("method", ["gc", "bleualign"])
     @pytest.mark.parametrize("corpus", ["no metadata rows", "every zh side empty"])
@@ -452,7 +452,7 @@ class TestStageCommands:
         assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method, "--src-mt", mt]) == 1
         err = capsys.readouterr().err
         assert "no source-side text to fit the length model on; set params_file (--params)" in err
-        assert [p for p in (tmp_path / "a").rglob("*") if p.is_file()] == []
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("method", ["gc", "bleualign"])
     def test_corpus_without_target_text_names_the_cause(self, tmp_path, capsys, stages, method):
@@ -464,7 +464,40 @@ class TestStageCommands:
         assert main(["align", str(sbd), str(tmp_path / "a"), "--method", method, "--src-mt", mt]) == 1
         err = capsys.readouterr().err
         assert "no target-side text to fit the length model on; set params_file (--params)" in err
-        assert [p for p in (tmp_path / "a").rglob("*") if p.is_file()] == []
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "method, cause",
+        [("gc", "no source-side text"), ("bleualign", "no target-side text"),
+         ("bleualign", "mt_zh2en/A03.txt missing"), ("bleualign", "mt_en2zh/A03.txt missing"),
+         ("gc", "params without s2"), ("bleualign", "params with c twice")],
+    )
+    def test_an_align_that_fails_on_its_inputs_or_model_leaves_no_output_directory(
+        self, tmp_path, capsys, method, cause
+    ):
+        sbd = tmp_path / "02_sbd"
+        shutil.copytree(CORPUS / "out" / "02_sbd", sbd)
+        mt = {name: CORPUS / name for name in ("mt_zh2en", "mt_en2zh")}
+        argv = ["align", str(sbd), str(tmp_path / "a"), "--method", method]
+        if cause.endswith("-side text"):
+            for path in sbd.glob(f"*-{'zh' if 'source' in cause else 'en'}.tsv"):
+                path.write_text("", encoding="utf-8")
+            message = f"{cause} to fit the length model on; set params_file (--params)"
+        elif cause.endswith("missing"):
+            name = cause.split("/")[0]
+            mt[name] = tmp_path / name
+            shutil.copytree(CORPUS / name, mt[name])
+            (mt[name] / "A03.txt").unlink()
+            message = f"translation file not found: {mt[name] / 'A03.txt'}"
+        else:
+            params = tmp_path / "length_params.txt"
+            twice = cause.endswith("twice")
+            params.write_text("c=1.2\ns2=6.8\nc=1.3\n" if twice else "c=1.2\n", encoding="utf-8")
+            argv += ["--params", str(params)]
+            message = f"{params} line 3: repeated key 'c'" if twice else f"{params}: missing key 's2'"
+        assert main([*argv, "--src-mt", str(mt["mt_zh2en"]), "--tgt-mt", str(mt["mt_en2zh"])]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_preprocess_artifacts(self, stages):
         pre = stages / "p" / "01_preprocess"
@@ -659,6 +692,13 @@ class TestPairCommands:
         assert main(["dedup", str(src), str(tmp_path / name)]) == 0
         assert "removed 0 duplicates" in capsys.readouterr().out
         assert (tmp_path / name).read_bytes() == src.read_bytes()
+
+    def test_dedup_creates_the_directory_of_its_output(self, tmp_path):
+        src = CORPUS / "out" / "04_dedup" / "pairs.tsv"
+        out = tmp_path / "new" / "dir" / "pairs.tsv"
+        assert main(["dedup", str(src), str(out)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+        assert [p.name for p in out.parent.iterdir()] == ["pairs.tsv"]
 
 
 class TestBleuCommand:

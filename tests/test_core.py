@@ -335,7 +335,7 @@ class TestWriteBehind:
 
     def test_writes_the_bytes_an_in_process_write_does(self, tmp_path, writer_pids):
         def write_all(root):
-            core.make_dirs(root / "d")
+            (root / "d").mkdir(parents=True)
             write_text(root / "t.txt", "zh 甲乙\nen\n")
             write_records(root / "r.tsv", [("患者", 1), ("a,b", 2.5)] * (3 * _CHUNK_ROWS))
             write_records(root / "d" / "r.csv", [("a", "b")], ",")
@@ -350,6 +350,26 @@ class TestWriteBehind:
             for d in ("here", "behind")
         )
         assert len(here) == 3
+        assert behind == here
+
+    def test_a_missing_directory_is_created_with_its_file(self, tmp_path, writer_pids):
+        def write_all(root):
+            write_records(root / "d" / "e" / "r.tsv", [("患者", 1)])
+            write_text(root / "d" / "t.txt", "a\n")
+            write_text(root / "t.txt", "b\n")
+
+        write_all(tmp_path / "here")
+        with write_behind():
+            write_all(tmp_path / "behind")
+        assert len(writer_pids) == 1
+        assert_reaped(writer_pids)
+        here, behind = (
+            {p.relative_to(tmp_path / d).as_posix(): p.is_dir() or p.read_bytes() for p in (tmp_path / d).rglob("*")}
+            for d in ("here", "behind")
+        )
+        assert here == {
+            "d": True, "d/e": True, "d/e/r.tsv": "患者\t1\n".encode(), "d/t.txt": b"a\n", "t.txt": b"b\n",
+        }
         assert behind == here
 
     def test_a_nested_block_joins_the_open_writer(self, writer_pids):
@@ -384,26 +404,30 @@ class TestWriteBehind:
         assert_reaped(writer_pids)
 
     def test_a_failed_write_stops_the_writer_and_is_raised_as_it_would_be_here(self, tmp_path, writer_pids):
-        missing = tmp_path / "missing" / "a.txt"
-        with pytest.raises(FileNotFoundError) as here:
-            write_text(missing, "a\n")
-        with pytest.raises(FileNotFoundError) as behind:
+        planted = tmp_path / "a.txt"
+        planted.mkdir()  # in the way of the rename
+        with pytest.raises(IsADirectoryError) as here:
+            write_text(planted, "a\n")
+        with pytest.raises(IsADirectoryError) as behind:
             with write_behind() as writer:
                 writer.label("first")
-                write_text(missing, "a\n")
+                write_text(planted, "a\n")
                 writer.label("second")
-                core.make_dirs(tmp_path / "later")
+                write_text(tmp_path / "later" / "b.txt", "b\n")
                 write_text(tmp_path / "b.txt", "b\n")
         assert str(behind.value) == str(here.value)
         assert behind.value.label == "first"
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [planted]
+        assert list(planted.iterdir()) == []
         assert_reaped(writer_pids)
 
     def test_the_writers_failure_replaces_the_blocks_own_error(self, tmp_path, writer_pids):
-        with pytest.raises(FileNotFoundError):
+        (tmp_path / "f").write_bytes(b"")  # a parent that is not a directory
+        with pytest.raises(NotADirectoryError):
             with write_behind():
-                write_text(tmp_path / "missing" / "a.txt", "a\n")
+                write_text(tmp_path / "f" / "a.txt", "a\n")
                 raise KeyError("later")
+        assert list(tmp_path.iterdir()) == [tmp_path / "f"]
         assert_reaped(writer_pids)
 
     def test_a_send_interrupted_before_any_byte_keeps_the_stream_whole(self, tmp_path, monkeypatch, writer_pids):

@@ -397,14 +397,31 @@ class TestEstimateParams:
             load_length_params(path)
 
     @pytest.mark.parametrize(
-        "line, message",
-        [("c=nan", "c: must be finite and > 0"), ("s2=0", "s2: must be finite and > 0")],
+        "text, message",
+        [("c=nan\ns2=6.8", "c: must be finite and > 0"), ("c=1.0\ns2=0", "s2: must be finite and > 0")],
     )
-    def test_rejected_value_names_file(self, tmp_path, line, message):
+    def test_rejected_value_names_file(self, tmp_path, text, message):
         path = tmp_path / "params.txt"
-        path.write_text(f"{line}\n", encoding="utf-8")
+        path.write_text(f"{text}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"params\.txt: {message}"):
             load_length_params(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c=1.2\n", ": missing key 's2'"),
+            ("# s2 only\ns2=6.8\n", ": missing key 'c'"),
+            ("", ": missing key 'c'"),
+            ("c=1.2\ns2=6.8\nc=1.3\n", " line 3: repeated key 'c'"),
+            ("s2=6.8\nc=1.2\n s2 = 6.8\n", " line 3: repeated key 's2'"),
+        ],
+    )
+    def test_missing_or_repeated_key_names_file_and_key(self, tmp_path, text, message):
+        path = tmp_path / "params.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_length_params(path)
+        assert str(excinfo.value) == f"{path}{message}"
 
 
 class TestLatticeSearch:

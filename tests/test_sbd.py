@@ -220,16 +220,17 @@ class TestUnsupervised:
         save_punkt(model, path)
         assert load_punkt(path) == model
 
-    def test_load_skips_param_and_colloc_records_of_older_files(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, lineno, kind", [("param\tabbrev_threshold\t0.3", 1, "param"), ("colloc\tet\tal\t8.0", 3, "colloc")]
+    )
+    def test_load_rejects_a_record_of_another_kind_with_file_and_line(self, tmp_path, line, lineno, kind):
         path = tmp_path / "model.tsv"
-        path.write_text(
-            "param\tabbrev_threshold\t0.3\n"
-            "abbrev\tfig\t1.432\n"
-            "starter\twe\t31.25\n"
-            "colloc\tet\tal\t8.0\n",
-            encoding="utf-8",
-        )
-        assert load_punkt(path) == PunktModel({"fig": 1.432}, {"we": 31.25})
+        lines = ["abbrev\tfig\t1.432", "starter\twe\t31.25"]
+        lines.insert(lineno - 1, line)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_punkt(path)
+        assert str(excinfo.value) == f"{path} line {lineno}: unknown record kind '{kind}'"
 
     @pytest.mark.parametrize("line", ["abbrev\tfig", "starter\twe\thigh"])
     def test_load_malformed_record_names_file_and_line(self, tmp_path, line):
