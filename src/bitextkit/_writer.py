@@ -8,9 +8,9 @@ reads frames from stdin until an end frame. A frame is a kind byte, a
 
 * ``L`` text: a label for the requests that follow (the pipeline sends the
   stage's name);
-* ``O`` path: open a file (and create its missing directories); ``D``
-  frames with its bytes follow, then ``C`` (commit: rename it over the
-  path) or ``A`` (abort: remove it);
+* ``O`` path: a file; ``D`` frames with its bytes follow, then ``C``
+  (commit: rename it over the path) or ``A`` (abort: remove it). It is
+  opened, with its missing directories, at its first ``D`` or its ``C``;
 * ``E``: the end of the stream. A process forked while the stream is open
   inherits its pipe, so the end cannot be EOF.
 
@@ -28,10 +28,13 @@ import os
 def write_file(path: str, chunks) -> None:
     """Write the byte strings ``chunks`` to ``path + ".partial"``, then
     rename it over ``path``; if taking a chunk or writing fails, ``path``
-    is untouched and the ``.partial`` file removed. A missing directory of
-    ``path`` is created when the open finds it missing, so a file whose
-    directory exists costs no extra call."""
+    is untouched and the ``.partial`` file removed. The first chunk is
+    taken before the open, which creates a missing directory of ``path``
+    only when it finds one missing: a file that fails after its first
+    chunk may leave the directory its ``.partial`` file needed."""
     partial = path + ".partial"
+    chunks = iter(chunks)
+    first = next(chunks, b"")
     try:
         try:
             f = open(partial, "wb")
@@ -39,6 +42,7 @@ def write_file(path: str, chunks) -> None:
             os.makedirs(os.path.dirname(partial), exist_ok=True)
             f = open(partial, "wb")
         with f:
+            f.write(first)
             for chunk in chunks:
                 f.write(chunk)
         os.replace(partial, path)

@@ -398,13 +398,15 @@ def moore_align(src: SentenceList, tgt: SentenceList, table: TranslationTable) -
 def train_lexicon(docs_with_pairs: list) -> TranslationTable:
     """Pool confident pairs from (src, tgt, pairs) triples, map rare words
     to OTHER, and train one translation table for the corpus with
-    EM_ITERATIONS rounds of EM."""
+    EM_ITERATIONS rounds of EM; with no confident pair, warn once and
+    return the empty table, on which pass 2 uses the length model alone."""
     token_pairs = [
         (tokenize(src.sentences[i], src.language), tokenize(tgt.sentences[j], tgt.language))
         for src, tgt, confident in docs_with_pairs for i, j in confident
     ]
     if not token_pairs:
-        raise ValueError("no confident sentence pairs to train on")
+        log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
+        return TranslationTable({})
     return train_ibm1(map_rare_tokens(token_pairs))
 
 

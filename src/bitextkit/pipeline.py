@@ -56,7 +56,7 @@ from bitextkit.gale_church import (
     load_length_params,
     save_length_params,
 )
-from bitextkit.moore import TranslationTable, length_pass, moore_align, save_table, train_lexicon
+from bitextkit.moore import length_pass, moore_align, save_table, train_lexicon
 from bitextkit.preprocess import (
     apply_truecaser,
     default_filter_rules,
@@ -549,27 +549,22 @@ def stage_align(
 ) -> dict[str, AlignmentSet]:
     """Align every article pair; returns the alignments keyed by pair_id.
 
-    The corpus model (moore's translation table, trained between its two
-    passes, or the length params, loaded from ``config.params_file`` or
-    else fitted) is saved under ``03_align`` in this process, then bound to
-    one per-article aligner; bleualign reads every translation file before
-    the params are saved, so a stage that fails on its inputs or its model
-    writes nothing. Both moore passes, gc and bleualign run through the one
-    :func:`_article_map` the stage opens, and each article's file is
-    written as its alignment arrives. The length terms this process
-    memoized are dropped when the stage ends."""
+    The corpus model (moore's translation table, which :func:`train_lexicon`
+    trains between the two passes, or the length params, loaded from
+    ``config.params_file`` or else fitted) is saved under ``03_align`` in
+    this process, then bound to one per-article aligner; bleualign reads
+    every translation file before the params are saved, so a stage that
+    fails on its inputs or its model writes nothing. Both moore passes, gc
+    and bleualign run through the one :func:`_article_map` the stage opens,
+    and each article's file is written as its alignment arrives. The length
+    terms this process memoized are dropped when the stage ends."""
     columns = [[sentences[s.doc_id] for s, _ in pairs], [sentences[t.doc_id] for _, t in pairs]]
     stage_dir = Path(config.output) / "03_align"
     try:
         with _article_map(config, pairs) as pmap:
             if config.method == "moore":
                 passes = pmap(length_pass, *columns)
-                confident = [(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)]
-                if any(found for _, _, found in confident):
-                    table = train_lexicon(confident)
-                else:
-                    log.warning("no confident sentence pairs to train on; pass 2 uses the length model")
-                    table = TranslationTable({})
+                table = train_lexicon([(src, tgt, found) for src, tgt, (_, found) in zip(*columns, passes)])
                 save_table(table, stage_dir / "translation_table.tsv")
                 align = partial(moore_align, table=table)
             else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -101,48 +101,33 @@ def stitch_paragraphs(doc: Document) -> Document:
     return Document(doc.meta, tuple(out))
 
 
-@dataclass(frozen=True)
-class FilterRules:
-    """Boilerplate paragraph filters.
-
-    ``drop_prefix_patterns`` maps a language tag (or ``*`` for both) to
-    ``(label, regex)`` rules matched at paragraph start; an exact rule's
-    regex also ends at the paragraph's end.
-    """
-
-    drop_prefix_patterns: dict = field(default_factory=dict)
-
-    def for_language(self, lang: str) -> list[tuple[str, re.Pattern]]:
-        rules = []
-        for key in (lang, "*"):
-            rules.extend(self.drop_prefix_patterns.get(key, ()))
-        return rules
-
-
-def load_filter_rules(path: str | Path) -> FilterRules:
+def load_filter_rules(path: str | Path) -> dict[str, list[tuple[str, re.Pattern]]]:
     """Parse a pattern file: ``lang:regex`` per line (``lang`` is zh/en/*),
-    ``lang:=text`` for exact paragraph matches, ``#`` comments. A line may
-    not hold a tab: it becomes the rule's label in the removal log."""
-    patterns: dict[str, list] = {}
+    matched at paragraph start, ``lang:=text`` for exact paragraph matches,
+    ``#`` comments. A line may not hold a tab: it becomes the rule's label
+    in the removal log. Returns ``{language: [(label, regex), ...]}`` for
+    zh and en: that language's rules, then the ``*`` rules, in file order."""
+    patterns: dict[str, list] = {"zh": [], "en": [], "*": []}
 
     def parse(fields, lineno):
         if len(fields) > 1:
             raise ValueError("a pattern line may not hold a tab")
         line = fields[0].strip()
         lang, sep, body = line.partition(":")
-        if not sep or lang not in ("zh", "en", "*") or not body:
+        if not sep or lang not in patterns or not body:
             raise ValueError("expected 'zh:'/'en:'/'*:' prefix and a pattern")
         try:
             rx = re.compile(re.escape(body[1:]) + r"\Z" if body.startswith("=") else body)
         except re.error as exc:
             raise ValueError(f"bad regex {body!r}: {exc}") from exc
-        patterns.setdefault(lang, []).append((line, rx))
+        patterns[lang].append((line, rx))
 
     read_records(path, parse, comments=True)
-    return FilterRules(patterns)
+    shared = patterns.pop("*")
+    return {lang: rules + shared for lang, rules in patterns.items()}
 
 
-def default_filter_rules() -> FilterRules:
+def default_filter_rules() -> dict[str, list[tuple[str, re.Pattern]]]:
     with resources.as_file(
         resources.files("bitextkit.data").joinpath("filter_patterns.txt")
     ) as p:
@@ -150,11 +135,12 @@ def default_filter_rules() -> FilterRules:
 
 
 def filter_boilerplate(
-    doc: Document, rules: FilterRules
+    doc: Document, rules: dict[str, list[tuple[str, re.Pattern]]]
 ) -> tuple[Document, list[tuple[int, str]]]:
     """Drop boilerplate paragraphs; return the surviving document and a
-    removal log of (original paragraph index, matched rule)."""
-    rule_list = rules.for_language(doc.meta.language)
+    removal log of (original paragraph index, label of the first rule in
+    ``rules[doc.meta.language]`` that matches)."""
+    rule_list = rules[doc.meta.language]
     kept: list[str] = []
     removed: list[tuple[int, str]] = []
     for idx, p in enumerate(doc.paragraphs):

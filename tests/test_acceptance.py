@@ -48,6 +48,7 @@ from bitextkit.sbd import (
     train_punkt,
 )
 from bitextkit.scoring import sentence_bleu
+from test_bleualign import brute_force_chain
 from test_gale_church import gc_cost
 
 DATA = Path(__file__).parent / "data"
@@ -206,32 +207,6 @@ def test_criterion_04_bleu_reference_values_and_range():
 
 
 # 5. anchor search vs brute force; intersection is a subset
-
-def brute_force_chain(m: ScoreMatrix, min_score: float) -> list[tuple[int, int]]:
-    """Best monotone chain by (highest total, nearest the diagonal,
-    lexicographically first), totals folded back-to-front."""
-    cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] > min_score]
-    best = None
-
-    def consider(chain):
-        nonlocal best
-        neg_total, dist = 0.0, 0
-        for c in reversed(chain):
-            neg_total = neg_total - m[c]
-            dist += abs(c[0] - c[1])
-        key = (neg_total, dist, tuple(chain))
-        if best is None or key < best:
-            best = key
-
-    def rec(chain, last):
-        consider(chain)
-        for c in cells:
-            if c[0] > last[0] and c[1] > last[1]:
-                rec(chain + [c], c)
-
-    rec([], (-1, -1))
-    return list(best[2])
-
 
 def test_criterion_05_anchor_search_oracle_and_intersection_subset():
     """find_anchors equals the brute-force best chain up to 6x6; on 100

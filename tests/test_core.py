@@ -323,6 +323,11 @@ def writer_pids(monkeypatch):
     return pids
 
 
+def tree(root):
+    """Each path under ``root``: True for a directory, else the file's bytes."""
+    return {p.relative_to(root).as_posix(): p.is_dir() or p.read_bytes() for p in root.rglob("*")}
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):  # neither running nor a zombie: reaped
@@ -363,13 +368,26 @@ class TestWriteBehind:
             write_all(tmp_path / "behind")
         assert len(writer_pids) == 1
         assert_reaped(writer_pids)
-        here, behind = (
-            {p.relative_to(tmp_path / d).as_posix(): p.is_dir() or p.read_bytes() for p in (tmp_path / d).rglob("*")}
-            for d in ("here", "behind")
-        )
+        here, behind = tree(tmp_path / "here"), tree(tmp_path / "behind")
         assert here == {
             "d": True, "d/e": True, "d/e/r.tsv": "患者\t1\n".encode(), "d/t.txt": b"a\n", "t.txt": b"b\n",
         }
+        assert behind == here
+
+    def test_a_file_whose_first_rows_fail_creates_no_directory(self, tmp_path, writer_pids):
+        def write_all(root):
+            with pytest.raises(ValueError, match="x.tsv line 1: a field holds"):
+                write_records(root / "bad" / "x.tsv", [("a\tb",)])
+            write_text(root / "t" / "empty.txt", "")
+            write_records(root / "r" / "empty.tsv", [])
+
+        write_all(tmp_path / "here")
+        with write_behind():
+            write_all(tmp_path / "behind")
+        assert len(writer_pids) == 1
+        assert_reaped(writer_pids)
+        here, behind = tree(tmp_path / "here"), tree(tmp_path / "behind")
+        assert here == {"t": True, "t/empty.txt": b"", "r": True, "r/empty.tsv": b""}
         assert behind == here
 
     def test_a_nested_block_joins_the_open_writer(self, writer_pids):
@@ -736,11 +754,25 @@ class TestWriteRecords:
         assert read_records(tmp_path / "r.tsv", lambda fields, lineno: fields) == rows
 
 
-def test_importing_core_loads_no_scoring():
-    """core imports no other module of the package: the tokenization rule
-    stays in scoring, and the aligners call it on the sentences they score."""
-    code = "import sys, bitextkit.core\nsys.exit('core loaded scoring' if 'bitextkit.scoring' in sys.modules else 0)\n"
+def package_modules_loaded_by(module: str) -> set[str]:
+    """The package's modules that a fresh interpreter holds after importing ``module``."""
+    code = f"import sys, {module}\nprint(*(m for m in sys.modules if m.startswith('bitextkit')))\n"
     src = Path(core.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_core_loads_no_scoring():
+    """core imports no other module of the package: the tokenization rule
+    stays in scoring, and the aligners call it on the sentences they score."""
+    assert "bitextkit.scoring" not in package_modules_loaded_by("bitextkit.core")
+
+
+def test_importing_scoring_loads_no_core_and_no_writer():
+    """The package root holds only ``__version__``, so scoring, which the
+    bleu command and the aligners use, loads no record file code."""
+    loaded = package_modules_loaded_by("bitextkit.scoring")
+    assert "bitextkit.scoring" in loaded
+    assert not loaded & {"bitextkit.core", "bitextkit._writer"}

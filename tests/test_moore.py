@@ -556,10 +556,16 @@ class TestSecondPass:
         moore_align(src, tgt, table)
         assert calls == everything
 
-    def test_train_lexicon_requires_confident_pairs(self):
+    def test_train_lexicon_without_confident_pairs_warns_and_returns_the_empty_table(self, tmp_path, caplog):
         src, tgt = training_docs()
-        with pytest.raises(ValueError):
-            train_lexicon([(src, tgt, [])])
+        with caplog.at_level("WARNING"):
+            table = train_lexicon([(src, tgt, [])])
+        assert table == TranslationTable({})
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("bitextkit.moore", "WARNING", "no confident sentence pairs to train on; pass 2 uses the length model")
+        ]
+        save_table(table, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == b""
 
 
 def reference_scorer(src_tokens, tgt_tokens, table):

@@ -118,8 +118,45 @@ class TestFilter:
         p = tmp_path / "rules.txt"
         p.write_text("# comment\nzh:图\nen:Figure [0-9]\n*:=Advertisement\n", encoding="utf-8")
         rules = load_filter_rules(p)
-        assert [label for label, _ in rules.for_language("zh")] == ["zh:图", "*:=Advertisement"]
-        assert [label for label, _ in rules.for_language("en")] == ["en:Figure [0-9]", "*:=Advertisement"]
+        assert rules.keys() == {"zh", "en"}
+        assert [label for label, _ in rules["zh"]] == ["zh:图", "*:=Advertisement"]
+        assert [label for label, _ in rules["en"]] == ["en:Figure [0-9]", "*:=Advertisement"]
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rules")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.sampled_from(["zh", "en", "*"]), st.booleans(), st.text("ab.", min_size=1, max_size=3)),
+            min_size=1, max_size=8,
+        ),
+        paragraphs=st.lists(st.text("ab.", min_size=1, max_size=4), max_size=6),
+    )
+    def test_random_rule_files_keep_file_order_and_label_by_the_first_match(self, workdir, lines, paragraphs):
+        """Each language gets its own rules, then the ``*`` rules, each in
+        file order, and a paragraph is labelled with the first that matches.
+        A regex over ``ab.`` matches where each of its characters is ``.``
+        or equals the paragraph's; an exact rule matches the whole
+        paragraph literally."""
+        labels = [f"{lang}:{'=' if exact else ''}{text}" for lang, exact, text in lines]
+        (workdir / "rules.txt").write_text("".join(f"{label}\n" for label in labels), encoding="utf-8")
+        rules = load_filter_rules(workdir / "rules.txt")
+        assert rules.keys() == {"zh", "en"}
+
+        def matches(exact, text, p):
+            if exact:
+                return p == text
+            return len(p) >= len(text) and all(c in (".", q) for c, q in zip(text, p))
+
+        for lang in ("zh", "en"):
+            order = [k for key in (lang, "*") for k, line in enumerate(lines) if line[0] == key]
+            assert [label for label, _ in rules[lang]] == [labels[k] for k in order]
+            hits = [next((labels[k] for k in order if matches(*lines[k][1:], p)), None) for p in paragraphs]
+            kept, removed = filter_boilerplate(doc(lang, *paragraphs), rules)
+            assert removed == [(idx, hit) for idx, hit in enumerate(hits) if hit is not None]
+            assert kept.paragraphs == tuple(p for p, hit in zip(paragraphs, hits) if hit is None)
 
     def test_rule_file_rejects_unknown_language(self, tmp_path):
         p = tmp_path / "rules.txt"
